@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, dd, features, rnn, snr
-from .dsp import AudioSignal, istft, stft
+from .dsp import AudioSignal, SpectroGram, istft, stft
 from .gain import GainRule, gain_for
 # the package re-exports the train() function under the submodule's name,
 # so pull what the commands need straight from the submodule
@@ -177,8 +177,6 @@ def cmd_enhance(args) -> int:
     else:
         spec, xi, gamma = _estimate_for_enhance(args, noisy)
         g = gain_for(rule, xi, gamma)
-        from .dsp import SpectroGram
-
         shaped = SpectroGram(spec.magnitude * g, spec.phase, spec.config)
         out = istft(shaped, len(noisy))
     samples = np.clip(out.samples, -1.0, 1.0)
@@ -317,10 +315,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         # Apply config-file values as subcommand defaults before parsing.
-        if "--config" in argv:
-            cfg_path = Path(argv[argv.index("--config") + 1])
-            overrides = _read_config(cfg_path)
-            ns, _ = parser.parse_known_args(argv)
+        ns, _ = parser.parse_known_args(argv)
+        if ns.config is not None:
+            overrides = _read_config(Path(ns.config))
             if ns.command is None:
                 raise UsageError("missing command")
             sub_actions = [

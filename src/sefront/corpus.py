@@ -9,7 +9,6 @@ components together if the mixture would clip.
 
 from __future__ import annotations
 
-import struct
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, AudioSignal, istft, stft
+from .dsp import AnalysisConfig, DEFAULT_CONFIG, AudioSignal, SpectroGram, istft, stft
 from .gain import GainRule, gain_for
 
 ALPHA_DD = 0.98
@@ -66,10 +66,15 @@ def track_noise(state: NoiseTracker, noisy_power_frame) -> NoiseTracker:
 
 @dataclass
 class DdState:
-    """Carry-over between frames: previous post-gain amplitude squared."""
+    """Carry-over between frames: previous post-gain amplitude squared.
+
+    gain is the rule's gain for the frame that produced this state, or
+    None before the first step.
+    """
 
     prev_amp_sq: np.ndarray
     alpha: float = ALPHA_DD
+    gain: np.ndarray | None = None
 
 
 def dd_xi(
@@ -84,7 +89,8 @@ def dd_xi(
     xi    = alpha * prev_amp_sq / lambda_d + (1 - alpha) * max(gamma - 1, 0)
 
     The state advances with (G |X|)^2 where G is the rule's gain for
-    this frame, so the recursion sees the enhanced amplitude.
+    this frame, so the recursion sees the enhanced amplitude; G itself
+    is kept as next_state.gain.
     """
     p = np.asarray(noisy_power_frame, dtype=np.float64)
     lam = np.maximum(np.asarray(lambda_d, dtype=np.float64), _POWER_FLOOR)
@@ -93,7 +99,7 @@ def dd_xi(
         gamma - 1.0, 0.0
     )
     g = gain_for(rule, xi, np.maximum(gamma, _POWER_FLOOR))
-    next_state = replace(state, prev_amp_sq=(g * g) * p)
+    next_state = replace(state, prev_amp_sq=(g * g) * p, gain=g)
     return xi, gamma, next_state
 
 
@@ -143,9 +149,7 @@ def enhance_dd(
     state = DdState(np.zeros(spec.config.n_bins), alpha_dd)
     gains = np.empty_like(power)
     for l in range(spec.n_frames):
-        xi, gamma, state = dd_xi(state, power[l], lam[l], rule)
-        gains[l] = gain_for(rule, xi, np.maximum(gamma, _POWER_FLOOR))
-    from .dsp import SpectroGram
-
+        _, _, state = dd_xi(state, power[l], lam[l], rule)
+        gains[l] = state.gain
     shaped = SpectroGram(spec.magnitude * gains, spec.phase, spec.config)
     return istft(shaped, n_out)

@@ -2,9 +2,10 @@
 
 All rules take linear xi (and, for the amplitude estimator, the a
 posteriori SNR gamma) and return a gain in [0, 1] that multiplies the
-noisy magnitude.  The short-time amplitude estimator follows the
-classical MMSE solution with modified Bessel functions; above nu = 700
-it falls back to its Wiener limit to stay in floating-point range.
+noisy magnitude.  The short-time amplitude estimator is the MMSE
+solution of Ephraim and Malah (1984), evaluated with SciPy's
+exponentially scaled Bessel functions; above nu = 700 it takes its
+Wiener limit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+from scipy.special import i0e, i1e
+
+from .dsp import SpectroGram
 
 
 class GainRule(Enum):
@@ -21,7 +25,9 @@ class GainRule(Enum):
 
 
 NU_OVERFLOW = 700.0
-_BESSEL_CROSSOVER = 15.0
+# exp(-|x|) I0(x) and exp(-|x|) I1(x)
+bessel_i0e = i0e
+bessel_i1e = i1e
 
 
 def gain_wiener(xi) -> np.ndarray:
@@ -33,52 +39,6 @@ def gain_wiener(xi) -> np.ndarray:
 def gain_srwf(xi) -> np.ndarray:
     """Square-root Wiener filter sqrt(xi / (1 + xi)), the pipeline default."""
     return np.sqrt(gain_wiener(xi))
-
-
-def _bessel_series(x, order: int) -> np.ndarray:
-    # Ascending series, all terms positive, converges fast for x <= 15.
-    t = 0.25 * x * x
-    term = np.ones_like(x) if order == 0 else 0.5 * x
-    total = term.copy()
-    for k in range(1, 60):
-        term = term * t / (k * (k + order))
-        total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-
-def _bessel_asymptotic_scaled(x, order: int) -> np.ndarray:
-    # exp(-x) I_order(x) ~ (2 pi x)^(-1/2) sum_k t_k for large x, where
-    # t_k / t_{k-1} = ((2k-1)^2 - 4 order^2) / (8 k x).
-    mu = 4.0 * order * order
-    term = np.ones_like(x)
-    total = term.copy()
-    for k in range(1, 12):
-        term = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
-        total += term
-    return total / np.sqrt(2.0 * np.pi * x)
-
-
-def _bessel_ie(x, order: int) -> np.ndarray:
-    """exp(-x) I_order(x) for x >= 0, order 0 or 1, ~1e-10 accurate."""
-    x = np.asarray(x, dtype=np.float64)
-    small = x <= _BESSEL_CROSSOVER
-    out = np.empty_like(x)
-    if np.any(small):
-        xs = x[small]
-        out[small] = _bessel_series(xs, order) * np.exp(-xs)
-    if np.any(~small):
-        out[~small] = _bessel_asymptotic_scaled(x[~small], order)
-    return out
-
-
-def bessel_i0e(x) -> np.ndarray:
-    return _bessel_ie(x, 0)
-
-
-def bessel_i1e(x) -> np.ndarray:
-    return _bessel_ie(x, 1)
 
 
 def gain_mmse_stsa(xi, gamma) -> np.ndarray:
@@ -125,8 +85,6 @@ def apply_gain(noisy, xi, rule: GainRule, gamma=None):
 
     Returns a new spectrogram; the phase array is copied bit-for-bit.
     """
-    from .dsp import SpectroGram
-
     if np.shape(xi) != noisy.magnitude.shape:
         raise ValueError("xi shape must match the spectrogram")
     g = gain_for(rule, xi, gamma)

@@ -426,6 +426,21 @@ def save_network(params: NetworkParams, path) -> None:
     Path(path).write_bytes(header + blob)
 
 
+def _tensor_shapes(bidirectional: bool, n_blocks: int, cell: int,
+                   input_dim: int, output_dim: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every named tensor for the given network layout."""
+    shapes = {"fc.w": (input_dim, cell), "fc.b": (cell,),
+              "ln.gain": (cell,), "ln.offset": (cell,)}
+    for i in range(n_blocks):
+        for direction in ("fwd", "bwd") if bidirectional else ("fwd",):
+            shapes[f"block{i}.{direction}.w_x"] = (cell, _GATES * cell)
+            shapes[f"block{i}.{direction}.w_h"] = (cell, _GATES * cell)
+            shapes[f"block{i}.{direction}.b"] = (_GATES * cell,)
+    shapes["out.w"] = (cell, output_dim)
+    shapes["out.b"] = (output_dim,)
+    return shapes
+
+
 def load_network(path) -> NetworkParams:
     raw = Path(path).read_bytes()
     marker = b"\ndata\n"
@@ -435,14 +450,16 @@ def load_network(path) -> NetworkParams:
     head_lines = raw[:split].decode("utf-8").splitlines()
     if not head_lines or head_lines[0] != _MODEL_MAGIC:
         raise ValueError("model file: bad magic")
-    fields = {}
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in head_lines[1:]:
+    fields: dict[str, str] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
+    for lineno, line in enumerate(head_lines[1:], 2):
         parts = line.split()
-        if parts[0] == "tensor":
-            shapes.append((parts[1], tuple(int(d) for d in parts[2:])))
-        else:
+        if len(parts) >= 2 and parts[0] == "tensor" and parts[1] not in shapes:
+            shapes[parts[1]] = tuple(int(d) for d in parts[2:])
+        elif len(parts) == 2 and parts[0] != "tensor":
             fields[parts[0]] = parts[1]
+        else:
+            raise ValueError(f"model file: malformed header line {lineno}: {line!r}")
     try:
         mode = fields["mode"]
         n_blocks = int(fields["blocks"])
@@ -453,12 +470,29 @@ def load_network(path) -> NetworkParams:
         raise ValueError(f"model file: missing header field {exc}") from exc
     if mode not in ("UNI", "BI"):
         raise ValueError(f"model file: mode must be UNI or BI, got {mode}")
+    if min(n_blocks, cell, input_dim, output_dim) < 1:
+        raise ValueError("model file: network dimensions must be positive")
+    # check the tensor count first, so a huge block count in a corrupt
+    # header fails here instead of building a huge expected layout
+    n_expected = 6 + 3 * n_blocks * (2 if mode == "BI" else 1)
+    if len(shapes) != n_expected:
+        raise ValueError(
+            f"model file: {len(shapes)} tensors declared, header implies {n_expected}"
+        )
+    expected = _tensor_shapes(mode == "BI", n_blocks, cell, input_dim, output_dim)
+    if shapes != expected:
+        name = min(n for n in expected.keys() | shapes.keys()
+                   if expected.get(n) != shapes.get(n))
+        raise ValueError(
+            f"model file: tensor {name} declared {shapes.get(name, 'missing')}, "
+            f"header implies {expected.get(name, 'no such tensor')}"
+        )
 
     data = np.frombuffer(raw[split + len(marker) :], dtype="<f4")
     arrays: dict[str, np.ndarray] = {}
     pos = 0
-    for name, shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes.items():
+        n = int(np.prod(shape))
         if pos + n > data.size:
             raise ValueError(f"model file: truncated data for tensor {name}")
         arrays[name] = data[pos : pos + n].astype(np.float64).reshape(shape)
@@ -466,33 +500,29 @@ def load_network(path) -> NetworkParams:
     if pos != data.size:
         raise ValueError("model file: trailing data after last tensor")
 
-    try:
-        blocks = []
-        for i in range(n_blocks):
-            fwd = LstmCellParams(
-                arrays[f"block{i}.fwd.w_x"],
-                arrays[f"block{i}.fwd.w_h"],
-                arrays[f"block{i}.fwd.b"],
-            )
-            bwd = None
-            if mode == "BI":
-                bwd = LstmCellParams(
-                    arrays[f"block{i}.bwd.w_x"],
-                    arrays[f"block{i}.bwd.w_h"],
-                    arrays[f"block{i}.bwd.b"],
-                )
-            blocks.append(ResBlockParams(fwd, bwd))
-        params = NetworkParams(
-            DenseParams(arrays["fc.w"], arrays["fc.b"]),
-            arrays["ln.gain"],
-            arrays["ln.offset"],
-            blocks,
-            DenseParams(arrays["out.w"], arrays["out.b"]),
-            mode == "BI",
-            input_dim,
-            output_dim,
-            cell,
+    blocks = []
+    for i in range(n_blocks):
+        fwd = LstmCellParams(
+            arrays[f"block{i}.fwd.w_x"],
+            arrays[f"block{i}.fwd.w_h"],
+            arrays[f"block{i}.fwd.b"],
         )
-    except KeyError as exc:
-        raise ValueError(f"model file: missing tensor {exc}") from exc
-    return params
+        bwd = None
+        if mode == "BI":
+            bwd = LstmCellParams(
+                arrays[f"block{i}.bwd.w_x"],
+                arrays[f"block{i}.bwd.w_h"],
+                arrays[f"block{i}.bwd.b"],
+            )
+        blocks.append(ResBlockParams(fwd, bwd))
+    return NetworkParams(
+        DenseParams(arrays["fc.w"], arrays["fc.b"]),
+        arrays["ln.gain"],
+        arrays["ln.offset"],
+        blocks,
+        DenseParams(arrays["out.w"], arrays["out.b"]),
+        mode == "BI",
+        input_dim,
+        output_dim,
+        cell,
+    )

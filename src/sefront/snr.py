@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, erfc
+from scipy.special import erf, erfinv
 
 from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, stft, _samples
 
@@ -88,44 +88,8 @@ def map_xi(xi_db, stats: XiStats) -> np.ndarray:
 
 
 def inverse_erf(y) -> np.ndarray:
-    """Inverse of erf, accurate to better than 1e-12 on (-1, 1).
-
-    A closed-form rational/log initial guess is polished with Newton
-    steps: against erf on the well-conditioned centre, against erfc in
-    the tails (where 1 - |y| is exact and erfc keeps full relative
-    accuracy), so the result is machine-accurate everywhere the bounded
-    map can land.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
-    out = np.empty_like(y)
-    interior = np.abs(y) < 1.0
-    out[~interior] = np.where(y[~interior] >= 1.0, np.inf, -np.inf)
-
-    yi = y[interior]
-    sign = np.where(yi < 0.0, -1.0, 1.0)
-    ay = np.abs(yi)
-    # Winitzki-style initial guess.
-    a = 0.147
-    ln1m = np.log1p(-ay * ay)
-    t = 2.0 / (np.pi * a) + 0.5 * ln1m
-    x = np.sqrt(np.sqrt(t * t - ln1m / a) - t)
-
-    half_sqrt_pi = 0.5 * np.sqrt(np.pi)
-    centre = ay <= 0.5
-    tail = ~centre
-    xc = x[centre]
-    for _ in range(3):
-        xc = xc - (erf(xc) - ay[centre]) * half_sqrt_pi * np.exp(xc * xc)
-    comp = 1.0 - ay[tail]  # exact: ay in [0.5, 1)
-    xt = x[tail]
-    for _ in range(3):
-        xt = xt + (erfc(xt) - comp) * half_sqrt_pi * np.exp(xt * xt)
-    x[centre] = xc
-    x[tail] = xt
-    out[interior] = sign * x
-    return out[0] if scalar else out
+    """Inverse of erf on [-1, 1]; the endpoints map to -inf and +inf."""
+    return erfinv(y)
 
 
 def unmap_xi(bar_xi, stats: XiStats) -> np.ndarray:

@@ -13,7 +13,7 @@ seed reproduces the loss history bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

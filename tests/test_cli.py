@@ -7,7 +7,7 @@ from conftest import SR, quantize, tone_bursts, white_noise
 from sefront.cli import main
 from sefront.corpus import load_manifest, load_wav, mix_at_snr, save_wav
 from sefront.features import segmental_snr, transcript_name
-from sefront.rnn import load_network
+from sefront.rnn import init_network, load_network, save_network
 from sefront.snr import estimate_stats, load_stats
 
 
@@ -303,3 +303,44 @@ def test_config_missing_file_is_usage_error(noisy_file, tmp_path):
     p, _ = noisy_file
     assert run("--config", tmp_path / "nope.cfg", "enhance", "--in", p,
                "--out", tmp_path / "x.wav") == 1
+
+
+def test_config_without_value_is_usage_error(capsys):
+    assert run("--config") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_config_equals_form_applies_file(noisy_file, tmp_path):
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gain=mmse-stsa\n")
+    a = tmp_path / "a.wav"
+    b = tmp_path / "b.wav"
+    default = tmp_path / "default.wav"
+    assert run(f"--config={cfg}", "enhance", "--in", p, "--out", a) == 0
+    assert run("--config", cfg, "enhance", "--in", p, "--out", b) == 0
+    assert run("enhance", "--in", p, "--out", default) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() != default.read_bytes()
+
+
+def test_enhance_malformed_model_is_data_error(noisy_file, tmp_path, capsys):
+    p, _ = noisy_file
+    model = tmp_path / "net.bin"
+    save_network(init_network(cell_size=4, n_blocks=1), model)
+    model.write_bytes(model.read_bytes().replace(b"\nmode ", b"\n\nmode ", 1))
+    assert run("enhance", "--in", p, "--out", tmp_path / "o.wav", "--estimator",
+               "neural", "--model", model, "--stats", model) == 2
+    assert "malformed header line" in capsys.readouterr().err
+
+
+def test_config_abbreviated_flag_applies_file(noisy_file, tmp_path):
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gain=mmse-stsa\n")
+    a = tmp_path / "a.wav"
+    b = tmp_path / "b.wav"
+    assert run("--conf", cfg, "enhance", "--in", p, "--out", a) == 0
+    assert run("enhance", "--in", p, "--out", b, "--gain", "mmse-stsa") == 0
+    assert a.read_bytes() == b.read_bytes()

@@ -11,7 +11,8 @@ from sefront.dd import (
     tracked_noise_power,
 )
 from sefront.dsp import stft
-from sefront.gain import GainRule
+from sefront import gain as gain_module
+from sefront.gain import GainRule, gain_for
 
 
 def test_tracker_init_mean():
@@ -163,3 +164,30 @@ def test_enhance_other_rules_run():
         out = enhance_dd(x, rule)
         assert np.all(np.isfinite(out.samples))
         assert len(out) == 8000
+
+
+def test_dd_xi_keeps_the_frame_gain():
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.1, 4.0, 16)
+    lam = np.full(16, 0.5)
+    state = DdState(rng.uniform(0.0, 2.0, 16))
+    for rule in GainRule:
+        xi, gamma, nxt = dd_xi(state, p, lam, rule)
+        np.testing.assert_array_equal(nxt.gain, gain_for(rule, xi, gamma))
+        np.testing.assert_array_equal(nxt.prev_amp_sq, nxt.gain**2 * p)
+    assert state.gain is None
+
+
+def test_enhance_computes_one_gain_per_frame(monkeypatch):
+    rng = np.random.default_rng(6)
+    x = white_noise(rng, 8000, rms=0.05)
+    calls = []
+    real = gain_module.gain_mmse_stsa
+
+    def counting(xi, gamma):
+        calls.append(1)
+        return real(xi, gamma)
+
+    monkeypatch.setattr(gain_module, "gain_mmse_stsa", counting)
+    enhance_dd(x, GainRule.MMSE_STSA)
+    assert len(calls) == stft(x).n_frames

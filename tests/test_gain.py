@@ -66,7 +66,7 @@ def test_mmse_stsa_against_high_precision():
 def test_bessel_scaled_against_high_precision():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    # grid straddles the series/asymptotic crossover at 15
+    # small and large arguments, densest around 15
     xs = np.concatenate([
         np.linspace(1e-3, 14.9, 120),
         np.array([14.99, 15.0, 15.01]),

@@ -305,3 +305,43 @@ def test_load_rejects_bad_files(tmp_path):
     extra.write_bytes(blob + b"\x00\x00\x00\x00")
     with pytest.raises(ValueError):
         load_network(extra)
+
+
+def test_load_rejects_blank_header_line(tmp_path):
+    good = tmp_path / "good.bin"
+    save_network(tiny(), good)
+    blob = good.read_bytes()
+    bad = tmp_path / "blank.bin"
+    bad.write_bytes(blob.replace(b"\nblocks ", b"\n\nblocks ", 1))
+    with pytest.raises(ValueError, match="malformed header line 3"):
+        load_network(bad)
+
+
+def test_load_rejects_tensor_shape_mismatch(tmp_path):
+    good = tmp_path / "good.bin"
+    save_network(tiny(cell=8, dim=9), good)
+    blob = good.read_bytes()
+    # same element count, so only the shape check can catch it
+    bad = tmp_path / "shape.bin"
+    bad.write_bytes(blob.replace(b"tensor fc.w 9 8\n", b"tensor fc.w 8 9\n", 1))
+    with pytest.raises(ValueError, match="fc.w"):
+        load_network(bad)
+    # a header that disagrees with the tensors it declares
+    wrong_cell = tmp_path / "cell.bin"
+    wrong_cell.write_bytes(blob.replace(b"\ncell 8\n", b"\ncell 7\n", 1))
+    with pytest.raises(ValueError, match="header implies"):
+        load_network(wrong_cell)
+
+
+
+def test_load_rejects_huge_block_count_fast(tmp_path):
+    good = tmp_path / "good.bin"
+    save_network(tiny(), good)
+    blob = good.read_bytes()
+    assert b"\nblocks " in blob
+    start = blob.index(b"\nblocks ") + 1
+    end = blob.index(b"\n", start)
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(blob[:start] + b"blocks 1000000000" + blob[end:])
+    with pytest.raises(ValueError, match="tensors declared"):
+        load_network(huge)
