@@ -20,7 +20,7 @@ from .snr import (
     xi_to_db,
 )
 from .gain import GainRule, apply_gain, gain_mmse_stsa, gain_srwf, gain_wiener
-from .dd import DdState, NoiseTracker, dd_xi, enhance_dd, track_noise
+from .dd import DdState, NoiseTracker, dd_xi, enhance, track_noise
 from .rnn import (
     NetworkParams,
     backward,

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, dd, features, rnn, snr
-from .dsp import AudioSignal, SpectroGram, istft, stft
-from .gain import GainRule, gain_for
+from .dsp import AudioSignal, istft, stft
+from .gain import GainRule
 # the package re-exports the train() function under the submodule's name,
 # so pull what the commands need straight from the submodule
 from .train import TrainConfig, infer_xi, train as run_training
@@ -138,47 +138,30 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _estimate_for_enhance(args, noisy: AudioSignal):
-    """xi (and gamma where the tracker is needed) for the chosen estimator."""
-    spec = stft(noisy)
-    power = spec.magnitude**2
-    if args.estimator == "neural":
-        params = rnn.load_network(_require_file(args.model, "model file"))
-        stats = snr.load_stats(_require_file(args.stats, "stats file"))
-        xi = infer_xi(params, noisy, stats)
-    elif args.estimator == "oracle":
-        clean = corpus.load_wav(_require_file(args.clean, "clean reference"))
-        noise = corpus.load_wav(_require_file(args.noise, "noise reference"))
-        if len(clean) != len(noisy) or len(noise) != len(noisy):
-            raise ValueError("oracle references must match the input length")
-        xi = snr.oracle_xi(stft(clean), stft(noise))
-    else:
-        raise UsageError(f"unknown estimator {args.estimator!r}")
-    lam = dd.tracked_noise_power(power)
-    gamma = power / np.maximum(lam, 1e-12)
-    return spec, xi, gamma
-
-
 def cmd_enhance(args) -> int:
     rule = _GAIN_NAMES[args.gain]
     in_path = _require_file(args.infile, "input")
-    if args.estimator == "neural":
-        _require_file(args.model, "model file") if args.model else None
-        if not args.model or not args.stats:
-            raise UsageError("estimator neural requires --model and --stats")
+    if args.estimator == "neural" and (not args.model or not args.stats):
+        raise UsageError("estimator neural requires --model and --stats")
     if args.estimator == "oracle" and (not args.clean or not args.noise):
         raise UsageError("estimator oracle requires --clean and --noise references")
     noisy = corpus.load_wav(in_path)
 
     if args.unity_gain:
         out = istft(stft(noisy), len(noisy))
-    elif args.estimator == "dd":
-        out = dd.enhance_dd(noisy, rule)
     else:
-        spec, xi, gamma = _estimate_for_enhance(args, noisy)
-        g = gain_for(rule, xi, gamma)
-        shaped = SpectroGram(spec.magnitude * g, spec.phase, spec.config)
-        out = istft(shaped, len(noisy))
+        xi = None
+        if args.estimator == "neural":
+            params = rnn.load_network(_require_file(args.model, "model file"))
+            stats = snr.load_stats(_require_file(args.stats, "stats file"))
+            xi = infer_xi(params, noisy, stats)
+        elif args.estimator == "oracle":
+            clean = corpus.load_wav(_require_file(args.clean, "clean reference"))
+            noise = corpus.load_wav(_require_file(args.noise, "noise reference"))
+            if len(clean) != len(noisy) or len(noise) != len(noisy):
+                raise ValueError("oracle references must match the input length")
+            xi = snr.oracle_xi(stft(clean), stft(noise))
+        out = dd.enhance(noisy, rule, xi)
     samples = np.clip(out.samples, -1.0, 1.0)
     if not np.all(np.isfinite(samples)):
         raise FloatingPointError("enhancement produced non-finite samples")

@@ -1,9 +1,12 @@
-"""Decision-directed a priori SNR estimation with a recursive noise tracker.
+"""Noise tracking, decision-directed a priori SNR and the enhancement pipeline.
 
-The classical non-neural baseline: noise power is tracked by a gated
-first-order recursion (updates only where the cell looks speech-absent),
-and xi is the usual weighted blend of the previous frame's post-gain
-amplitude estimate and the instantaneous max(gamma - 1, 0).
+Noise power is tracked by a gated first-order recursion (updates only
+where the cell looks speech-absent).  The classical non-neural xi
+estimate is the usual decision-directed blend of the previous frame's
+post-gain amplitude estimate and the instantaneous max(gamma - 1, 0).
+enhance() is the one front-end every xi estimator runs through: stft,
+tracked noise, gamma, gain, and resynthesis with the noisy phase; it
+runs the decision-directed recursion itself unless it is given xi.
 """
 
 from __future__ import annotations
@@ -31,14 +34,12 @@ class NoiseTracker:
     beta: float = BETA_ABSENCE
 
     @classmethod
-    def from_frames(cls, power_frames, alpha: float = ALPHA_NOISE,
-                    beta: float = BETA_ABSENCE) -> "NoiseTracker":
+    def from_frames(cls, power_frames) -> "NoiseTracker":
         """Initialize from the arithmetic mean power of the first frames."""
         frames = np.atleast_2d(np.asarray(power_frames, dtype=np.float64))
         if frames.shape[0] == 0:
             raise ValueError("need at least one frame to initialize")
-        lam = np.maximum(frames.mean(axis=0), _POWER_FLOOR)
-        return cls(lam, alpha, beta)
+        return cls(np.maximum(frames.mean(axis=0), _POWER_FLOOR))
 
     @property
     def initialized(self) -> bool:
@@ -103,20 +104,15 @@ def dd_xi(
     return xi, gamma, next_state
 
 
-def tracked_noise_power(
-    power: np.ndarray,
-    alpha: float = ALPHA_NOISE,
-    beta: float = BETA_ABSENCE,
-    init_frames: int = INIT_FRAMES,
-) -> np.ndarray:
+def tracked_noise_power(power: np.ndarray) -> np.ndarray:
     """lambda_d per frame for a whole power spectrogram.
 
-    The first init_frames frames share the initial mean estimate; the
+    The first INIT_FRAMES frames share the initial mean estimate; the
     recursion starts after them.
     """
     power = np.asarray(power, dtype=np.float64)
-    n_init = min(init_frames, power.shape[0])
-    tracker = NoiseTracker.from_frames(power[:n_init], alpha, beta)
+    n_init = min(INIT_FRAMES, power.shape[0])
+    tracker = NoiseTracker.from_frames(power[:n_init])
     lam = np.empty_like(power)
     for l in range(power.shape[0]):
         if l >= n_init:
@@ -125,19 +121,20 @@ def tracked_noise_power(
     return lam
 
 
-def enhance_dd(
+def enhance(
     noisy,
     rule: GainRule = GainRule.SRWF,
+    xi=None,
     config: AnalysisConfig = DEFAULT_CONFIG,
-    alpha_dd: float = ALPHA_DD,
-    alpha_noise: float = ALPHA_NOISE,
-    beta: float = BETA_ABSENCE,
-    init_frames: int = INIT_FRAMES,
 ) -> AudioSignal:
-    """Full single-channel baseline: stft, track, dd, gain, istft.
+    """Enhance one signal: stft, track, gain, istft.
 
-    Output length equals the input length; resynthesis reuses the noisy
-    phase.  An all-zero input comes back all zero.
+    With xi=None the decision-directed recursion estimates xi frame by
+    frame.  Otherwise xi is the linear a priori SNR of another estimator,
+    shaped like the spectrogram (frames, bins), and gamma comes from the
+    tracked noise with the same floor the recursion uses.  Output length
+    equals the input length; resynthesis reuses the noisy phase.  An
+    all-zero input comes back all zero.
     """
     if isinstance(noisy, AudioSignal):
         n_out = len(noisy)
@@ -145,11 +142,17 @@ def enhance_dd(
         n_out = np.asarray(noisy).size
     spec = stft(noisy, config)
     power = spec.magnitude**2
-    lam = tracked_noise_power(power, alpha_noise, beta, init_frames)
-    state = DdState(np.zeros(spec.config.n_bins), alpha_dd)
-    gains = np.empty_like(power)
-    for l in range(spec.n_frames):
-        _, _, state = dd_xi(state, power[l], lam[l], rule)
-        gains[l] = state.gain
+    lam = tracked_noise_power(power)
+    if xi is None:
+        state = DdState(np.zeros(spec.config.n_bins))
+        gains = np.empty_like(power)
+        for l in range(spec.n_frames):
+            _, _, state = dd_xi(state, power[l], lam[l], rule)
+            gains[l] = state.gain
+    else:
+        if np.shape(xi) != power.shape:
+            raise ValueError("xi shape must match the spectrogram")
+        gamma = power / np.maximum(lam, _POWER_FLOOR)
+        gains = gain_for(rule, xi, np.maximum(gamma, _POWER_FLOOR))
     shaped = SpectroGram(spec.magnitude * gains, spec.phase, spec.config)
     return istft(shaped, n_out)

@@ -142,19 +142,6 @@ def init_network(
     )
 
 
-def lstm_step(cell: LstmCellParams, x_t, h_prev, c_prev):
-    """One LSTM time step (no peepholes); returns (h, c)."""
-    z = x_t @ cell.w_x + h_prev @ cell.w_h + cell.b
-    c_sz = cell.cell_size
-    i = expit(z[..., :c_sz])
-    f = expit(z[..., c_sz : 2 * c_sz])
-    g = np.tanh(z[..., 2 * c_sz : 3 * c_sz])
-    o = expit(z[..., 3 * c_sz :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
-
-
 def _lstm_run(cell: LstmCellParams, x: np.ndarray):
     """Run over time. x is (B, L, D); returns h (B, L, C) and the cache."""
     b_sz, n_t, _ = x.shape

@@ -5,27 +5,43 @@ import path:
 
     PYTHONPATH=src python tests/data/make_behaviour_lock.py
 
-The fixture holds enhance_dd outputs for every gain rule on one seeded
-noisy input, gain_mmse_stsa on a (xi, gamma) grid whose nu = xi gamma /
-(1 + xi) crosses 30 and 700, and unmap_xi on a grid that includes the
-1e-7 clamps.  tests/test_behaviour_lock.py compares the current code
-against it.
+The fixture holds enhance outputs for every gain rule on one seeded
+noisy input (keys enhance_dd_<rule>, the decision-directed estimator),
+gain_mmse_stsa on a (xi, gamma) grid whose nu = xi gamma / (1 + xi)
+crosses 30 and 700, and unmap_xi on a grid that includes the 1e-7
+clamps.  It also holds the int16 samples that `sefront enhance` writes
+for the oracle estimator and for seeded untrained UNI and BI networks
+under every gain rule (keys cli_<estimator>_<rule>), together with the
+bytes of every file those runs read (keys file_<name>).
+tests/test_behaviour_lock.py compares the current code against it.
 """
 
+import tempfile
+import wave
 from pathlib import Path
 
 import numpy as np
 
-from sefront.dd import enhance_dd
+from sefront import cli
+from sefront.corpus import save_wav
+from sefront.dd import enhance
 from sefront.gain import GainRule, gain_mmse_stsa
-from sefront.snr import XiStats, unmap_xi
+from sefront.rnn import init_network, save_network
+from sefront.snr import XiStats, save_stats, unmap_xi
 
 SR = 16000
 OUT = Path(__file__).with_name("behaviour_lock.npz")
+# estimator name in the fixture keys -> (--estimator value, file flags);
+# the files are those of the file_<name> keys
+CLI_ESTIMATORS = {
+    "oracle": ("oracle", {"--clean": "clean.wav", "--noise": "noise.wav"}),
+    "neural-uni": ("neural", {"--model": "uni.model", "--stats": "stats.txt"}),
+    "neural-bi": ("neural", {"--model": "bi.model", "--stats": "stats.txt"}),
+}
 
 
-def noisy_input(seed: int = 7, seconds: float = 0.75) -> np.ndarray:
-    """Gated harmonic tone plus white noise at about 5 dB SNR."""
+def noisy_parts(seed: int = 7, seconds: float = 0.75):
+    """(voice, noise): a gated harmonic tone and white noise at about 5 dB SNR."""
     rng = np.random.default_rng(seed)
     t = np.arange(int(seconds * SR)) / SR
     f0 = rng.uniform(120.0, 250.0)
@@ -35,6 +51,11 @@ def noisy_input(seed: int = 7, seconds: float = 0.75) -> np.ndarray:
     voice *= 0.3 / np.max(np.abs(voice))
     noise = rng.standard_normal(t.size)
     noise *= np.sqrt(np.mean(voice**2) / np.mean(noise**2) / 10 ** 0.5)
+    return voice, noise
+
+
+def noisy_input() -> np.ndarray:
+    voice, noise = noisy_parts()
     return voice + noise
 
 
@@ -60,6 +81,40 @@ def unmap_grid():
     return np.repeat(bar[:, None], stats.n_bins, axis=1), stats
 
 
+def write_cli_inputs(folder: Path) -> None:
+    """The WAVs, the two seeded models and the stats file the CLI runs read."""
+    voice, noise = noisy_parts()
+    save_wav(voice + noise, folder / "noisy.wav")
+    save_wav(voice, folder / "clean.wav")
+    save_wav(noise, folder / "noise.wav")
+    for mode, bidirectional in (("uni", False), ("bi", True)):
+        params = init_network(seed=11, cell_size=8, n_blocks=2,
+                              bidirectional=bidirectional)
+        save_network(params, folder / f"{mode}.model")
+    bins = np.linspace(0.0, 1.0, 257)
+    save_stats(XiStats(-5.0 + 15.0 * bins, 12.0 - 4.0 * bins), folder / "stats.txt")
+
+
+def read_pcm(path) -> np.ndarray:
+    """The int16 samples of a mono 16-bit WAV file."""
+    with wave.open(str(path), "rb") as wf:
+        return np.frombuffer(wf.readframes(wf.getnframes()), dtype="<i2")
+
+
+def run_cli(folder: Path, estimator: str, rule: GainRule) -> np.ndarray:
+    """Enhance folder/noisy.wav through the CLI; returns the output samples."""
+    name, files = CLI_ESTIMATORS[estimator]
+    out = folder / "enhanced.wav"
+    argv = ["enhance", "--in", str(folder / "noisy.wav"), "--out", str(out),
+            "--gain", rule.value, "--estimator", name]
+    for flag, file in files.items():
+        argv += [flag, str(folder / file)]
+    code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"sefront enhance {estimator}/{rule.value} exited {code}")
+    return read_pcm(out)
+
+
 def main() -> None:
     noisy = noisy_input()
     xi, gamma = gain_grid()
@@ -69,7 +124,15 @@ def main() -> None:
               "unmap_mu_db": stats.mu_db, "unmap_sigma_db": stats.sigma_db,
               "unmap_xi": unmap_xi(bar, stats)}
     for rule in GainRule:
-        arrays[f"enhance_dd_{rule.value}"] = enhance_dd(noisy, rule).samples
+        arrays[f"enhance_dd_{rule.value}"] = enhance(noisy, rule).samples
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        write_cli_inputs(folder)
+        for path in sorted(folder.iterdir()):
+            arrays[f"file_{path.name}"] = np.frombuffer(path.read_bytes(), np.uint8)
+        for estimator in CLI_ESTIMATORS:
+            for rule in GainRule:
+                arrays[f"cli_{estimator}_{rule.value}"] = run_cli(folder, estimator, rule)
     np.savez_compressed(OUT, **arrays)
     print(f"wrote {OUT}")
 

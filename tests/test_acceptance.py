@@ -18,7 +18,7 @@ from sefront.corpus import (
     mix_at_snr,
     save_wav,
 )
-from sefront.dd import DdState, dd_xi, enhance_dd
+from sefront.dd import DdState, dd_xi, enhance
 from sefront.dsp import SpectroGram, istft, stft
 from sefront.features import Transcript, segmental_snr, transcript_name, wer
 from sefront.gain import gain_srwf
@@ -304,7 +304,7 @@ def test_criterion_09_dd_long_run():
     dev = abs(mean_db - 5.0)
 
     pure = white_noise(np.random.default_rng(1), 2 * SR)
-    out = enhance_dd(pure)
+    out = enhance(pure)
     rms_in = float(np.sqrt(np.mean(pure**2)))
     rms_out = float(np.sqrt(np.mean(out.samples**2)))
     dt = time.perf_counter() - t0

@@ -1,23 +1,37 @@
 """Outputs of the enhancement path against a stored reference.
 
 tests/data/behaviour_lock.npz was written by
-tests/data/make_behaviour_lock.py from the code as it stood before the
-special functions moved to SciPy.  Wiener and SRWF arithmetic did not
-change, so their outputs must match bit for bit; the MMSE-STSA gain and
-the inverse map now use SciPy's i0e/i1e and erfinv, which agree with the
-old hand-written versions to about 1e-11 relative.
+tests/data/make_behaviour_lock.py from the code as it stood before
+enhance() became the one pipeline for every xi estimator, when the
+decision-directed path and the CLI's oracle and neural paths each had
+their own copy of the chain.  Every output must still match: the
+library's decision-directed outputs bit for bit for Wiener and SRWF,
+and the int16 samples that `sefront enhance` writes for the oracle and
+neural estimators under every gain rule.  The MMSE-STSA gain, the
+inverse map and their decision-directed output, which go through SciPy's
+i0e/i1e and erfinv, are held to a relative 1e-9 and 1e-12; those values
+agree with the hand-written special functions SciPy replaced to about
+4e-11 relative.
 """
 
+import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sefront.dd import enhance_dd
+from sefront.cli import main
+from sefront.dd import enhance
 from sefront.gain import GainRule, gain_mmse_stsa
 from sefront.snr import XiStats, unmap_xi
 
 LOCK = Path(__file__).parent / "data" / "behaviour_lock.npz"
+# fixture estimator name -> (--estimator value, flags naming stored files)
+CLI_ESTIMATORS = {
+    "oracle": ("oracle", {"--clean": "clean.wav", "--noise": "noise.wav"}),
+    "neural-uni": ("neural", {"--model": "uni.model", "--stats": "stats.txt"}),
+    "neural-bi": ("neural", {"--model": "bi.model", "--stats": "stats.txt"}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -26,15 +40,40 @@ def lock():
         return dict(data)
 
 
+@pytest.fixture(scope="module")
+def cli_inputs(lock, tmp_path_factory):
+    """The stored input WAVs, models and stats file, written back to disk."""
+    folder = tmp_path_factory.mktemp("lock")
+    for key, value in lock.items():
+        if key.startswith("file_"):
+            (folder / key[len("file_"):]).write_bytes(value.tobytes())
+    return folder
+
+
 @pytest.mark.parametrize("rule", [GainRule.WIENER, GainRule.SRWF])
 def test_enhance_dd_bit_identical(lock, rule):
-    got = enhance_dd(lock["noisy"], rule).samples
+    got = enhance(lock["noisy"], rule).samples
     np.testing.assert_array_equal(got, lock[f"enhance_dd_{rule.value}"])
 
 
 def test_enhance_dd_mmse_stsa_matches(lock):
-    got = enhance_dd(lock["noisy"], GainRule.MMSE_STSA).samples
+    got = enhance(lock["noisy"], GainRule.MMSE_STSA).samples
     np.testing.assert_allclose(got, lock["enhance_dd_mmse-stsa"], rtol=1e-9)
+
+
+@pytest.mark.parametrize("rule", list(GainRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("estimator", list(CLI_ESTIMATORS))
+def test_cli_enhance_bit_identical(lock, cli_inputs, estimator, rule):
+    name, files = CLI_ESTIMATORS[estimator]
+    out = cli_inputs / f"{estimator}_{rule.value}.wav"
+    argv = ["enhance", "--in", str(cli_inputs / "noisy.wav"), "--out", str(out),
+            "--gain", rule.value, "--estimator", name]
+    for flag, file in files.items():
+        argv += [flag, str(cli_inputs / file)]
+    assert main(argv) == 0
+    with wave.open(str(out), "rb") as wf:
+        got = np.frombuffer(wf.readframes(wf.getnframes()), dtype="<i2")
+    np.testing.assert_array_equal(got, lock[f"cli_{estimator}_{rule.value}"])
 
 
 def test_gain_mmse_stsa_grid_matches(lock):

@@ -159,6 +159,24 @@ def test_enhance_oracle_requires_references(noisy_file, tmp_path):
                "--estimator", "oracle") == 1
 
 
+def test_enhance_oracle_mmse_stsa_with_silent_frames(tmp_path):
+    # digital silence makes gamma 0 in whole frames; the gain floors it
+    rng = np.random.default_rng(6)
+    clean = tone_bursts(rng, SR // 2)
+    noise = white_noise(rng, SR // 2, rms=0.05)
+    clean[:2000] = 0.0
+    noise[:2000] = 0.0
+    paths = {}
+    for name, x in (("noisy", clean + noise), ("clean", clean), ("noise", noise)):
+        paths[name] = tmp_path / f"{name}.wav"
+        save_wav(x, paths[name])
+    out = tmp_path / "enh.wav"
+    assert run("enhance", "--in", paths["noisy"], "--out", out, "--estimator", "oracle",
+               "--gain", "mmse-stsa", "--clean", paths["clean"],
+               "--noise", paths["noise"]) == 0
+    assert len(load_wav(out)) == SR // 2
+
+
 def test_enhance_oracle_length_mismatch(noisy_file, tmp_path):
     p, _ = noisy_file
     short = tmp_path / "short.wav"

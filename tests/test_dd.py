@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SR, toy_voice, white_noise
 from sefront.dd import (
     DdState,
     NoiseTracker,
     dd_xi,
-    enhance_dd,
+    enhance,
     track_noise,
     tracked_noise_power,
 )
 from sefront.dsp import stft
 from sefront import gain as gain_module
 from sefront.gain import GainRule, gain_for
+from sefront.snr import oracle_xi
 
 
 def test_tracker_init_mean():
@@ -135,7 +137,7 @@ def test_enhance_passthrough_on_clean_speech():
     # speech passes with small distortion
     rng = np.random.default_rng(2)
     clean = toy_voice(rng, 2 * SR, lead_in=0.25)
-    out = enhance_dd(clean)
+    out = enhance(clean)
     assert len(out) == clean.size
     ref_rms = np.sqrt(np.mean(clean ** 2))
     dev = np.sqrt(np.mean((out.samples - clean) ** 2)) / ref_rms
@@ -145,14 +147,14 @@ def test_enhance_passthrough_on_clean_speech():
 def test_enhance_reduces_pure_noise():
     rng = np.random.default_rng(3)
     noise = white_noise(rng, SR, rms=0.1)
-    out = enhance_dd(noise)
+    out = enhance(noise)
     rms_in = np.sqrt(np.mean(noise ** 2))
     rms_out = np.sqrt(np.mean(out.samples ** 2))
     assert rms_out < 0.6 * rms_in
 
 
 def test_enhance_zero_in_zero_out():
-    out = enhance_dd(np.zeros(8000))
+    out = enhance(np.zeros(8000))
     np.testing.assert_array_equal(out.samples, 0.0)
     assert len(out) == 8000
 
@@ -161,7 +163,7 @@ def test_enhance_other_rules_run():
     rng = np.random.default_rng(4)
     x = white_noise(rng, 8000, rms=0.05)
     for rule in (GainRule.WIENER, GainRule.MMSE_STSA):
-        out = enhance_dd(x, rule)
+        out = enhance(x, rule)
         assert np.all(np.isfinite(out.samples))
         assert len(out) == 8000
 
@@ -189,5 +191,49 @@ def test_enhance_computes_one_gain_per_frame(monkeypatch):
         return real(xi, gamma)
 
     monkeypatch.setattr(gain_module, "gain_mmse_stsa", counting)
-    enhance_dd(x, GainRule.MMSE_STSA)
+    enhance(x, GainRule.MMSE_STSA)
     assert len(calls) == stft(x).n_frames
+
+
+def _oracle_case(seed, n):
+    """A random mixture of length n and the oracle xi of its components."""
+    rng = np.random.default_rng(seed)
+    clean = rng.normal(0.0, 0.1, n)
+    noise = rng.normal(0.0, 0.05, n)
+    return clean + noise, oracle_xi(stft(clean), stft(noise))
+
+
+def enhance_cases(test):
+    """Random lengths, every rule, decision-directed or oracle xi."""
+    cases = given(
+        n=st.integers(1, 6000),
+        rule=st.sampled_from(list(GainRule)),
+        seed=st.integers(0, 2**32 - 1),
+        use_oracle=st.booleans(),
+    )
+    return settings(max_examples=30, deadline=None)(cases(test))
+
+
+@enhance_cases
+def test_enhance_keeps_the_input_length(n, rule, seed, use_oracle):
+    noisy, xi = _oracle_case(seed, n)
+    out = enhance(noisy, rule, xi if use_oracle else None)
+    assert len(out) == n
+    assert np.all(np.isfinite(out.samples))
+
+
+@enhance_cases
+def test_enhance_zero_input_gives_zero_output(n, rule, seed, use_oracle):
+    # with an oracle xi every gamma is 0 and goes through the floor
+    _, xi = _oracle_case(seed, n)
+    out = enhance(np.zeros(n), rule, xi if use_oracle else None)
+    np.testing.assert_array_equal(out.samples, 0.0)
+    assert len(out) == n
+
+
+@enhance_cases
+def test_enhance_rejects_wrong_shape_xi(n, rule, seed, use_oracle):
+    noisy, xi = _oracle_case(seed, n)
+    wrong = xi[:, :-1] if use_oracle else np.ones((xi.shape[0] + 1, xi.shape[1]))
+    with pytest.raises(ValueError, match="xi shape"):
+        enhance(noisy, rule, wrong)

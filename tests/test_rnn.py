@@ -8,9 +8,9 @@ from sefront.rnn import (
     init_network,
     load_network,
     loss_cross_entropy,
-    lstm_step,
     save_network,
 )
+from sefront.rnn import _lstm_run
 
 
 def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
@@ -24,7 +24,8 @@ def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
     )
 
 
-def test_lstm_step_against_straight_line():
+def test_lstm_run_two_steps_against_straight_line():
+    # the second step starts from the nonzero h and c of the first
     rng = np.random.default_rng(0)
     d, c_sz = 4, 3
     cell = LstmCellParams(
@@ -32,28 +33,30 @@ def test_lstm_step_against_straight_line():
         rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
         rng.normal(0, 0.3, 4 * c_sz),
     )
-    x = rng.normal(0, 1, d)
-    h0 = rng.normal(0, 1, c_sz)
-    c0 = rng.normal(0, 1, c_sz)
-    h, c = lstm_step(cell, x, h0, c0)
+    x = rng.normal(0, 1, (1, 2, d))
+    hs, cache = _lstm_run(cell, x)
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    z = x @ cell.w_x + h0 @ cell.w_h + cell.b
-    i, f, g, o = z[:3], z[3:6], z[6:9], z[9:]
-    c_ref = sig(f) * c0 + sig(i) * np.tanh(g)
-    h_ref = sig(o) * np.tanh(c_ref)
-    np.testing.assert_allclose(c, c_ref, rtol=1e-12)
-    np.testing.assert_allclose(h, h_ref, rtol=1e-12)
+    h_ref = np.zeros(c_sz)
+    c_ref = np.zeros(c_sz)
+    for t in range(2):
+        z = x[0, t] @ cell.w_x + h_ref @ cell.w_h + cell.b
+        i, f, g, o = z[:3], z[3:6], z[6:9], z[9:]
+        c_ref = sig(f) * c_ref + sig(i) * np.tanh(g)
+        h_ref = sig(o) * np.tanh(c_ref)
+        np.testing.assert_allclose(cache["cells"][t, 0], c_ref, rtol=1e-12)
+        np.testing.assert_allclose(hs[0, t], h_ref, rtol=1e-12)
+    assert np.all(np.abs(cache["cells"][0]) > 0)
 
 
-def test_lstm_step_zero_state_zero_candidate():
+def test_lstm_run_zero_weights_keep_zero_state():
     # all-zero weights: candidate tanh(0)=0, so the state never moves
     cell = LstmCellParams(np.zeros((4, 12)), np.zeros((3, 12)), np.zeros(12))
-    h, c = lstm_step(cell, np.ones(4), np.zeros(3), np.zeros(3))
-    np.testing.assert_array_equal(h, 0.0)
-    np.testing.assert_array_equal(c, 0.0)
+    hs, cache = _lstm_run(cell, np.ones((2, 5, 4)))
+    np.testing.assert_array_equal(hs, 0.0)
+    np.testing.assert_array_equal(cache["cells"], 0.0)
 
 
 def test_init_shapes_and_forget_bias():
