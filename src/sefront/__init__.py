@@ -19,7 +19,7 @@ from .snr import (
     unmap_xi,
     xi_to_db,
 )
-from .gain import GainRule, apply_gain, gain_mmse_stsa, gain_srwf, gain_wiener
+from .gain import GainRule, gain_mmse_stsa, gain_srwf, gain_wiener
 from .dd import DdState, NoiseTracker, dd_xi, enhance, track_noise
 from .rnn import (
     NetworkParams,

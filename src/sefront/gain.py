@@ -15,8 +15,6 @@ from enum import Enum
 import numpy as np
 from scipy.special import i0e, i1e
 
-from .dsp import SpectroGram
-
 
 class GainRule(Enum):
     WIENER = "wiener"
@@ -79,13 +77,3 @@ def gain_for(rule: GainRule, xi, gamma=None) -> np.ndarray:
         return gain_mmse_stsa(xi, gamma)
     raise ValueError(f"unknown gain rule {rule!r}")
 
-
-def apply_gain(noisy, xi, rule: GainRule, gamma=None):
-    """Scale the noisy magnitudes by the rule's gain, keeping the phase.
-
-    Returns a new spectrogram; the phase array is copied bit-for-bit.
-    """
-    if np.shape(xi) != noisy.magnitude.shape:
-        raise ValueError("xi shape must match the spectrogram")
-    g = gain_for(rule, xi, gamma)
-    return SpectroGram(noisy.magnitude * g, noisy.phase.copy(), noisy.config)

@@ -8,6 +8,15 @@ The backward pass is full backpropagation through time, written against
 the same caches the forward pass produces, so finite differences can
 check every parameter.
 
+A batch of rows of unequal length runs packed, time-major: rows are
+ordered by length, longest first, and step t holds only the rows still
+active at frame t, which are a prefix of that order.  Every layer
+computes on the valid frames alone, so padding costs no time and carries
+no loss or gradient.  The backward direction of a bidirectional block
+walks the same steps in reverse, each row starting from zero state at its
+last frame.  forward() scatters the outputs back to (batch, frames,
+bins), where padded frames read 0.
+
 Everything is float64 in memory; the file format stores little-endian
 float32 tensors after a short text header.
 """
@@ -142,89 +151,102 @@ def init_network(
     )
 
 
-def _lstm_run(cell: LstmCellParams, x: np.ndarray):
-    """Run over time. x is (B, L, D); returns h (B, L, C) and the cache."""
-    b_sz, n_t, _ = x.shape
+def _pack(lengths: np.ndarray):
+    """Packed time-major layout of a batch whose rows have these lengths.
+
+    Rows are ordered by length, longest first (stable), so the rows still
+    active at each step are a prefix of that order.  Returns (rows,
+    times, steps): packed frame k is frame times[k] of batch row rows[k],
+    and steps lists the (start, count) of each step's packed frames.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    times, rank = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+    counts = np.bincount(times)
+    starts = np.cumsum(counts) - counts
+    return order[rank], times, list(zip(starts.tolist(), counts.tolist()))
+
+
+def _walk(steps):
+    """(start, count, previous start, carried count) of each step in turn.
+
+    The first carried rows of a step continue the rows of the step before
+    it; the rows after them start there, from zero state.
+    """
+    last, n_last = 0, 0
+    for s, n in steps:
+        yield s, n, last, min(n, n_last)
+        last, n_last = s, n
+
+
+def _previous(a: np.ndarray, steps) -> np.ndarray:
+    """Each packed frame's row at the step before in the walk; 0 where a row starts."""
+    out = np.zeros_like(a)
+    for s, _, last, m in _walk(steps):
+        out[s : s + m] = a[last : last + m]
+    return out
+
+
+def _lstm_run(cell: LstmCellParams, x: np.ndarray, steps):
+    """Run over packed frames x (N, D), walking steps in the order given.
+
+    steps lists the (start, count) of each step's rows in x.  Returns h
+    (N, C) and the cache.
+    """
     c_sz = cell.cell_size
-    gates = np.empty((n_t, b_sz, _GATES * c_sz))
-    cells = np.empty((n_t, b_sz, c_sz))
-    tanh_c = np.empty((n_t, b_sz, c_sz))
-    hs = np.empty((n_t, b_sz, c_sz))
-    h = np.zeros((b_sz, c_sz))
-    c = np.zeros((b_sz, c_sz))
-    for t in range(n_t):
-        z = x[:, t, :] @ cell.w_x + h @ cell.w_h + cell.b
-        i = expit(z[:, :c_sz])
-        f = expit(z[:, c_sz : 2 * c_sz])
-        g = np.tanh(z[:, 2 * c_sz : 3 * c_sz])
-        o = expit(z[:, 3 * c_sz :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[t, :, :c_sz] = i
-        gates[t, :, c_sz : 2 * c_sz] = f
-        gates[t, :, 2 * c_sz : 3 * c_sz] = g
-        gates[t, :, 3 * c_sz :] = o
-        cells[t] = c
-        tanh_c[t] = tc
-        hs[t] = h
-    cache = {"x": x, "gates": gates, "cells": cells, "tanh_c": tanh_c, "hs": hs}
-    return np.swapaxes(hs, 0, 1), cache
+    gates = np.empty((x.shape[0], _GATES * c_sz))
+    cells = np.empty((x.shape[0], c_sz))
+    tanh_c = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    for s, n, last, m in _walk(steps):
+        h, c = hs[last : last + m], cells[last : last + m]
+        if m < n:
+            zero = np.zeros((n - m, c_sz))
+            h, c = np.vstack((h, zero)), np.vstack((c, zero))
+        z = gates[s : s + n]
+        np.add(x[s : s + n] @ cell.w_x + h @ cell.w_h, cell.b, out=z)
+        expit(z[:, : 2 * c_sz], out=z[:, : 2 * c_sz])  # input and forget gates
+        g, o = z[:, 2 * c_sz : 3 * c_sz], z[:, 3 * c_sz :]
+        np.tanh(g, out=g)
+        expit(o, out=o)
+        c = np.multiply(z[:, c_sz : 2 * c_sz], c, out=cells[s : s + n])
+        c += z[:, :c_sz] * g
+        np.multiply(o, np.tanh(c, out=tanh_c[s : s + n]), out=hs[s : s + n])
+    cache = {"x": x, "steps": steps, "gates": gates, "cells": cells,
+             "tanh_c": tanh_c, "hs": hs}
+    return hs, cache
 
 
 def _lstm_backprop(cell: LstmCellParams, cache, dh_out: np.ndarray):
-    """BPTT for one cell. dh_out is (B, L, C); returns (dx, grads)."""
-    x = cache["x"]
-    gates, cells, tanh_c, hs = (
-        cache["gates"],
-        cache["cells"],
-        cache["tanh_c"],
-        cache["hs"],
-    )
-    b_sz, n_t, _ = x.shape
+    """BPTT for one cell. dh_out is packed (N, C); returns (dx, grads)."""
+    steps, gates, tc = cache["steps"], cache["gates"], cache["tanh_c"]
     c_sz = cell.cell_size
-    dw_x = np.zeros_like(cell.w_x)
-    dw_h = np.zeros_like(cell.w_h)
-    db = np.zeros_like(cell.b)
-    dx = np.empty_like(x)
-    dh_next = np.zeros((b_sz, c_sz))
-    dc_next = np.zeros((b_sz, c_sz))
-    dz = np.empty((b_sz, _GATES * c_sz))
-    for t in range(n_t - 1, -1, -1):
-        i = gates[t, :, :c_sz]
-        f = gates[t, :, c_sz : 2 * c_sz]
-        g = gates[t, :, 2 * c_sz : 3 * c_sz]
-        o = gates[t, :, 3 * c_sz :]
-        tc = tanh_c[t]
-        c_prev = cells[t - 1] if t > 0 else np.zeros((b_sz, c_sz))
-        h_prev = hs[t - 1] if t > 0 else np.zeros((b_sz, c_sz))
-
-        dh = dh_out[:, t, :] + dh_next
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        dz[:, :c_sz] = dc * g * i * (1.0 - i)
-        dz[:, c_sz : 2 * c_sz] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * c_sz : 3 * c_sz] = dc * i * (1.0 - g * g)
-        dz[:, 3 * c_sz :] = dh * tc * o * (1.0 - o)
-
-        dw_x += x[:, t, :].T @ dz
-        dw_h += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        dx[:, t, :] = dz @ cell.w_x.T
-        dh_next = dz @ cell.w_h.T
-        dc_next = dc * f
-    return dx, {"w_x": dw_x, "w_h": dw_h, "b": db}
-
-
-def _reverse_index(lengths: np.ndarray, n_t: int) -> np.ndarray:
-    # Reverse each row within its valid length; padding stays in place.
-    t = np.arange(n_t)[None, :]
-    valid = t < lengths[:, None]
-    return np.where(valid, lengths[:, None] - 1 - t, t)
-
-
-def _reverse_sequence(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    idx = _reverse_index(lengths, x.shape[1])
-    return x[np.arange(x.shape[0])[:, None], idx]
+    i, f, g, o = np.split(gates, _GATES, axis=1)
+    # per frame: dh/dc through the output gate, and the local derivative
+    # by which dc (input, forget, candidate gates) or dh (output gate)
+    # scales into each gate's pre-activation
+    dtc = o * (1.0 - tc * tc)
+    local = (gates * (1.0 - gates)).reshape(-1, _GATES, c_sz)
+    local[:, 0] *= g
+    local[:, 1] *= _previous(cache["cells"], steps)
+    local[:, 2] = i * (1.0 - g * g)
+    local[:, 3] *= tc
+    dz_all = np.empty_like(gates)
+    dz_gates = dz_all.reshape(-1, _GATES, c_sz)
+    # rows a step does not write stay zero: they carry nothing back
+    dh_next = np.zeros((max(n for _, n in steps), c_sz))
+    dc_next = np.zeros_like(dh_next)
+    for s, n in reversed(steps):
+        e = s + n
+        dh = dh_out[s:e] + dh_next[:n]
+        dc = dh * dtc[s:e] + dc_next[:n]
+        np.multiply(local[s:e, :3], dc[:, None], out=dz_gates[s:e, :3])
+        np.multiply(local[s:e, 3], dh, out=dz_gates[s:e, 3])
+        np.matmul(dz_all[s:e], cell.w_h.T, out=dh_next[:n])
+        np.multiply(dc, f[s:e], out=dc_next[:n])
+    grads = {"w_x": cache["x"].T @ dz_all,
+             "w_h": _previous(cache["hs"], steps).T @ dz_all,
+             "b": dz_all.sum(axis=0)}
+    return dz_all @ cell.w_x.T, grads
 
 
 def _layer_norm(z: np.ndarray, gain, offset):
@@ -246,9 +268,7 @@ def _layer_norm_backprop(dy, gain, ln_cache):
         + dvar * np.sum(-2.0 * centered, axis=-1, keepdims=True) / n
     )
     dz = dxhat * inv + dvar * 2.0 * centered / n + dmean / n
-    dgain = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    doffset = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
-    return dz, dgain, doffset
+    return dz, np.sum(dy * xhat, axis=0), np.sum(dy, axis=0)
 
 
 def _as_batch(x):
@@ -260,8 +280,8 @@ def _as_batch(x):
     raise ValueError("input must be (frames x bins) or (batch x frames x bins)")
 
 
-def _forward(params: NetworkParams, x, lengths=None, want_cache: bool = False):
-    x, squeeze = _as_batch(x)
+def _forward(params: NetworkParams, x, lengths=None):
+    """Packed outputs (N, K) of the valid frames, and the cache."""
     if not np.all(np.isfinite(x)):
         raise ValueError("network input must be finite")
     if x.shape[-1] != params.input_dim:
@@ -273,45 +293,41 @@ def _forward(params: NetworkParams, x, lengths=None, want_cache: bool = False):
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.shape != (b_sz,) or np.any(lengths < 1) or np.any(lengths > n_t):
             raise ValueError("lengths must be in [1, n_frames] per batch row")
+    rows, times, steps = _pack(lengths)
+    xp = x[rows, times]
 
-    z0 = x @ params.fc.w + params.fc.b
+    z0 = xp @ params.fc.w + params.fc.b
     y0, ln_cache = _layer_norm(z0, params.ln_gain, params.ln_offset)
     act = np.maximum(y0, 0.0)
 
     block_caches = []
     for blk in params.blocks:
-        h_f, cache_f = _lstm_run(blk.fwd, act)
+        h_f, cache_f = _lstm_run(blk.fwd, act, steps)
+        nxt = act + h_f
+        caches = {"fwd": cache_f}
         if blk.bwd is not None:
-            rev_in = _reverse_sequence(act, lengths)
-            h_br, cache_b = _lstm_run(blk.bwd, rev_in)
-            h_b = _reverse_sequence(h_br, lengths)
-            nxt = act + h_f + h_b
-        else:
-            cache_b = None
-            nxt = act + h_f
-        block_caches.append((act, cache_f, cache_b))
+            h_b, caches["bwd"] = _lstm_run(blk.bwd, act, steps[::-1])
+            nxt += h_b
+        block_caches.append(caches)
         act = nxt
 
-    logits = act @ params.out.w + params.out.b
-    pred = expit(logits)
-    if want_cache:
-        cache = {
-            "x": x,
-            "lengths": lengths,
-            "z0": z0,
-            "ln": ln_cache,
-            "y0": y0,
-            "blocks": block_caches,
-            "final_act": act,
-            "pred": pred,
-        }
-        return pred, cache
-    return pred[0] if squeeze else pred
+    pred = expit(act @ params.out.w + params.out.b)
+    cache = {"x": xp, "rows": rows, "times": times, "ln": ln_cache, "y0": y0,
+             "blocks": block_caches, "final_act": act}
+    return pred, cache
 
 
 def forward(params: NetworkParams, mag, lengths=None) -> np.ndarray:
-    """Network output per frame and bin, each value strictly inside (0, 1)."""
-    return _forward(params, mag, lengths)
+    """Network output per frame and bin, each value strictly inside (0, 1).
+
+    mag is (frames, bins) or (batch, frames, bins) with per-row lengths;
+    the output has the input's leading shape, and padded frames read 0.
+    """
+    x, squeeze = _as_batch(mag)
+    pred, cache = _forward(params, x, lengths)
+    out = np.zeros(x.shape[:2] + (params.output_dim,))
+    out[cache["rows"], cache["times"]] = pred
+    return out[0] if squeeze else out
 
 
 PRED_CLAMP = 1e-7
@@ -328,68 +344,46 @@ def loss_cross_entropy(pred, target) -> float:
     return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p))))
 
 
-def _masked_loss_grad(pred, target, mask):
-    """Masked mean BCE and its gradient w.r.t. the logits."""
-    p = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    ce = -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
-    m = mask[..., None]
-    n_valid = mask.sum() * pred.shape[-1]
-    loss = float((ce * m).sum() / n_valid)
-    inside = (pred > PRED_CLAMP) & (pred < 1.0 - PRED_CLAMP)
-    dlogits = np.where(inside, pred - target, 0.0) * m / n_valid
-    return loss, dlogits
-
-
 def backward(params: NetworkParams, x, target, lengths=None):
     """Loss and gradients for every parameter tensor.
 
     Returns (loss, grads) where grads has exactly the keys of
-    params.tensors().  Padded frames (beyond each row's length) carry no
-    loss and no gradient.
+    params.tensors().  The loss is the mean cross-entropy over the valid
+    frames; padded frames (beyond each row's length) carry no loss and no
+    gradient.
     """
-    pred, cache = _forward(params, x, lengths, want_cache=True)
+    x, _ = _as_batch(x)
+    pred, cache = _forward(params, x, lengths)
     target = np.asarray(target, dtype=np.float64)
     if target.ndim == 2:
         target = target[None]
-    if target.shape != pred.shape:
+    if target.shape != x.shape[:2] + (params.output_dim,):
         raise ValueError("target shape must match the prediction")
-    if np.any((target < 0.0) | (target > 1.0)):
-        raise ValueError("targets must lie in [0, 1]")
-    lengths = cache["lengths"]
-    n_t = pred.shape[1]
-    mask = (np.arange(n_t)[None, :] < lengths[:, None]).astype(np.float64)
-
-    loss, dlogits = _masked_loss_grad(pred, target, mask)
+    target = target[cache["rows"], cache["times"]]
+    loss = loss_cross_entropy(pred, target)
+    inside = (pred > PRED_CLAMP) & (pred < 1.0 - PRED_CLAMP)
+    dlogits = np.where(inside, pred - target, 0.0) / pred.size
     grads: dict[str, np.ndarray] = {}
 
-    final_act = cache["final_act"]
-    grads["out.w"] = np.tensordot(final_act, dlogits, axes=([0, 1], [0, 1]))
-    grads["out.b"] = dlogits.sum(axis=(0, 1))
+    grads["out.w"] = cache["final_act"].T @ dlogits
+    grads["out.b"] = dlogits.sum(axis=0)
     da = dlogits @ params.out.w.T
 
     for bi in range(params.n_blocks - 1, -1, -1):
         blk = params.blocks[bi]
-        act_in, cache_f, cache_b = cache["blocks"][bi]
-        dx_f, g_f = _lstm_backprop(blk.fwd, cache_f, da)
-        grads[f"block{bi}.fwd.w_x"] = g_f["w_x"]
-        grads[f"block{bi}.fwd.w_h"] = g_f["w_h"]
-        grads[f"block{bi}.fwd.b"] = g_f["b"]
-        da_next = da + dx_f
-        if blk.bwd is not None:
-            dh_rev = _reverse_sequence(da, lengths)
-            dx_br, g_b = _lstm_backprop(blk.bwd, cache_b, dh_rev)
-            grads[f"block{bi}.bwd.w_x"] = g_b["w_x"]
-            grads[f"block{bi}.bwd.w_h"] = g_b["w_h"]
-            grads[f"block{bi}.bwd.b"] = g_b["b"]
-            da_next = da_next + _reverse_sequence(dx_br, lengths)
+        da_next = da.copy()
+        for direction, cell_cache in cache["blocks"][bi].items():
+            dx, g = _lstm_backprop(getattr(blk, direction), cell_cache, da)
+            da_next += dx
+            grads.update({f"block{bi}.{direction}.{k}": v for k, v in g.items()})
         da = da_next
 
     dy0 = da * (cache["y0"] > 0.0)
     dz0, dgain, doffset = _layer_norm_backprop(dy0, params.ln_gain, cache["ln"])
     grads["ln.gain"] = dgain
     grads["ln.offset"] = doffset
-    grads["fc.w"] = np.tensordot(cache["x"], dz0, axes=([0, 1], [0, 1]))
-    grads["fc.b"] = dz0.sum(axis=(0, 1))
+    grads["fc.w"] = cache["x"].T @ dz0
+    grads["fc.b"] = dz0.sum(axis=0)
     return loss, grads
 
 

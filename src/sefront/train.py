@@ -5,7 +5,9 @@ a random section of a random noise recording at a random integer SNR,
 and regresses the noisy magnitudes onto the bounded mapped targets
 computed from the oracle a priori SNR of that very mixture.  One Adam
 step per batch on globally clipped gradients; sequences are zero-padded
-to the batch maximum and masked.
+to the batch maximum, and the network skips the padded frames.  Every
+noise recording must be at least as long as the longest clean one,
+which train() checks before the first batch.
 
 Everything is driven by one seeded generator, so a rerun with the same
 seed reproduces the loss history bit for bit.
@@ -128,6 +130,11 @@ def train(
         )
     if stats.n_bins != config.n_bins:
         raise ValueError("stats bin count does not match the analysis config")
+    # any noise recording may be drawn for any clean one
+    if min(d.size for d in noise_list) < max(x.size for x in clean_list):
+        raise ValueError(
+            "a noise recording is shorter than the longest clean recording"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(cfg.learn_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
@@ -144,10 +151,6 @@ def train(
             for ci in idx:
                 x = clean_list[int(ci)]
                 d = noise_list[int(rng.integers(len(noise_list)))]
-                if d.size < x.size:
-                    raise ValueError(
-                        "noise recording shorter than a clean recording"
-                    )
                 offset = int(rng.integers(d.size - x.size + 1))
                 snr_db = int(snrs[rng.integers(len(snrs))])
                 m, t = make_example(x, d, snr_db, offset, stats, config)

@@ -1,4 +1,4 @@
-"""Write behaviour_lock.npz: reference outputs of the enhancement path.
+"""Write behaviour_lock.npz: reference outputs of the enhancement path and the network.
 
 Run from the repository root with the source tree to be locked on the
 import path:
@@ -13,6 +13,14 @@ clamps.  It also holds the int16 samples that `sefront enhance` writes
 for the oracle estimator and for seeded untrained UNI and BI networks
 under every gain rule (keys cli_<estimator>_<rule>), together with the
 bytes of every file those runs read (keys file_<name>).
+
+For the network it holds the float64 rnn.forward output at batch 1 of
+seeded UNI and BI networks at the default dims (keys rnn_forward_<mode>,
+input rnn_forward_mag), and rnn.backward's loss and gradients for
+smaller seeded networks on a zero-padded batch of three rows of unequal
+length, one of them a single frame (keys rnn_backward_<mode>_loss and
+rnn_backward_<mode>_<tensor>, inputs rnn_batch_x, rnn_batch_target and
+rnn_batch_lengths).
 tests/test_behaviour_lock.py compares the current code against it.
 """
 
@@ -25,8 +33,9 @@ import numpy as np
 from sefront import cli
 from sefront.corpus import save_wav
 from sefront.dd import enhance
+from sefront.dsp import stft
 from sefront.gain import GainRule, gain_mmse_stsa
-from sefront.rnn import init_network, save_network
+from sefront.rnn import backward, forward, init_network, save_network
 from sefront.snr import XiStats, save_stats, unmap_xi
 
 SR = 16000
@@ -81,6 +90,44 @@ def unmap_grid():
     return np.repeat(bar[:, None], stats.n_bins, axis=1), stats
 
 
+def forward_net(bidirectional: bool):
+    """Seeded network at the default dims (257 bins, cell 64, 2 blocks)."""
+    return init_network(seed=21, bidirectional=bidirectional)
+
+
+def backward_net(bidirectional: bool):
+    """Seeded network with a small cell, to keep the stored gradients small."""
+    return init_network(seed=23, cell_size=8, n_blocks=2, bidirectional=bidirectional)
+
+
+def padded_batch():
+    """(x, target, lengths): three rows of noisy magnitudes, zero-padded."""
+    mag = stft(noisy_input()).magnitude
+    lengths = np.array([6, 1, 11])
+    rng = np.random.default_rng(29)
+    x = np.zeros((3, 11, mag.shape[1]))
+    target = np.zeros_like(x)
+    for row, (start, n) in enumerate(zip((3, 20, 30), lengths)):
+        x[row, :n] = mag[start : start + n]
+        target[row, :n] = rng.uniform(0.05, 0.95, (n, mag.shape[1]))
+    return x, target, lengths
+
+
+def network_arrays() -> dict:
+    """Forward outputs and backward gradients of the seeded networks."""
+    mag = stft(noisy_input()).magnitude
+    x, target, lengths = padded_batch()
+    arrays = {"rnn_forward_mag": mag, "rnn_batch_x": x,
+              "rnn_batch_target": target, "rnn_batch_lengths": lengths}
+    for mode, bidirectional in (("uni", False), ("bi", True)):
+        arrays[f"rnn_forward_{mode}"] = forward(forward_net(bidirectional), mag)
+        loss, grads = backward(backward_net(bidirectional), x, target, lengths)
+        arrays[f"rnn_backward_{mode}_loss"] = np.array(loss)
+        for name, grad in grads.items():
+            arrays[f"rnn_backward_{mode}_{name}"] = grad
+    return arrays
+
+
 def write_cli_inputs(folder: Path) -> None:
     """The WAVs, the two seeded models and the stats file the CLI runs read."""
     voice, noise = noisy_parts()
@@ -133,6 +180,7 @@ def main() -> None:
         for estimator in CLI_ESTIMATORS:
             for rule in GainRule:
                 arrays[f"cli_{estimator}_{rule.value}"] = run_cli(folder, estimator, rule)
+    arrays.update(network_arrays())
     np.savez_compressed(OUT, **arrays)
     print(f"wrote {OUT}")
 

@@ -1,4 +1,4 @@
-"""Outputs of the enhancement path against a stored reference.
+"""Outputs of the enhancement path and the network against a stored reference.
 
 tests/data/behaviour_lock.npz was written by
 tests/data/make_behaviour_lock.py from the code as it stood before
@@ -12,6 +12,11 @@ inverse map and their decision-directed output, which go through SciPy's
 i0e/i1e and erfinv, are held to a relative 1e-9 and 1e-12; those values
 agree with the hand-written special functions SciPy replaced to about
 4e-11 relative.
+
+The network keys were written from the code as it stood before the
+LSTM ran on packed sequences.  The float64 forward output at batch 1 must
+match bit for bit; the loss and gradients on a padded batch, whose sums
+now run in another order, to 1e-12 of each tensor's largest magnitude.
 """
 
 import wave
@@ -23,6 +28,7 @@ import pytest
 from sefront.cli import main
 from sefront.dd import enhance
 from sefront.gain import GainRule, gain_mmse_stsa
+from sefront.rnn import backward, forward, init_network
 from sefront.snr import XiStats, unmap_xi
 
 LOCK = Path(__file__).parent / "data" / "behaviour_lock.npz"
@@ -85,3 +91,33 @@ def test_unmap_xi_grid_matches(lock):
     stats = XiStats(lock["unmap_mu_db"], lock["unmap_sigma_db"])
     got = unmap_xi(lock["unmap_bar"], stats)
     np.testing.assert_allclose(got, lock["unmap_xi"], rtol=1e-12)
+
+
+# the seeded networks of tests/data/make_behaviour_lock.py
+def forward_net(bidirectional):
+    return init_network(seed=21, bidirectional=bidirectional)
+
+
+def backward_net(bidirectional):
+    return init_network(seed=23, cell_size=8, n_blocks=2, bidirectional=bidirectional)
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_rnn_forward_bit_identical(lock, mode):
+    got = forward(forward_net(mode == "bi"), lock["rnn_forward_mag"])
+    np.testing.assert_array_equal(got, lock[f"rnn_forward_{mode}"])
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_rnn_backward_matches(lock, mode):
+    params = backward_net(mode == "bi")
+    loss, grads = backward(params, lock["rnn_batch_x"], lock["rnn_batch_target"],
+                           lock["rnn_batch_lengths"])
+    prefix = f"rnn_backward_{mode}_"
+    stored = {k[len(prefix):]: v for k, v in lock.items() if k.startswith(prefix)}
+    assert abs(loss - stored.pop("loss")) <= 1e-12 * abs(loss)
+    assert set(grads) == set(stored)
+    for name, grad in grads.items():
+        ref = stored[name]
+        np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)),
+                                   err_msg=name)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from sefront.dsp import SpectroGram
 from sefront.gain import (
     GainRule,
-    apply_gain,
     bessel_i0e,
     bessel_i1e,
     gain_for,
@@ -123,19 +121,3 @@ def test_gain_for_dispatch():
     with pytest.raises(ValueError):
         gain_for(GainRule.MMSE_STSA, xi)  # needs gamma
 
-
-def test_apply_gain_preserves_phase():
-    rng = np.random.default_rng(9)
-    mag = rng.uniform(0, 2, (5, 257))
-    phase = rng.uniform(-np.pi, np.pi, (5, 257))
-    spec = SpectroGram(mag, phase)
-    xi = 10 ** rng.uniform(-2, 2, (5, 257))
-    out = apply_gain(spec, xi, GainRule.SRWF)
-    np.testing.assert_array_equal(out.phase, phase)
-    np.testing.assert_allclose(out.magnitude, gain_srwf(xi) * mag, rtol=1e-14)
-
-
-def test_apply_gain_shape_mismatch():
-    spec = SpectroGram(np.ones((3, 257)), np.zeros((3, 257)))
-    with pytest.raises(ValueError):
-        apply_gain(spec, np.ones((2, 257)), GainRule.WIENER)

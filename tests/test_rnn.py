@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sefront.rnn import (
     LstmCellParams,
@@ -33,8 +34,8 @@ def test_lstm_run_two_steps_against_straight_line():
         rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
         rng.normal(0, 0.3, 4 * c_sz),
     )
-    x = rng.normal(0, 1, (1, 2, d))
-    hs, cache = _lstm_run(cell, x)
+    x = rng.normal(0, 1, (2, d))  # one row, two packed steps
+    hs, cache = _lstm_run(cell, x, [(0, 1), (1, 1)])
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -42,19 +43,20 @@ def test_lstm_run_two_steps_against_straight_line():
     h_ref = np.zeros(c_sz)
     c_ref = np.zeros(c_sz)
     for t in range(2):
-        z = x[0, t] @ cell.w_x + h_ref @ cell.w_h + cell.b
+        z = x[t] @ cell.w_x + h_ref @ cell.w_h + cell.b
         i, f, g, o = z[:3], z[3:6], z[6:9], z[9:]
         c_ref = sig(f) * c_ref + sig(i) * np.tanh(g)
         h_ref = sig(o) * np.tanh(c_ref)
-        np.testing.assert_allclose(cache["cells"][t, 0], c_ref, rtol=1e-12)
-        np.testing.assert_allclose(hs[0, t], h_ref, rtol=1e-12)
+        np.testing.assert_allclose(cache["cells"][t], c_ref, rtol=1e-12)
+        np.testing.assert_allclose(hs[t], h_ref, rtol=1e-12)
     assert np.all(np.abs(cache["cells"][0]) > 0)
 
 
 def test_lstm_run_zero_weights_keep_zero_state():
     # all-zero weights: candidate tanh(0)=0, so the state never moves
     cell = LstmCellParams(np.zeros((4, 12)), np.zeros((3, 12)), np.zeros(12))
-    hs, cache = _lstm_run(cell, np.ones((2, 5, 4)))
+    # two rows over five packed steps
+    hs, cache = _lstm_run(cell, np.ones((10, 4)), [(2 * t, 2) for t in range(5)])
     np.testing.assert_array_equal(hs, 0.0)
     np.testing.assert_array_equal(cache["cells"], 0.0)
 
@@ -220,54 +222,70 @@ def test_gradient_spot_check(bidirectional):
     assert worst < 1e-4
 
 
-def test_batch_equals_individual_sequences():
-    rng = np.random.default_rng(12)
-    for bidirectional in (False, True):
-        p = tiny(seed=13, bidirectional=bidirectional)
-        xa = rng.uniform(0, 2, (7, 9))
-        xb = rng.uniform(0, 2, (4, 9))
-        xbat = np.zeros((2, 7, 9))
-        xbat[0] = xa
-        xbat[1, :4] = xb
-        yb = forward(p, xbat, lengths=np.array([7, 4]))
-        np.testing.assert_allclose(yb[0], forward(p, xa), atol=1e-12)
-        np.testing.assert_allclose(yb[1, :4], forward(p, xb), atol=1e-12)
+def packed_batches(test):
+    """Batches of 1-5 rows of 1-12 frames (ties allowed), UNI or BI."""
+    cases = given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        bidirectional=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    return settings(max_examples=30, deadline=None)(cases(test))
 
 
-def test_batch_gradients_combine_per_sequence():
+def padded_batch(lengths, seed, junk=None):
+    """(x, target) with seeded valid frames; padding is 0, or junk from that generator."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((len(lengths), max(lengths), 9))
+    t = np.zeros_like(x)
+    for row, n in enumerate(lengths):
+        x[row, :n] = rng.uniform(0, 2, (n, 9))
+        t[row, :n] = rng.uniform(0.1, 0.9, (n, 9))
+        if junk is not None:
+            x[row, n:] = junk.uniform(-50, 50, x[row, n:].shape)
+            t[row, n:] = junk.uniform(0, 1, t[row, n:].shape)
+    return x, t
+
+
+@packed_batches
+def test_batch_equals_individual_sequences(lengths, bidirectional, seed):
+    p = tiny(seed=13, bidirectional=bidirectional)
+    x, _ = padded_batch(lengths, seed)
+    y = forward(p, x, lengths=np.array(lengths))
+    for row, n in enumerate(lengths):
+        np.testing.assert_allclose(y[row, :n], forward(p, x[row, :n]), atol=1e-12)
+        np.testing.assert_array_equal(y[row, n:], 0.0)
+
+
+@packed_batches
+def test_batch_gradients_combine_per_sequence(lengths, bidirectional, seed):
     # padded-batch loss is the valid-frame weighted mean, so gradients
     # must combine with weights L_i / sum(L)
-    rng = np.random.default_rng(14)
-    p = tiny(seed=15, bidirectional=True)
-    xa = rng.uniform(0, 2, (7, 9))
-    ta = rng.uniform(0.1, 0.9, (7, 9))
-    xb = rng.uniform(0, 2, (4, 9))
-    tb = rng.uniform(0.1, 0.9, (4, 9))
-    xbat = np.zeros((2, 7, 9))
-    tbat = np.zeros((2, 7, 9))
-    xbat[0], tbat[0] = xa, ta
-    xbat[1, :4], tbat[1, :4] = xb, tb
-    lb, gb = backward(p, xbat, tbat, lengths=np.array([7, 4]))
-    la, ga = backward(p, xa, ta)
-    ls, gs = backward(p, xb, tb)
-    wa, wb = 7 / 11, 4 / 11
-    np.testing.assert_allclose(lb, wa * la + wb * ls, rtol=1e-12)
+    p = tiny(seed=15, bidirectional=bidirectional)
+    x, t = padded_batch(lengths, seed)
+    lb, gb = backward(p, x, t, lengths=np.array(lengths))
+    loss = 0.0
+    grads = {k: np.zeros_like(v) for k, v in gb.items()}
+    for row, n in enumerate(lengths):
+        w = n / sum(lengths)
+        ls, gs = backward(p, x[row, :n], t[row, :n])
+        loss += w * ls
+        for k in grads:
+            grads[k] += w * gs[k]
+    np.testing.assert_allclose(lb, loss, rtol=1e-12)
     for k in gb:
-        np.testing.assert_allclose(gb[k], wa * ga[k] + wb * gs[k], atol=1e-12)
+        np.testing.assert_allclose(gb[k], grads[k], atol=1e-12, err_msg=k)
 
 
-def test_padding_does_not_leak_into_loss():
-    rng = np.random.default_rng(16)
-    p = tiny()
-    x = rng.uniform(0, 2, (1, 5, 9))
-    t = rng.uniform(0.1, 0.9, (1, 5, 9))
-    l1, _ = backward(p, x, t, lengths=np.array([3]))
-    x2 = x.copy()
-    t2 = t.copy()
-    x2[0, 3:] = 99.0  # junk in the padded span
-    t2[0, 3:] = 0.0
-    l2, _ = backward(p, x2, t2, lengths=np.array([3]))
-    np.testing.assert_allclose(l1, l2, rtol=1e-12)
+@packed_batches
+def test_padding_does_not_leak_into_loss(lengths, bidirectional, seed):
+    p = tiny(seed=16, bidirectional=bidirectional)
+    lengths = np.array(lengths)
+    l1, g1 = backward(p, *padded_batch(lengths, seed), lengths=lengths)
+    junk = np.random.default_rng(seed + 1)
+    l2, g2 = backward(p, *padded_batch(lengths, seed, junk), lengths=lengths)
+    assert l1 == l2
+    for k in g1:
+        np.testing.assert_array_equal(g1[k], g2[k], err_msg=k)
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,30 @@ def test_train_input_validation():
     bad_stats = XiStats(np.zeros(100), np.ones(100))
     with pytest.raises(ValueError, match="bin count"):
         train(params, clean, noise, bad_stats, TrainConfig(batch_size=4))
+
+
+def test_short_noise_rejected_before_the_first_batch(monkeypatch):
+    # the noise covers the three short clean recordings but not the long
+    # one, which the shuffle for seed 0 puts in a later batch, so a check
+    # at draw time would train three batches first
+    rng = np.random.default_rng(11)
+    clean = [tone_bursts(rng, SR // 2) for _ in range(3)] + [tone_bursts(rng, 2 * SR)]
+    noise = [white_noise(rng, SR)]
+    # the package exports the train() function under the module's name
+    train_module = importlib.import_module("sefront.train")
+    batches = []
+    real_backward = train_module.backward
+
+    def counting_backward(*args):
+        batches.append(1)
+        return real_backward(*args)
+
+    monkeypatch.setattr(train_module, "backward", counting_backward)
+    params = init_network(seed=3, cell_size=8, n_blocks=1)
+    cfg = TrainConfig(epochs=1, batch_size=1, seed=0)
+    with pytest.raises(ValueError, match="shorter"):
+        train(params, clean, noise, flat_stats(), cfg)
+    assert batches == []
 
 
 def test_infer_xi_constant_half_lands_on_mu():
