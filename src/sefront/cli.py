@@ -177,8 +177,10 @@ def cmd_mix(args) -> int:
         if not manifest.entries:
             raise ValueError(f"manifest {args.manifest} has no entries")
         for e in manifest.entries:
-            _require_file(e.clean_path, "clean file")
-            _require_file(e.noise_path, "noise file")
+            clean = _require_file(e.clean_path, "clean file")
+            noise = _require_file(e.noise_path, "noise file")
+            corpus.check_section(noise.name, corpus.wav_length(noise),
+                                 clean.name, corpus.wav_length(clean), e.noise_offset)
     else:
         if args.clean is None or args.noise is None:
             raise UsageError("mix needs either --manifest or --clean/--noise dirs")

@@ -26,49 +26,33 @@ class WavFormatError(ValueError):
     """A WAV file that is not 16-bit mono PCM at 16 kHz."""
 
 
-def load_wav(path) -> AudioSignal:
-    """Read a PCM WAV file, checking every format property by name."""
-    path = Path(path)
+def _open_checked(path: Path) -> wave.Wave_read:
+    """An open WAV reader, its format checked property by property."""
     try:
-        with wave.open(str(path), "rb") as wf:
-            n_channels = wf.getnchannels()
-            sampwidth = wf.getsampwidth()
-            rate = wf.getframerate()
-            n_frames = wf.getnframes()
-            raw = wf.readframes(n_frames)
+        wf = wave.open(str(path), "rb")
     except wave.Error as exc:
         raise WavFormatError(f"{path.name}: {exc}") from exc
-    if n_channels != 1:
-        raise WavFormatError(f"{path.name}: channels: expected 1, got {n_channels}")
-    if sampwidth != 2:
-        raise WavFormatError(
-            f"{path.name}: sample_width: expected 2 bytes, got {sampwidth}"
-        )
-    if rate != SAMPLE_RATE:
-        raise WavFormatError(
-            f"{path.name}: sample_rate: expected {SAMPLE_RATE}, got {rate}"
-        )
+    for name, got, want in (("channels", wf.getnchannels(), 1),
+                            ("sample_width", wf.getsampwidth(), 2),
+                            ("sample_rate", wf.getframerate(), SAMPLE_RATE)):
+        if got != want:
+            wf.close()
+            raise WavFormatError(f"{path.name}: {name}: expected {want}, got {got}")
+    return wf
+
+
+def load_wav(path) -> AudioSignal:
+    """Read a 16-bit mono PCM WAV file at 16 kHz."""
+    with _open_checked(Path(path)) as wf:
+        raw = wf.readframes(wf.getnframes())
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
-    return AudioSignal(data, rate)
+    return AudioSignal(data, SAMPLE_RATE)
 
 
 def wav_length(path) -> int:
     """Sample count from the header alone, with the same format checks."""
-    path = Path(path)
-    try:
-        with wave.open(str(path), "rb") as wf:
-            if wf.getnchannels() != 1:
-                raise WavFormatError(
-                    f"{path.name}: channels: expected 1, got {wf.getnchannels()}"
-                )
-            if wf.getframerate() != SAMPLE_RATE:
-                raise WavFormatError(
-                    f"{path.name}: sample_rate: expected {SAMPLE_RATE}, "
-                    f"got {wf.getframerate()}"
-                )
-            return wf.getnframes()
-    except wave.Error as exc:
-        raise WavFormatError(f"{path.name}: {exc}") from exc
+    with _open_checked(Path(path)) as wf:
+        return wf.getnframes()
 
 
 def save_wav(signal, path) -> None:
@@ -83,6 +67,30 @@ def save_wav(signal, path) -> None:
         wf.setsampwidth(2)
         wf.setframerate(SAMPLE_RATE)
         wf.writeframes(q.tobytes())
+
+
+def check_corpora(clean_list, noise_list) -> None:
+    """Both corpora non-empty, and no noise recording shorter than the
+    longest clean one, so any noise recording may be drawn for any clean
+    one."""
+    if not clean_list or not noise_list:
+        raise ValueError("clean and noise corpora must be non-empty")
+    if min(d.size for d in noise_list) < max(x.size for x in clean_list):
+        raise ValueError(
+            "a noise recording is shorter than the longest clean recording"
+        )
+
+
+def check_section(noise_name: str, n_noise: int, clean_name: str, n_clean: int,
+                  offset: int) -> None:
+    """The noise section [offset, offset + n_clean) must lie inside the noise."""
+    if offset < 0:
+        raise ValueError(f"{noise_name}: negative noise offset {offset}")
+    if offset + n_clean > n_noise:
+        raise ValueError(
+            f"{noise_name}: shorter than clean file {clean_name} from offset "
+            f"{offset} ({n_noise} < {offset + n_clean} samples)"
+        )
 
 
 def mixing_gain(clean, noise_section, snr_db: float) -> float:
@@ -200,10 +208,7 @@ def build_test_manifest(
             clean_path = clean_paths[int(ci)]
             n_clean = clean_lens[clean_path]
             n_noise = noise_lens[noise_path]
-            if n_noise < n_clean:
-                raise ValueError(
-                    f"{noise_path.name}: shorter than clean file {clean_path.name}"
-                )
+            check_section(noise_path.name, n_noise, clean_path.name, n_clean, 0)
             for snr_db in snrs:
                 offset = int(rng.integers(n_noise - n_clean + 1))
                 out_name = (

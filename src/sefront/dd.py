@@ -27,11 +27,9 @@ _POWER_FLOOR = 1e-12
 
 @dataclass
 class NoiseTracker:
-    """Per-bin noise power estimate lambda_d with its recursion constants."""
+    """Per-bin noise power estimate lambda_d."""
 
     lambda_d: np.ndarray | None = None
-    alpha: float = ALPHA_NOISE
-    beta: float = BETA_ABSENCE
 
     @classmethod
     def from_frames(cls, power_frames) -> "NoiseTracker":
@@ -49,18 +47,18 @@ class NoiseTracker:
 def track_noise(state: NoiseTracker, noisy_power_frame) -> NoiseTracker:
     """One gated recursion step.
 
-    Cells with |X|^2 < beta * lambda_d update as
-    lambda_d <- alpha * lambda_d + (1 - alpha) * |X|^2; the rest keep
-    their value.  The estimate stays strictly positive.
+    Cells with |X|^2 < BETA_ABSENCE * lambda_d update as
+    lambda_d <- ALPHA_NOISE * lambda_d + (1 - ALPHA_NOISE) * |X|^2; the
+    rest keep their value.  The estimate stays strictly positive.
     """
     if not state.initialized:
         raise ValueError("tracker not initialized: call NoiseTracker.from_frames first")
     p = np.asarray(noisy_power_frame, dtype=np.float64)
     if p.shape != state.lambda_d.shape:
         raise ValueError("power frame shape does not match the tracker")
-    absent = p < state.beta * state.lambda_d
+    absent = p < BETA_ABSENCE * state.lambda_d
     lam = np.where(
-        absent, state.alpha * state.lambda_d + (1.0 - state.alpha) * p, state.lambda_d
+        absent, ALPHA_NOISE * state.lambda_d + (1.0 - ALPHA_NOISE) * p, state.lambda_d
     )
     return replace(state, lambda_d=lam)
 
@@ -74,7 +72,6 @@ class DdState:
     """
 
     prev_amp_sq: np.ndarray
-    alpha: float = ALPHA_DD
     gain: np.ndarray | None = None
 
 
@@ -87,7 +84,7 @@ def dd_xi(
     """One decision-directed step; returns (xi, gamma, next state).
 
     gamma = |X|^2 / lambda_d
-    xi    = alpha * prev_amp_sq / lambda_d + (1 - alpha) * max(gamma - 1, 0)
+    xi    = ALPHA_DD * prev_amp_sq / lambda_d + (1 - ALPHA_DD) * max(gamma - 1, 0)
 
     The state advances with (G |X|)^2 where G is the rule's gain for
     this frame, so the recursion sees the enhanced amplitude; G itself
@@ -96,7 +93,7 @@ def dd_xi(
     p = np.asarray(noisy_power_frame, dtype=np.float64)
     lam = np.maximum(np.asarray(lambda_d, dtype=np.float64), _POWER_FLOOR)
     gamma = p / lam
-    xi = state.alpha * state.prev_amp_sq / lam + (1.0 - state.alpha) * np.maximum(
+    xi = ALPHA_DD * state.prev_amp_sq / lam + (1.0 - ALPHA_DD) * np.maximum(
         gamma - 1.0, 0.0
     )
     g = gain_for(rule, xi, np.maximum(gamma, _POWER_FLOOR))

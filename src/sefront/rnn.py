@@ -8,14 +8,14 @@ The backward pass is full backpropagation through time, written against
 the same caches the forward pass produces, so finite differences can
 check every parameter.
 
-A batch of rows of unequal length runs packed, time-major: rows are
-ordered by length, longest first, and step t holds only the rows still
-active at frame t, which are a prefix of that order.  Every layer
-computes on the valid frames alone, so padding costs no time and carries
-no loss or gradient.  The backward direction of a bidirectional block
-walks the same steps in reverse, each row starting from zero state at its
-last frame.  forward() scatters the outputs back to (batch, frames,
-bins), where padded frames read 0.
+A batch is a list of (frames, bins) sequences of unequal length.  It
+runs packed, time-major: sequences are ordered by length, longest first,
+and step t holds only the sequences still active at frame t, which are a
+prefix of that order.  Every layer computes on the frames that exist and
+nothing else.  The backward direction of a bidirectional block walks the
+same steps in reverse, each sequence starting from zero state at its last
+frame.  forward() runs one sequence, whose packed output is already in
+time order.
 
 Everything is float64 in memory; the file format stores little-endian
 float32 tensors after a short text header.
@@ -152,11 +152,11 @@ def init_network(
 
 
 def _pack(lengths: np.ndarray):
-    """Packed time-major layout of a batch whose rows have these lengths.
+    """Packed time-major layout of sequences of these lengths.
 
-    Rows are ordered by length, longest first (stable), so the rows still
-    active at each step are a prefix of that order.  Returns (rows,
-    times, steps): packed frame k is frame times[k] of batch row rows[k],
+    Sequences are ordered by length, longest first (stable), so the ones
+    still active at each step are a prefix of that order.  Returns (rows,
+    times, steps): packed frame k is frame times[k] of sequence rows[k],
     and steps lists the (start, count) of each step's packed frames.
     """
     order = np.argsort(-lengths, kind="stable")
@@ -271,30 +271,31 @@ def _layer_norm_backprop(dy, gain, ln_cache):
     return dz, np.sum(dy * xhat, axis=0), np.sum(dy, axis=0)
 
 
-def _as_batch(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError("input must be (frames x bins) or (batch x frames x bins)")
+def _sequences(x) -> list[np.ndarray]:
+    """x as a list of float64 sequences; one 2-D array is a single sequence."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        x = [x]
+    return [np.asarray(s, dtype=np.float64) for s in x]
 
 
-def _forward(params: NetworkParams, x, lengths=None):
-    """Packed outputs (N, K) of the valid frames, and the cache."""
+def _forward(params: NetworkParams, seqs: list[np.ndarray]):
+    """Packed outputs (N, K) of every frame of the sequences, and the cache."""
+    if not seqs:
+        raise ValueError("need at least one sequence")
+    for s in seqs:
+        if s.ndim != 2 or s.shape[1] != params.input_dim:
+            raise ValueError(
+                f"input: expected (frames x {params.input_dim}), got {s.shape}"
+            )
+    lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
+    if np.any(lengths < 1):
+        raise ValueError("every sequence needs at least one frame")
+    x = np.concatenate(seqs)
     if not np.all(np.isfinite(x)):
         raise ValueError("network input must be finite")
-    if x.shape[-1] != params.input_dim:
-        raise ValueError(f"input dim: expected {params.input_dim}, got {x.shape[-1]}")
-    b_sz, n_t = x.shape[0], x.shape[1]
-    if lengths is None:
-        lengths = np.full(b_sz, n_t, dtype=np.int64)
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (b_sz,) or np.any(lengths < 1) or np.any(lengths > n_t):
-            raise ValueError("lengths must be in [1, n_frames] per batch row")
     rows, times, steps = _pack(lengths)
-    xp = x[rows, times]
+    index = (np.cumsum(lengths) - lengths)[rows] + times  # packed -> concatenated
+    xp = x[index]
 
     z0 = xp @ params.fc.w + params.fc.b
     y0, ln_cache = _layer_norm(z0, params.ln_gain, params.ln_offset)
@@ -312,22 +313,15 @@ def _forward(params: NetworkParams, x, lengths=None):
         act = nxt
 
     pred = expit(act @ params.out.w + params.out.b)
-    cache = {"x": xp, "rows": rows, "times": times, "ln": ln_cache, "y0": y0,
+    cache = {"x": xp, "index": index, "ln": ln_cache, "y0": y0,
              "blocks": block_caches, "final_act": act}
     return pred, cache
 
 
-def forward(params: NetworkParams, mag, lengths=None) -> np.ndarray:
-    """Network output per frame and bin, each value strictly inside (0, 1).
-
-    mag is (frames, bins) or (batch, frames, bins) with per-row lengths;
-    the output has the input's leading shape, and padded frames read 0.
-    """
-    x, squeeze = _as_batch(mag)
-    pred, cache = _forward(params, x, lengths)
-    out = np.zeros(x.shape[:2] + (params.output_dim,))
-    out[cache["rows"], cache["times"]] = pred
-    return out[0] if squeeze else out
+def forward(params: NetworkParams, mag) -> np.ndarray:
+    """Network output per frame and bin of mag (frames, bins), each value
+    strictly inside (0, 1)."""
+    return _forward(params, [np.asarray(mag, dtype=np.float64)])[0]
 
 
 PRED_CLAMP = 1e-7
@@ -344,22 +338,22 @@ def loss_cross_entropy(pred, target) -> float:
     return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p))))
 
 
-def backward(params: NetworkParams, x, target, lengths=None):
+def backward(params: NetworkParams, x, target):
     """Loss and gradients for every parameter tensor.
 
-    Returns (loss, grads) where grads has exactly the keys of
-    params.tensors().  The loss is the mean cross-entropy over the valid
-    frames; padded frames (beyond each row's length) carry no loss and no
-    gradient.
+    x is a list of (frames_i, bins) sequences and target the matching
+    list of (frames_i, output bins) targets; one 2-D array each is a
+    single sequence.  Returns (loss, grads) where grads has exactly the
+    keys of params.tensors().  The loss is the mean cross-entropy over
+    every frame of every sequence.
     """
-    x, _ = _as_batch(x)
-    pred, cache = _forward(params, x, lengths)
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim == 2:
-        target = target[None]
-    if target.shape != x.shape[:2] + (params.output_dim,):
+    seqs, targets = _sequences(x), _sequences(target)
+    if len(targets) != len(seqs):
+        raise ValueError(f"{len(seqs)} sequences but {len(targets)} targets")
+    pred, cache = _forward(params, seqs)
+    if any(t.shape != (s.shape[0], params.output_dim) for s, t in zip(seqs, targets)):
         raise ValueError("target shape must match the prediction")
-    target = target[cache["rows"], cache["times"]]
+    target = np.concatenate(targets)[cache["index"]]
     loss = loss_cross_entropy(pred, target)
     inside = (pred > PRED_CLAMP) & (pred < 1.0 - PRED_CLAMP)
     dlogits = np.where(inside, pred - target, 0.0) / pred.size

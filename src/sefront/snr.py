@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf, erfinv
 
+from .corpus import check_corpora, mixing_gain
 from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, stft, _samples
 
 NOISE_POWER_FLOOR = 1e-12
@@ -136,30 +137,26 @@ def estimate_stats(
     """Pool oracle xi_dB over a seeded mixing schedule and take per-bin stats.
 
     Each clean recording is paired with one noise recording, a random
-    section of it, and one SNR from snr_range.  Both corpora are ordered
-    by content digest before the schedule is drawn, so the result is
-    invariant to the order the recordings are passed in.  Clean cells
-    with zero magnitude enter the pool at the -120 dB floor.
+    section of it, and one SNR from snr_range; as in training, no noise
+    recording may be shorter than the longest clean one.  Both corpora
+    are ordered by content digest before the schedule is drawn, so the
+    result is invariant to the order the recordings are passed in.  Clean
+    cells with zero magnitude enter the pool at the -120 dB floor.
     """
-    from .corpus import mixing_gain  # local import, corpus does not import snr
-
     clean_list = [_samples(s) for s in clean_signals]
     noise_list = [_samples(s) for s in noise_signals]
     snrs = list(snr_range)
-    if not clean_list or not noise_list:
-        raise ValueError("clean and noise corpora must be non-empty")
+    check_corpora(clean_list, noise_list)
     if not snrs:
         raise ValueError("empty grid")
 
-    clean_list.sort(key=lambda x: hashlib.blake2b(x.tobytes(), digest_size=16).digest())
-    noise_list.sort(key=lambda x: hashlib.blake2b(x.tobytes(), digest_size=16).digest())
+    clean_list.sort(key=_content_key)
+    noise_list.sort(key=_content_key)
 
     rng = np.random.default_rng(seed)
     pool = []
     for x in clean_list:
         d = noise_list[rng.integers(len(noise_list))]
-        if d.size < x.size:  # short noise is tiled before the section is cut
-            d = np.tile(d, -(-x.size // d.size))
         offset = int(rng.integers(d.size - x.size + 1))
         snr_db = snrs[rng.integers(len(snrs))]
         section = d[offset : offset + x.size]

@@ -4,10 +4,10 @@ Each mini-batch takes a slate of clean recordings, mixes every one with
 a random section of a random noise recording at a random integer SNR,
 and regresses the noisy magnitudes onto the bounded mapped targets
 computed from the oracle a priori SNR of that very mixture.  One Adam
-step per batch on globally clipped gradients; sequences are zero-padded
-to the batch maximum, and the network skips the padded frames.  Every
-noise recording must be at least as long as the longest clean one,
-which train() checks before the first batch.
+step per batch on globally clipped gradients; a batch is the list of
+its examples, each as long as its own recording.  Every noise recording
+must be at least as long as the longest clean one, which train() checks
+before the first batch.
 
 Everything is driven by one seeded generator, so a rerun with the same
 seed reproduces the loss history bit for bit.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import mix_at_snr
+from .corpus import check_corpora, mix_at_snr
 from .dsp import AnalysisConfig, DEFAULT_CONFIG, stft, _samples
 from .rnn import NetworkParams, backward, forward
 from .snr import XiStats, map_xi, oracle_xi, unmap_xi, xi_to_db, STATS_XI_FLOOR
@@ -93,18 +93,6 @@ def make_example(clean, noise, snr_db, noise_offset, stats: XiStats,
     return noisy_spec.magnitude, target
 
 
-def _pad_batch(mags, targets):
-    lengths = np.array([m.shape[0] for m in mags], dtype=np.int64)
-    n_t = int(lengths.max())
-    k = mags[0].shape[1]
-    x = np.zeros((len(mags), n_t, k))
-    t = np.zeros((len(mags), n_t, k))
-    for i, (m, tt) in enumerate(zip(mags, targets)):
-        x[i, : m.shape[0]] = m
-        t[i, : tt.shape[0]] = tt
-    return x, t, lengths
-
-
 def train(
     params: NetworkParams,
     clean_signals,
@@ -121,8 +109,7 @@ def train(
     """
     clean_list = [_samples(s) for s in clean_signals]
     noise_list = [_samples(s) for s in noise_signals]
-    if not clean_list or not noise_list:
-        raise ValueError("clean and noise corpora must be non-empty")
+    check_corpora(clean_list, noise_list)
     if len(clean_list) < cfg.batch_size:
         raise ValueError(
             f"corpus of {len(clean_list)} recordings is smaller than "
@@ -130,11 +117,6 @@ def train(
         )
     if stats.n_bins != config.n_bins:
         raise ValueError("stats bin count does not match the analysis config")
-    # any noise recording may be drawn for any clean one
-    if min(d.size for d in noise_list) < max(x.size for x in clean_list):
-        raise ValueError(
-            "a noise recording is shorter than the longest clean recording"
-        )
 
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(cfg.learn_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
@@ -156,8 +138,7 @@ def train(
                 m, t = make_example(x, d, snr_db, offset, stats, config)
                 mags.append(m)
                 targets.append(t)
-            xb, tb, lengths = _pad_batch(mags, targets)
-            loss, grads = backward(params, xb, tb, lengths)
+            loss, grads = backward(params, mags, targets)
             clip_gradients(grads, cfg.grad_clip_norm)
             opt.step(tensors, grads)
             history.append(loss)

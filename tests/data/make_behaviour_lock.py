@@ -17,10 +17,15 @@ bytes of every file those runs read (keys file_<name>).
 For the network it holds the float64 rnn.forward output at batch 1 of
 seeded UNI and BI networks at the default dims (keys rnn_forward_<mode>,
 input rnn_forward_mag), and rnn.backward's loss and gradients for
-smaller seeded networks on a zero-padded batch of three rows of unequal
-length, one of them a single frame (keys rnn_backward_<mode>_loss and
-rnn_backward_<mode>_<tensor>, inputs rnn_batch_x, rnn_batch_target and
-rnn_batch_lengths).
+smaller seeded networks on a batch of three sequences of unequal length,
+one of them a single frame (keys rnn_backward_<mode>_loss and
+rnn_backward_<mode>_<tensor>; the inputs are stored zero-padded, with
+their lengths, as rnn_batch_x, rnn_batch_target and rnn_batch_lengths).
+
+For the corpus statistics it holds the bytes of the file `sefront stats
+--seed 3` writes from a seeded corpus (key stats_file), together with the
+bytes of that corpus's WAVs (keys stats_clean_<name> and
+stats_noise_<name>); every noise recording outlasts every clean one.
 tests/test_behaviour_lock.py compares the current code against it.
 """
 
@@ -113,6 +118,11 @@ def padded_batch():
     return x, target, lengths
 
 
+def sequences(padded, lengths):
+    """The rows of a zero-padded batch, each cut to its length."""
+    return [row[:n] for row, n in zip(padded, lengths)]
+
+
 def network_arrays() -> dict:
     """Forward outputs and backward gradients of the seeded networks."""
     mag = stft(noisy_input()).magnitude
@@ -121,7 +131,8 @@ def network_arrays() -> dict:
               "rnn_batch_target": target, "rnn_batch_lengths": lengths}
     for mode, bidirectional in (("uni", False), ("bi", True)):
         arrays[f"rnn_forward_{mode}"] = forward(forward_net(bidirectional), mag)
-        loss, grads = backward(backward_net(bidirectional), x, target, lengths)
+        loss, grads = backward(backward_net(bidirectional), sequences(x, lengths),
+                               sequences(target, lengths))
         arrays[f"rnn_backward_{mode}_loss"] = np.array(loss)
         for name, grad in grads.items():
             arrays[f"rnn_backward_{mode}_{name}"] = grad
@@ -140,6 +151,40 @@ def write_cli_inputs(folder: Path) -> None:
         save_network(params, folder / f"{mode}.model")
     bins = np.linspace(0.0, 1.0, 257)
     save_stats(XiStats(-5.0 + 15.0 * bins, 12.0 - 4.0 * bins), folder / "stats.txt")
+
+
+def write_stats_corpus(folder: Path) -> None:
+    """clean/ holds four gated tones of 0.4-0.55 s, noise/ a white and a
+    low-passed noise of 0.7 s."""
+    (folder / "clean").mkdir()
+    (folder / "noise").mkdir()
+    for i, seconds in enumerate((0.4, 0.55, 0.45, 0.5)):
+        voice, _ = noisy_parts(seed=31 + i, seconds=seconds)
+        save_wav(voice, folder / "clean" / f"utt{i}.wav")
+    rng = np.random.default_rng(37)
+    white = rng.standard_normal(int(0.7 * SR))
+    low = np.convolve(rng.standard_normal(white.size), np.ones(8) / 8, mode="same")
+    for name, noise in (("white", white), ("low", low)):
+        save_wav(0.05 * noise / np.std(noise), folder / "noise" / f"{name}.wav")
+
+
+def stats_arrays() -> dict:
+    """The stats corpus's WAV bytes and the bytes of `sefront stats` on it."""
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        write_stats_corpus(folder)
+        for sub in ("clean", "noise"):
+            for path in sorted((folder / sub).iterdir()):
+                arrays[f"stats_{sub}_{path.name}"] = np.frombuffer(
+                    path.read_bytes(), np.uint8)
+        out = folder / "stats.txt"
+        code = cli.main(["stats", "--clean", str(folder / "clean"), "--noise",
+                         str(folder / "noise"), "--out", str(out), "--seed", "3"])
+        if code != 0:
+            raise RuntimeError(f"sefront stats exited {code}")
+        arrays["stats_file"] = np.frombuffer(out.read_bytes(), np.uint8)
+    return arrays
 
 
 def read_pcm(path) -> np.ndarray:
@@ -181,6 +226,7 @@ def main() -> None:
             for rule in GainRule:
                 arrays[f"cli_{estimator}_{rule.value}"] = run_cli(folder, estimator, rule)
     arrays.update(network_arrays())
+    arrays.update(stats_arrays())
     np.savez_compressed(OUT, **arrays)
     print(f"wrote {OUT}")
 

@@ -13,10 +13,16 @@ i0e/i1e and erfinv, are held to a relative 1e-9 and 1e-12; those values
 agree with the hand-written special functions SciPy replaced to about
 4e-11 relative.
 
+The stats keys were written from the code as it stood before
+estimate_stats sorted by snr._content_key and rejected short noise: the
+file that `sefront stats` writes from the stored corpus must match byte
+for byte.
+
 The network keys were written from the code as it stood before the
 LSTM ran on packed sequences.  The float64 forward output at batch 1 must
-match bit for bit; the loss and gradients on a padded batch, whose sums
-now run in another order, to 1e-12 of each tensor's largest magnitude.
+match bit for bit; the loss and gradients on a batch of three sequences
+(stored zero-padded, with their lengths), whose sums now run in another
+order, to 1e-12 of each tensor's largest magnitude.
 """
 
 import wave
@@ -82,6 +88,18 @@ def test_cli_enhance_bit_identical(lock, cli_inputs, estimator, rule):
     np.testing.assert_array_equal(got, lock[f"cli_{estimator}_{rule.value}"])
 
 
+def test_cli_stats_bit_identical(lock, tmp_path):
+    for key, value in lock.items():
+        if key.startswith(("stats_clean_", "stats_noise_")):
+            sub, name = key[len("stats_"):].split("_", 1)
+            (tmp_path / sub).mkdir(exist_ok=True)
+            (tmp_path / sub / name).write_bytes(value.tobytes())
+    out = tmp_path / "stats.txt"
+    assert main(["stats", "--clean", str(tmp_path / "clean"), "--noise",
+                 str(tmp_path / "noise"), "--out", str(out), "--seed", "3"]) == 0
+    assert out.read_bytes() == lock["stats_file"].tobytes()
+
+
 def test_gain_mmse_stsa_grid_matches(lock):
     got = gain_mmse_stsa(lock["gain_xi"], lock["gain_gamma"])
     np.testing.assert_allclose(got, lock["gain_mmse_stsa"], rtol=1e-9)
@@ -111,8 +129,9 @@ def test_rnn_forward_bit_identical(lock, mode):
 @pytest.mark.parametrize("mode", ["uni", "bi"])
 def test_rnn_backward_matches(lock, mode):
     params = backward_net(mode == "bi")
-    loss, grads = backward(params, lock["rnn_batch_x"], lock["rnn_batch_target"],
-                           lock["rnn_batch_lengths"])
+    rows = list(enumerate(lock["rnn_batch_lengths"]))
+    loss, grads = backward(params, [lock["rnn_batch_x"][i, :n] for i, n in rows],
+                           [lock["rnn_batch_target"][i, :n] for i, n in rows])
     prefix = f"rnn_backward_{mode}_"
     stored = {k[len(prefix):]: v for k, v in lock.items() if k.startswith(prefix)}
     assert abs(loss - stored.pop("loss")) <= 1e-12 * abs(loss)

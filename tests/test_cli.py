@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line pipeline on a tiny corpus."""
 
+import wave
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,39 @@ def test_mix_replay_manifest(wav_corpus, tmp_path):
     assert run("mix", "--manifest", d1 / "manifest.tsv", "--out-dir", d2) == 0
     for e in load_manifest(d1 / "manifest.tsv").entries:
         assert (d1 / e.output_path).read_bytes() == (d2 / e.output_path).read_bytes()
+
+
+def test_mix_rejects_8_bit_wav_before_writing(wav_corpus, tmp_path):
+    _, noise_dir = wav_corpus
+    clean_dir = tmp_path / "clean"
+    clean_dir.mkdir()
+    with wave.open(str(clean_dir / "byte.wav"), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(1)
+        wf.setframerate(SR)
+        wf.writeframes(b"\x80" * SR)
+    out_dir = tmp_path / "noisy"
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir,
+               "--per-noise", 1, "--snr-grid", "5", "--out-dir", out_dir) == 2
+    assert not out_dir.exists()
+
+
+def test_mix_replay_checks_every_entry_before_writing(wav_corpus, tmp_path):
+    clean_dir, noise_dir = wav_corpus
+    clean = sorted(clean_dir.glob("*.wav"))[0]
+    noise = sorted(noise_dir.glob("*.wav"))[0]
+    # the noise is 3 s and the clean 1 s: offset 2 s fits, 2 s + 1 overruns
+    lines = [f"{clean}\t{noise}\t5\t{2 * SR}\tfirst.wav",
+             f"{clean}\t{noise}\t5\t{2 * SR + 1}\tsecond.wav"]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "replay"
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir) == 2
+    assert not out_dir.exists()
+    lines[1] = f"{clean}\t{noise}\t5\t-1\tsecond.wav"
+    manifest.write_text("\n".join(lines) + "\n")
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir) == 2
+    assert not out_dir.exists()
 
 
 def test_mix_empty_grid_is_usage_error(wav_corpus, tmp_path):

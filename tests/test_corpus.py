@@ -60,6 +60,18 @@ def test_wav_length_header_only(tmp_path):
     assert wav_length(p) == 1234
 
 
+def test_wav_length_checks_every_format_property(tmp_path):
+    for name, kwargs, message in (
+        ("stereo", {"channels": 2}, "channels: expected 1, got 2"),
+        ("byte", {"width": 1}, "sample_width: expected 2, got 1"),
+        ("slow", {"rate": 8000}, "sample_rate: expected 16000, got 8000"),
+    ):
+        path = tmp_path / f"{name}.wav"
+        write_raw_wav(path, **kwargs)
+        with pytest.raises(WavFormatError, match=message):
+            wav_length(path)
+
+
 def test_load_wav_error_messages(tmp_path):
     stereo = tmp_path / "stereo.wav"
     write_raw_wav(stereo, channels=2)

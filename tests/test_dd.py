@@ -96,12 +96,6 @@ def test_dd_xi_blend():
     np.testing.assert_allclose(xi, 0.98 * 2.0 + 0.02 * 1.0)
 
 
-def test_dd_xi_alpha_zero_is_ml_estimate():
-    state = DdState(np.full(4, 9.0), alpha=0.0)
-    xi, gamma, _ = dd_xi(state, np.array([0.5, 1.0, 2.0, 8.0]), np.ones(4))
-    np.testing.assert_allclose(xi, np.maximum(gamma - 1.0, 0.0))
-
-
 def test_dd_xi_nonnegative():
     rng = np.random.default_rng(1)
     state = DdState(np.zeros(257))

@@ -11,7 +11,7 @@ from sefront.rnn import (
     loss_cross_entropy,
     save_network,
 )
-from sefront.rnn import _lstm_run
+from sefront.rnn import _forward, _lstm_run
 
 
 def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
@@ -95,8 +95,6 @@ def test_forward_output_range_and_shape():
     y = forward(p, x)
     assert y.shape == (7, 9)
     assert np.all((y > 0) & (y < 1))
-    yb = forward(p, rng.uniform(0, 3, (2, 5, 9)), lengths=np.array([5, 3]))
-    assert yb.shape == (2, 5, 9)
 
 
 def test_forward_rejects_bad_input():
@@ -105,6 +103,29 @@ def test_forward_rejects_bad_input():
         forward(p, np.full((3, 9), np.nan))
     with pytest.raises(ValueError):
         forward(p, np.ones((3, 5)))
+    with pytest.raises(ValueError, match=r"expected \(frames x 9\), got \(2, 3, 9\)"):
+        forward(p, np.ones((2, 3, 9)))
+
+
+def test_backward_rejects_bad_batches():
+    rng = np.random.default_rng(4)
+    p = tiny()
+    xs = [rng.uniform(0, 2, (n, 9)) for n in (4, 2, 3)]
+    ts = [rng.uniform(0.1, 0.9, (n, 9)) for n in (4, 2, 3)]
+    backward(p, xs, ts)  # the well-formed batch runs
+    with pytest.raises(ValueError, match="at least one sequence"):
+        backward(p, [], [])
+    with pytest.raises(ValueError, match="at least one frame"):
+        backward(p, xs[:2] + [np.ones((0, 9))], ts[:2] + [np.ones((0, 9))])
+    with pytest.raises(ValueError, match="3 sequences but 2 targets"):
+        backward(p, xs, ts[:2])
+    with pytest.raises(ValueError, match="target shape"):
+        backward(p, xs, ts[:2] + [ts[2][:2]])
+    for row in range(3):
+        bad = [x.copy() for x in xs]
+        bad[row][-1, 5] = np.inf if row else np.nan
+        with pytest.raises(ValueError, match="finite"):
+            backward(p, bad, ts)
 
 
 def test_uni_is_causal():
@@ -232,60 +253,44 @@ def packed_batches(test):
     return settings(max_examples=30, deadline=None)(cases(test))
 
 
-def padded_batch(lengths, seed, junk=None):
-    """(x, target) with seeded valid frames; padding is 0, or junk from that generator."""
+def sequence_batch(lengths, seed):
+    """(inputs, targets): one seeded (n, 9) array each per length."""
     rng = np.random.default_rng(seed)
-    x = np.zeros((len(lengths), max(lengths), 9))
-    t = np.zeros_like(x)
-    for row, n in enumerate(lengths):
-        x[row, :n] = rng.uniform(0, 2, (n, 9))
-        t[row, :n] = rng.uniform(0.1, 0.9, (n, 9))
-        if junk is not None:
-            x[row, n:] = junk.uniform(-50, 50, x[row, n:].shape)
-            t[row, n:] = junk.uniform(0, 1, t[row, n:].shape)
-    return x, t
+    xs = [rng.uniform(0, 2, (n, 9)) for n in lengths]
+    ts = [rng.uniform(0.1, 0.9, (n, 9)) for n in lengths]
+    return xs, ts
 
 
 @packed_batches
 def test_batch_equals_individual_sequences(lengths, bidirectional, seed):
     p = tiny(seed=13, bidirectional=bidirectional)
-    x, _ = padded_batch(lengths, seed)
-    y = forward(p, x, lengths=np.array(lengths))
-    for row, n in enumerate(lengths):
-        np.testing.assert_allclose(y[row, :n], forward(p, x[row, :n]), atol=1e-12)
-        np.testing.assert_array_equal(y[row, n:], 0.0)
+    xs, _ = sequence_batch(lengths, seed)
+    pred, cache = _forward(p, xs)
+    # the packed frames, put back in the order of the concatenated inputs
+    y = np.empty_like(pred)
+    y[cache["index"]] = pred
+    for x, y_seq in zip(xs, np.split(y, np.cumsum(lengths)[:-1])):
+        np.testing.assert_allclose(y_seq, forward(p, x), atol=1e-12)
 
 
 @packed_batches
 def test_batch_gradients_combine_per_sequence(lengths, bidirectional, seed):
-    # padded-batch loss is the valid-frame weighted mean, so gradients
-    # must combine with weights L_i / sum(L)
+    # the batch loss is the mean over all frames, so gradients must
+    # combine with weights L_i / sum(L)
     p = tiny(seed=15, bidirectional=bidirectional)
-    x, t = padded_batch(lengths, seed)
-    lb, gb = backward(p, x, t, lengths=np.array(lengths))
+    xs, ts = sequence_batch(lengths, seed)
+    lb, gb = backward(p, xs, ts)
     loss = 0.0
     grads = {k: np.zeros_like(v) for k, v in gb.items()}
-    for row, n in enumerate(lengths):
-        w = n / sum(lengths)
-        ls, gs = backward(p, x[row, :n], t[row, :n])
+    for x, t in zip(xs, ts):
+        w = len(x) / sum(lengths)
+        ls, gs = backward(p, x, t)
         loss += w * ls
         for k in grads:
             grads[k] += w * gs[k]
     np.testing.assert_allclose(lb, loss, rtol=1e-12)
     for k in gb:
         np.testing.assert_allclose(gb[k], grads[k], atol=1e-12, err_msg=k)
-
-
-@packed_batches
-def test_padding_does_not_leak_into_loss(lengths, bidirectional, seed):
-    p = tiny(seed=16, bidirectional=bidirectional)
-    lengths = np.array(lengths)
-    l1, g1 = backward(p, *padded_batch(lengths, seed), lengths=lengths)
-    junk = np.random.default_rng(seed + 1)
-    l2, g2 = backward(p, *padded_batch(lengths, seed, junk), lengths=lengths)
-    assert l1 == l2
-    for k in g1:
-        np.testing.assert_array_equal(g1[k], g2[k], err_msg=k)
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])

@@ -166,10 +166,14 @@ def test_estimate_stats_deterministic_and_order_invariant():
     assert np.any(a.mu_db != c.mu_db)
 
 
-def test_estimate_stats_tiles_short_noise():
+def test_estimate_stats_rejects_short_noise():
+    # training's rule: no noise recording shorter than the longest clean one
     rng = np.random.default_rng(6)
-    st = estimate_stats([rng.normal(0, 0.1, 8000)], [rng.normal(0, 0.1, 1000)], seed=0)
-    assert st.n_bins == 257
+    clean = [rng.normal(0, 0.1, n) for n in (1000, 8000)]
+    noise = [rng.normal(0, 0.1, 20000), rng.normal(0, 0.1, 7999)]
+    with pytest.raises(ValueError, match="shorter than the longest clean recording"):
+        estimate_stats(clean, noise, seed=0)
+    assert estimate_stats(clean, noise[:1], seed=0).n_bins == 257
 
 
 def test_estimate_stats_rejects_empty():
