@@ -94,6 +94,8 @@ def _snr_grid(text: str):
 
 
 def cmd_stats(args) -> int:
+    if args.snr_step < 1:
+        raise UsageError(f"--snr-step must be at least 1, got {args.snr_step}")
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
     clean = _load_dir_wavs(clean_dir)
@@ -106,21 +108,24 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
+    try:
+        cfg = TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch,
+            learn_rate=args.lr,
+            grad_clip_norm=args.clip,
+            snr_min=args.snr_min,
+            snr_max=args.snr_max,
+            snr_step=args.snr_step,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
     stats = snr.load_stats(_require_file(args.stats, "stats file"))
     clean = _load_dir_wavs(clean_dir)
     noise = _load_dir_wavs(noise_dir)
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learn_rate=args.lr,
-        grad_clip_norm=args.clip,
-        snr_min=args.snr_min,
-        snr_max=args.snr_max,
-        snr_step=args.snr_step,
-        seed=args.seed,
-    )
     params = rnn.init_network(
         seed=args.seed,
         cell_size=args.cell,
@@ -146,22 +151,23 @@ def cmd_enhance(args) -> int:
     if args.estimator == "oracle" and (not args.clean or not args.noise):
         raise UsageError("estimator oracle requires --clean and --noise references")
     noisy = corpus.load_wav(in_path)
+    spec = stft(noisy)
 
     if args.unity_gain:
-        out = istft(stft(noisy), len(noisy))
+        out = istft(spec, len(noisy))
     else:
         xi = None
         if args.estimator == "neural":
             params = rnn.load_network(_require_file(args.model, "model file"))
             stats = snr.load_stats(_require_file(args.stats, "stats file"))
-            xi = infer_xi(params, noisy, stats)
+            xi = infer_xi(params, spec, stats)
         elif args.estimator == "oracle":
             clean = corpus.load_wav(_require_file(args.clean, "clean reference"))
             noise = corpus.load_wav(_require_file(args.noise, "noise reference"))
             if len(clean) != len(noisy) or len(noise) != len(noisy):
                 raise ValueError("oracle references must match the input length")
             xi = snr.oracle_xi(stft(clean), stft(noise))
-        out = dd.enhance(noisy, rule, xi)
+        out = dd.enhance(spec, rule, xi, out_len=len(noisy))
     samples = np.clip(out.samples, -1.0, 1.0)
     if not np.all(np.isfinite(samples)):
         raise FloatingPointError("enhancement produced non-finite samples")

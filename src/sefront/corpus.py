@@ -2,9 +2,13 @@
 
 Recordings are 16-bit mono PCM at 16 kHz.  Loading divides by 32768;
 saving rounds back, so a load/save cycle of a conforming file is
-byte-identical.  Mixing scales the noise section so the full-signal
-power ratio hits the requested SNR exactly, then rescales all three
-components together if the mixture would clip.
+byte-identical.  A load can read one section of a file, and mixing reads
+only the noise section it uses.  Every read checks that the data chunk
+holds the frames asked for, and wav_length reads the last frame back, so
+a file cut short of its header's frame count is a WavFormatError, never
+a silently shorter signal.  Mixing scales the noise section so the
+full-signal power ratio hits the requested SNR exactly, then rescales
+all three components together if the mixture would clip.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ def _open_checked(path: Path) -> wave.Wave_read:
     """An open WAV reader, its format checked property by property."""
     try:
         wf = wave.open(str(path), "rb")
-    except wave.Error as exc:
-        raise WavFormatError(f"{path.name}: {exc}") from exc
+    except (wave.Error, EOFError) as exc:
+        # wave raises a bare EOFError on a file that ends inside a chunk header
+        reason = str(exc) or "file ends inside a chunk header"
+        raise WavFormatError(f"{path.name}: {reason}") from exc
     for name, got, want in (("channels", wf.getnchannels(), 1),
                             ("sample_width", wf.getsampwidth(), 2),
                             ("sample_rate", wf.getframerate(), SAMPLE_RATE)):
@@ -41,18 +47,42 @@ def _open_checked(path: Path) -> wave.Wave_read:
     return wf
 
 
-def load_wav(path) -> AudioSignal:
-    """Read a 16-bit mono PCM WAV file at 16 kHz."""
-    with _open_checked(Path(path)) as wf:
-        raw = wf.readframes(wf.getnframes())
+def _read_frames(wf: wave.Wave_read, name: str, start: int, n: int) -> bytes:
+    """Frames [start, start + n) of an open file; the data chunk must hold them."""
+    total = wf.getnframes()
+    if start < 0 or n < 0 or start + n > total:
+        raise ValueError(f"{name}: frames [{start}, {start + n}) outside its {total} frames")
+    wf.setpos(start)
+    raw = wf.readframes(n)
+    if len(raw) != 2 * n:
+        raise WavFormatError(
+            f"{name}: data chunk ends before frame {start + n} of the {total} "
+            "its header gives"
+        )
+    return raw
+
+
+def load_wav(path, start: int = 0, n: int | None = None) -> AudioSignal:
+    """Read samples [start, start + n) of a 16-bit mono PCM WAV file at
+    16 kHz; n=None reads to the end."""
+    path = Path(path)
+    with _open_checked(path) as wf:
+        if n is None:
+            n = wf.getnframes() - start
+        raw = _read_frames(wf, path.name, start, n)
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return AudioSignal(data, SAMPLE_RATE)
 
 
 def wav_length(path) -> int:
-    """Sample count from the header alone, with the same format checks."""
-    with _open_checked(Path(path)) as wf:
-        return wf.getnframes()
+    """Sample count from the header, with the same format checks and the
+    last frame read back, so a data chunk cut short is caught."""
+    path = Path(path)
+    with _open_checked(path) as wf:
+        n = wf.getnframes()
+        if n:
+            _read_frames(wf, path.name, n - 1, 1)
+        return n
 
 
 def save_wav(signal, path) -> None:
@@ -88,7 +118,7 @@ def check_section(noise_name: str, n_noise: int, clean_name: str, n_clean: int,
         raise ValueError(f"{noise_name}: negative noise offset {offset}")
     if offset + n_clean > n_noise:
         raise ValueError(
-            f"{noise_name}: shorter than clean file {clean_name} from offset "
+            f"{noise_name}: shorter than {clean_name} from offset "
             f"{offset} ({n_noise} < {offset + n_clean} samples)"
         )
 
@@ -124,11 +154,7 @@ def mix_at_snr(clean, noise, snr_db: float, noise_offset: int = 0) -> MixResult:
     d_full = _samples(noise)
     if x.size == 0:
         raise ValueError("clean signal is empty")
-    if noise_offset < 0 or noise_offset + x.size > d_full.size:
-        raise ValueError(
-            f"noise section [{noise_offset}, {noise_offset + x.size}) "
-            f"outside noise length {d_full.size}"
-        )
+    check_section("noise", d_full.size, "clean", x.size, noise_offset)
     section = d_full[noise_offset : noise_offset + x.size]
     g = mixing_gain(x, section, snr_db)
     d = g * section
@@ -259,10 +285,13 @@ def load_manifest(path) -> Manifest:
 
 
 def run_mix_entry(entry: MixSpec, out_dir) -> Path:
-    """Mix one manifest entry and write the noisy WAV into out_dir."""
+    """Mix one manifest entry and write the noisy WAV into out_dir.
+
+    Only the noise section the entry mixes is read from its recording.
+    """
     clean = load_wav(entry.clean_path)
-    noise = load_wav(entry.noise_path)
-    mixed = mix_at_snr(clean, noise, entry.snr_db, entry.noise_offset)
+    section = load_wav(entry.noise_path, entry.noise_offset, len(clean))
+    mixed = mix_at_snr(clean, section, entry.snr_db)
     out_path = Path(out_dir) / entry.output_path
     save_wav(mixed.noisy, out_path)
     return out_path

@@ -6,7 +6,9 @@ estimate is the usual decision-directed blend of the previous frame's
 post-gain amplitude estimate and the instantaneous max(gamma - 1, 0).
 enhance() is the one front-end every xi estimator runs through: stft,
 tracked noise, gamma, gain, and resynthesis with the noisy phase; it
-runs the decision-directed recursion itself unless it is given xi.
+runs the decision-directed recursion itself unless it is given xi, and
+it takes the noisy spectrogram instead of the waveform when a caller has
+already transformed it for its own xi estimate.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, AudioSignal, SpectroGram, istft, stft
+from .dsp import (AnalysisConfig, DEFAULT_CONFIG, AudioSignal, SpectroGram, istft,
+                  stft, _samples)
 from .gain import GainRule, gain_for
 
 ALPHA_DD = 0.98
@@ -123,21 +126,26 @@ def enhance(
     rule: GainRule = GainRule.SRWF,
     xi=None,
     config: AnalysisConfig = DEFAULT_CONFIG,
+    out_len: int | None = None,
 ) -> AudioSignal:
     """Enhance one signal: stft, track, gain, istft.
 
-    With xi=None the decision-directed recursion estimates xi frame by
-    frame.  Otherwise xi is the linear a priori SNR of another estimator,
-    shaped like the spectrogram (frames, bins), and gamma comes from the
-    tracked noise with the same floor the recursion uses.  Output length
-    equals the input length; resynthesis reuses the noisy phase.  An
-    all-zero input comes back all zero.
+    noisy is a waveform, or its SpectroGram, which is used as it is (with
+    its own config).  With xi=None the decision-directed recursion
+    estimates xi frame by frame.  Otherwise xi is the linear a priori SNR
+    of another estimator, shaped like the spectrogram (frames, bins), and
+    gamma comes from the tracked noise with the same floor the recursion
+    uses.  The output is out_len samples long; that defaults to the
+    length of a waveform input and to istft's full span for a
+    SpectroGram.  Resynthesis reuses the noisy phase.  An all-zero input
+    comes back all zero.
     """
-    if isinstance(noisy, AudioSignal):
-        n_out = len(noisy)
+    if isinstance(noisy, SpectroGram):
+        spec = noisy
     else:
-        n_out = np.asarray(noisy).size
-    spec = stft(noisy, config)
+        spec = stft(noisy, config)
+        if out_len is None:
+            out_len = _samples(noisy).size
     power = spec.magnitude**2
     lam = tracked_noise_power(power)
     if xi is None:
@@ -152,4 +160,4 @@ def enhance(
         gamma = power / np.maximum(lam, _POWER_FLOOR)
         gains = gain_for(rule, xi, np.maximum(gamma, _POWER_FLOOR))
     shaped = SpectroGram(spec.magnitude * gains, spec.phase, spec.config)
-    return istft(shaped, n_out)
+    return istft(shaped, out_len)

@@ -2,15 +2,20 @@
 
 Framing uses a 32 ms symmetric Hamming window with a 16 ms shift and a
 512-point DFT, keeping the 257-bin single-sided spectrum (DC and Nyquist
-included).  Synthesis is weighted overlap-add: the analysis window is
-reused for synthesis and each output sample is normalised by the summed
-squared window, which reconstructs unmodified spectra exactly at any
-frame position, including the partially covered edges.
+included).  Frames are strided views of the zero-padded signal, so
+framing copies nothing; the window product makes the one copy.  A
+SpectroGram from stft keeps the complex spectrum and derives the phase
+with np.angle on first read, so analyses that use magnitudes only
+(features, statistics, training targets) never compute it.  Synthesis
+is weighted overlap-add: the analysis window is reused for synthesis and
+each output sample is normalised by the summed squared window, which
+reconstructs unmodified spectra exactly at any frame position, including
+the partially covered edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,27 +66,47 @@ class AnalysisConfig:
 DEFAULT_CONFIG = AnalysisConfig()
 
 
-@dataclass
 class SpectroGram:
-    """Single-sided magnitude/phase spectra, one row per frame."""
+    """Single-sided magnitude/phase spectra, one row per frame.
 
-    magnitude: np.ndarray
-    phase: np.ndarray
-    config: AnalysisConfig = field(default_factory=AnalysisConfig)
+    Built from a magnitude and a phase array, or by stft from the complex
+    spectrum, in which case phase is np.angle of it, computed on first
+    read.
+    """
 
-    def __post_init__(self):
-        self.magnitude = np.asarray(self.magnitude, dtype=np.float64)
-        self.phase = np.asarray(self.phase, dtype=np.float64)
-        if self.magnitude.shape != self.phase.shape:
+    def __init__(self, magnitude, phase, config: AnalysisConfig = DEFAULT_CONFIG):
+        self.magnitude = np.asarray(magnitude, dtype=np.float64)
+        self._phase = np.asarray(phase, dtype=np.float64)
+        self._spectrum = None
+        self.config = config
+        if self.magnitude.shape != self._phase.shape:
             raise ValueError("magnitude and phase shapes differ")
         if self.magnitude.ndim != 2:
             raise ValueError("spectra must be 2-D (frames x bins)")
-        if self.magnitude.shape[1] != self.config.n_bins:
+        if self.magnitude.shape[1] != config.n_bins:
             raise ValueError(
-                f"bins: expected {self.config.n_bins}, got {self.magnitude.shape[1]}"
+                f"bins: expected {config.n_bins}, got {self.magnitude.shape[1]}"
             )
         if np.any(self.magnitude < 0):
             raise ValueError("magnitude must be non-negative")
+
+    @classmethod
+    def from_spectrum(cls, spectrum: np.ndarray, config: AnalysisConfig) -> "SpectroGram":
+        """Magnitude now and phase on first read, from a (frames, n_bins)
+        complex spectrum."""
+        spec = cls.__new__(cls)
+        spec.magnitude = np.abs(spectrum)
+        spec._phase = None
+        spec._spectrum = spectrum
+        spec.config = config
+        return spec
+
+    @property
+    def phase(self) -> np.ndarray:
+        if self._phase is None:
+            self._phase = np.angle(self._spectrum)
+            self._spectrum = None
+        return self._phase
 
     @property
     def n_frames(self) -> int:
@@ -118,7 +143,8 @@ def frame_signal(signal, config: AnalysisConfig = DEFAULT_CONFIG) -> np.ndarray:
 
     Frame l covers samples [l * frame_shift, l * frame_shift + frame_len).
     The frame count is ceil(len / frame_shift), so every sample lands in
-    at least one frame.
+    at least one frame.  The frames are a read-only strided view of the
+    padded signal.
     """
     x = _samples(signal)
     if x.size == 0:
@@ -126,16 +152,14 @@ def frame_signal(signal, config: AnalysisConfig = DEFAULT_CONFIG) -> np.ndarray:
     n_frames = frame_count(x.size, config.frame_shift)
     padded = np.zeros((n_frames - 1) * config.frame_shift + config.frame_len)
     padded[: x.size] = x
-    offsets = config.frame_shift * np.arange(n_frames)
-    idx = offsets[:, None] + np.arange(config.frame_len)[None, :]
-    return padded[idx]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, config.frame_len)
+    return windows[:: config.frame_shift]
 
 
 def stft(signal, config: AnalysisConfig = DEFAULT_CONFIG) -> SpectroGram:
     """Windowed forward transform. Unnormalized DFT, single-sided bins."""
     frames = frame_signal(signal, config) * hamming_window(config.frame_len)
-    spec = np.fft.rfft(frames, n=config.fft_size, axis=1)
-    return SpectroGram(np.abs(spec), np.angle(spec), config)
+    return SpectroGram.from_spectrum(np.fft.rfft(frames, n=config.fft_size, axis=1), config)
 
 
 def synthesis_length(n_frames: int, config: AnalysisConfig = DEFAULT_CONFIG) -> int:

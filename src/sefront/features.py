@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=8)
 def mel_filterbank(
     n_filters: int = N_MEL_FILTERS,
     n_bins: int = 257,
@@ -42,7 +44,8 @@ def mel_filterbank(
 
     Rows are evaluated at the bin centre frequencies, so adjacent
     triangles tile the band and every bin above the lowest filter edge
-    gets positive weight somewhere.
+    gets positive weight somewhere.  Built once per argument triple; the
+    returned array is shared and read-only.
     """
     nyquist = sample_rate / 2.0
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_filters + 2))
@@ -53,6 +56,7 @@ def mel_filterbank(
         up = (bin_freqs - lo) / (mid - lo)
         down = (hi - bin_freqs) / (hi - mid)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
+    fb.flags.writeable = False
     return fb
 
 

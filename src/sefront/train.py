@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import check_corpora, mix_at_snr
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, stft, _samples
+from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, stft, _samples
 from .rnn import NetworkParams, backward, forward
 from .snr import XiStats, map_xi, oracle_xi, unmap_xi, xi_to_db, STATS_XI_FLOOR
 
@@ -42,8 +42,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learn_rate < 0 or self.grad_clip_norm < 0:
-            raise ValueError("learn_rate and grad_clip_norm must be non-negative")
+        # written so that NaN fails too
+        if not (0 <= self.learn_rate < np.inf and 0 <= self.grad_clip_norm < np.inf):
+            raise ValueError("learn_rate and grad_clip_norm must be finite and non-negative")
         if self.snr_max < self.snr_min or self.snr_step < 1:
             raise ValueError("bad SNR range")
 
@@ -151,11 +152,16 @@ def infer_xi(
     stats: XiStats,
     config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """Estimated linear a priori SNR per frame and bin, strictly positive."""
-    if params.input_dim != config.n_bins or params.output_dim != config.n_bins:
+    """Estimated linear a priori SNR per frame and bin, strictly positive.
+
+    noisy is a waveform, or its SpectroGram, which is used as it is (with
+    its own config).
+    """
+    spec = noisy if isinstance(noisy, SpectroGram) else stft(noisy, config)
+    n_bins = spec.config.n_bins
+    if params.input_dim != n_bins or params.output_dim != n_bins:
         raise ValueError("model dimensions do not match the analysis config")
-    if stats.n_bins != config.n_bins:
+    if stats.n_bins != n_bins:
         raise ValueError("stats bin count does not match the analysis config")
-    spec = stft(noisy, config)
     pred = forward(params, spec.magnitude)
     return unmap_xi(pred, stats)

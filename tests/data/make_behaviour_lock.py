@@ -26,9 +26,16 @@ For the corpus statistics it holds the bytes of the file `sefront stats
 --seed 3` writes from a seeded corpus (key stats_file), together with the
 bytes of that corpus's WAVs (keys stats_clean_<name> and
 stats_noise_<name>); every noise recording outlasts every clean one.
+
+For mixing it holds the bytes of the manifest and of every mixture that
+`sefront mix --per-noise 2 --snr-grid -5,10 --seed 5` writes from that
+same corpus, run from the corpus folder with relative paths (keys
+mix_manifest and mix_out_<name>; every noise offset is non-zero), and
+the float64 MFCCs of the first mixture (key mix_mfcc).
 tests/test_behaviour_lock.py compares the current code against it.
 """
 
+import os
 import tempfile
 import wave
 from pathlib import Path
@@ -36,9 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from sefront import cli
-from sefront.corpus import save_wav
+from sefront.corpus import load_manifest, load_wav, save_wav
 from sefront.dd import enhance
 from sefront.dsp import stft
+from sefront.features import mfcc
 from sefront.gain import GainRule, gain_mmse_stsa
 from sefront.rnn import backward, forward, init_network, save_network
 from sefront.snr import XiStats, save_stats, unmap_xi
@@ -187,6 +195,36 @@ def stats_arrays() -> dict:
     return arrays
 
 
+MIX_ARGS = ["mix", "--clean", "clean", "--noise", "noise", "--per-noise", "2",
+            "--snr-grid=-5,10", "--seed", "5", "--out-dir", "mixed"]
+
+
+def mix_arrays() -> dict:
+    """The bytes `sefront mix` writes from the stats corpus, and the MFCCs
+    of its first mixture."""
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        write_stats_corpus(folder)
+        cwd = os.getcwd()
+        os.chdir(folder)
+        try:
+            code = cli.main(MIX_ARGS)
+        finally:
+            os.chdir(cwd)
+        if code != 0:
+            raise RuntimeError(f"sefront mix exited {code}")
+        out = folder / "mixed"
+        entries = load_manifest(out / "manifest.tsv").entries
+        if min(e.noise_offset for e in entries) == 0:
+            raise RuntimeError("the lock wants non-zero noise offsets")
+        for path in sorted(out.iterdir()):
+            key = "mix_manifest" if path.name == "manifest.tsv" else f"mix_out_{path.name}"
+            arrays[key] = np.frombuffer(path.read_bytes(), np.uint8)
+        arrays["mix_mfcc"] = mfcc(stft(load_wav(out / entries[0].output_path)))
+    return arrays
+
+
 def read_pcm(path) -> np.ndarray:
     """The int16 samples of a mono 16-bit WAV file."""
     with wave.open(str(path), "rb") as wf:
@@ -227,6 +265,7 @@ def main() -> None:
                 arrays[f"cli_{estimator}_{rule.value}"] = run_cli(folder, estimator, rule)
     arrays.update(network_arrays())
     arrays.update(stats_arrays())
+    arrays.update(mix_arrays())
     np.savez_compressed(OUT, **arrays)
     print(f"wrote {OUT}")
 

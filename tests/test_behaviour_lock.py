@@ -18,6 +18,11 @@ estimate_stats sorted by snr._content_key and rejected short noise: the
 file that `sefront stats` writes from the stored corpus must match byte
 for byte.
 
+The mix keys were written from the code as it stood before mixing read
+only the noise section it uses: the manifest and every mixture that
+`sefront mix` writes from the stats corpus must match byte for byte, and
+the MFCCs of the first mixture bit for bit.
+
 The network keys were written from the code as it stood before the
 LSTM ran on packed sequences.  The float64 forward output at batch 1 must
 match bit for bit; the loss and gradients on a batch of three sequences
@@ -32,7 +37,10 @@ import numpy as np
 import pytest
 
 from sefront.cli import main
+from sefront.corpus import load_manifest, load_wav
 from sefront.dd import enhance
+from sefront.dsp import stft
+from sefront.features import mfcc
 from sefront.gain import GainRule, gain_mmse_stsa
 from sefront.rnn import backward, forward, init_network
 from sefront.snr import XiStats, unmap_xi
@@ -88,16 +96,36 @@ def test_cli_enhance_bit_identical(lock, cli_inputs, estimator, rule):
     np.testing.assert_array_equal(got, lock[f"cli_{estimator}_{rule.value}"])
 
 
-def test_cli_stats_bit_identical(lock, tmp_path):
+def write_stats_corpus(lock, folder):
+    """The stored stats corpus, written back to folder/clean and folder/noise."""
     for key, value in lock.items():
         if key.startswith(("stats_clean_", "stats_noise_")):
             sub, name = key[len("stats_"):].split("_", 1)
-            (tmp_path / sub).mkdir(exist_ok=True)
-            (tmp_path / sub / name).write_bytes(value.tobytes())
+            (folder / sub).mkdir(exist_ok=True)
+            (folder / sub / name).write_bytes(value.tobytes())
+
+
+def test_cli_stats_bit_identical(lock, tmp_path):
+    write_stats_corpus(lock, tmp_path)
     out = tmp_path / "stats.txt"
     assert main(["stats", "--clean", str(tmp_path / "clean"), "--noise",
                  str(tmp_path / "noise"), "--out", str(out), "--seed", "3"]) == 0
     assert out.read_bytes() == lock["stats_file"].tobytes()
+
+
+def test_cli_mix_bit_identical(lock, tmp_path, monkeypatch):
+    write_stats_corpus(lock, tmp_path)
+    monkeypatch.chdir(tmp_path)  # the stored manifest holds relative paths
+    assert main(["mix", "--clean", "clean", "--noise", "noise", "--per-noise", "2",
+                 "--snr-grid=-5,10", "--seed", "5", "--out-dir", "mixed"]) == 0
+    out = tmp_path / "mixed"
+    assert (out / "manifest.tsv").read_bytes() == lock["mix_manifest"].tobytes()
+    stored = {k[len("mix_out_"):]: v for k, v in lock.items() if k.startswith("mix_out_")}
+    assert {p.name for p in out.iterdir()} == set(stored) | {"manifest.tsv"}
+    for name, value in stored.items():
+        assert (out / name).read_bytes() == value.tobytes(), name
+    first = load_manifest(out / "manifest.tsv").entries[0].output_path
+    np.testing.assert_array_equal(mfcc(stft(load_wav(out / first))), lock["mix_mfcc"])
 
 
 def test_gain_mmse_stsa_grid_matches(lock):

@@ -1,11 +1,13 @@
 """End-to-end runs of the command-line pipeline on a tiny corpus."""
 
+import importlib
 import wave
 
 import numpy as np
 import pytest
 
 from conftest import SR, quantize, tone_bursts, white_noise
+from sefront import cli, dd, dsp
 from sefront.cli import main
 from sefront.corpus import load_manifest, load_wav, mix_at_snr, save_wav
 from sefront.features import segmental_snr, transcript_name
@@ -255,6 +257,21 @@ def test_mix_replay_checks_every_entry_before_writing(wav_corpus, tmp_path):
     assert not out_dir.exists()
 
 
+def test_mix_replay_rejects_a_truncated_noise_before_writing(wav_corpus, tmp_path):
+    clean_dir, noise_dir = wav_corpus
+    clean = sorted(clean_dir.glob("*.wav"))[0]
+    noise = tmp_path / "cut.wav"
+    # a 3 s noise cut to 1.75 s of data, its header still giving 3 s
+    noise.write_bytes(sorted(noise_dir.glob("*.wav"))[0].read_bytes()[: 44 + 2 * 28000])
+    lines = [f"{clean}\t{noise}\t5\t0\tfirst.wav",
+             f"{clean}\t{noise}\t5\t30000\tsecond.wav"]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "replay"
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir) == 2
+    assert not out_dir.exists()
+
+
 def test_mix_empty_grid_is_usage_error(wav_corpus, tmp_path):
     clean_dir, noise_dir = wav_corpus
     assert run("mix", "--clean", clean_dir, "--noise", noise_dir,
@@ -313,6 +330,66 @@ def test_bad_wav_is_data_error(tmp_path):
         wf.setframerate(SR)
         wf.writeframes(b"\x00" * 400)
     assert run("enhance", "--in", bad, "--out", tmp_path / "x.wav") == 2
+
+
+def test_empty_wav_is_a_one_line_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.wav"
+    empty.write_bytes(b"")
+    out = tmp_path / "x.wav"
+    assert run("enhance", "--in", empty, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty.wav:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_enhance_neural_transforms_the_input_once(wav_corpus, noisy_file, tmp_path,
+                                                  monkeypatch):
+    clean_dir, noise_dir = wav_corpus
+    p, _ = noisy_file
+    stats = tmp_path / "stats.txt"
+    model = tmp_path / "net.bin"
+    save_network(init_network(seed=3, cell_size=8, n_blocks=1), model)
+    run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dsp.stft(*args, **kwargs)
+
+    # the package exports the train() function under the train module's name
+    for module in (cli, dd, importlib.import_module("sefront.train")):
+        monkeypatch.setattr(module, "stft", counted)
+    assert run("enhance", "--in", p, "--out", tmp_path / "enh.wav", "--estimator",
+               "neural", "--model", model, "--stats", stats) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--clip"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_train_rejects_bad_step_flags_before_training(wav_corpus, tmp_path, capsys,
+                                                      flag, value):
+    clean_dir, noise_dir = wav_corpus
+    stats = tmp_path / "stats.txt"
+    run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats)
+    capsys.readouterr()
+    model = tmp_path / "net.bin"
+    assert run("train", "--clean", clean_dir, "--noise", noise_dir, "--stats", stats,
+               "--out", model, "--cell", 8, "--blocks", 1, "--epochs", 1,
+               "--batch", 3, f"{flag}={value}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not model.exists()
+
+
+def test_stats_zero_snr_step_is_usage_error(wav_corpus, tmp_path, capsys):
+    clean_dir, noise_dir = wav_corpus
+    out = tmp_path / "stats.txt"
+    assert run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", out,
+               "--snr-step", 0) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: --snr-step must be at least 1, got 0\n"
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_output(tmp_path):

@@ -2,6 +2,7 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SR, quantize, tone_bursts, white_noise
 from sefront.corpus import (
@@ -91,6 +92,56 @@ def test_load_wav_error_messages(tmp_path):
         load_wav(junk)
 
 
+@pytest.fixture(scope="module")
+def pcm_file(tmp_path_factory):
+    """A 3000-sample WAV on the 16-bit grid."""
+    p = tmp_path_factory.mktemp("pcm") / "x.wav"
+    save_wav(quantize(np.random.default_rng(5).uniform(-0.9, 0.9, 3000)), p)
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 3000), n=st.integers(0, 3000))
+def test_load_wav_section_equals_the_slice(pcm_file, start, n):
+    n = min(n, 3000 - start)
+    got = load_wav(pcm_file, start, n).samples
+    assert got.tobytes() == load_wav(pcm_file).samples[start : start + n].tobytes()
+    rest = load_wav(pcm_file, start).samples
+    assert rest.tobytes() == load_wav(pcm_file).samples[start:].tobytes()
+
+
+def test_load_wav_section_outside_the_file(pcm_file):
+    for start, n in ((2990, 11), (-1, 5), (3001, None), (0, -1)):
+        with pytest.raises(ValueError, match="outside its 3000 frames"):
+            load_wav(pcm_file, start, n)
+
+
+def test_truncated_data_chunk_is_a_format_error(tmp_path):
+    p = tmp_path / "cut.wav"
+    save_wav(np.full(1000, 0.25), p)
+    p.write_bytes(p.read_bytes()[: 44 + 2 * 600])  # the header still gives 1000
+    message = "data chunk ends before frame 1000 of the 1000 its header gives"
+    with pytest.raises(WavFormatError, match=message):
+        load_wav(p)
+    with pytest.raises(WavFormatError, match=message):
+        wav_length(p)
+    with pytest.raises(WavFormatError, match="before frame 700 "):
+        load_wav(p, 500, 200)
+    np.testing.assert_array_equal(load_wav(p, 100, 500).samples, 0.25)
+    p.write_bytes(p.read_bytes()[:-1])  # half a sample at the end
+    with pytest.raises(WavFormatError, match="before frame 600 "):
+        load_wav(p, 0, 600)
+
+
+def test_empty_file_is_a_format_error(tmp_path):
+    p = tmp_path / "empty.wav"
+    p.write_bytes(b"")
+    with pytest.raises(WavFormatError, match="empty.wav: file ends inside a chunk header"):
+        load_wav(p)
+    with pytest.raises(WavFormatError, match="file ends inside a chunk header"):
+        wav_length(p)
+
+
 def test_mixing_gain_hand_values():
     clean = np.array([2.0, 2.0])
     noise = np.array([1.0, 1.0])
@@ -137,7 +188,7 @@ def test_mix_offset_bounds():
     clean = np.ones(100) * 0.1
     noise = np.ones(150) * 0.1
     mix_at_snr(clean, noise, 0.0, noise_offset=50)
-    with pytest.raises(ValueError, match="outside noise length"):
+    with pytest.raises(ValueError, match=r"shorter than clean from offset 51 \(150 < 151"):
         mix_at_snr(clean, noise, 0.0, noise_offset=51)
     with pytest.raises(ValueError):
         mix_at_snr(clean, noise, 0.0, noise_offset=-1)

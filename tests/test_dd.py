@@ -11,7 +11,7 @@ from sefront.dd import (
     track_noise,
     tracked_noise_power,
 )
-from sefront.dsp import stft
+from sefront.dsp import stft, synthesis_length
 from sefront import gain as gain_module
 from sefront.gain import GainRule, gain_for
 from sefront.snr import oracle_xi
@@ -214,6 +214,18 @@ def test_enhance_keeps_the_input_length(n, rule, seed, use_oracle):
     out = enhance(noisy, rule, xi if use_oracle else None)
     assert len(out) == n
     assert np.all(np.isfinite(out.samples))
+
+
+@enhance_cases
+def test_enhance_takes_the_spectrogram_in_place_of_the_signal(n, rule, seed, use_oracle):
+    noisy, xi = _oracle_case(seed, n)
+    xi = xi if use_oracle else None
+    want = enhance(noisy, rule, xi).samples
+    got = enhance(stft(noisy), rule, xi, out_len=n).samples
+    assert got.tobytes() == want.tobytes()
+    full = enhance(stft(noisy), rule, xi).samples
+    assert full.size == synthesis_length(stft(noisy).n_frames)
+    assert full[:n].tobytes() == want.tobytes()
 
 
 @enhance_cases

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sefront.dsp import (
     AnalysisConfig,
@@ -51,6 +52,49 @@ def test_frame_signal_layout_and_padding():
     assert np.all(frames[1, 344:] == 0)
     np.testing.assert_array_equal(frames[2, :88], x[512:])
     assert np.all(frames[2, 88:] == 0)
+
+
+def gathered_frames(x, config):
+    """The framing as a fancy-index gather, the way it was first written."""
+    n_frames = frame_count(x.size, config.frame_shift)
+    padded = np.zeros((n_frames - 1) * config.frame_shift + config.frame_len)
+    padded[: x.size] = x
+    offsets = config.frame_shift * np.arange(n_frames)
+    return padded[offsets[:, None] + np.arange(config.frame_len)[None, :]]
+
+
+@st.composite
+def configs_and_signals(draw):
+    """An AnalysisConfig, and a signal of 1-3000 samples drawn from a seed."""
+    frame_len = draw(st.integers(2, 600))
+    frame_shift = draw(st.integers(1, frame_len))
+    fft_size = frame_len + draw(st.integers(0, 100))
+    n = draw(st.integers(1, 3000))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0, 0.3, n)
+    return AnalysisConfig(frame_len, frame_shift, fft_size), x
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs_and_signals())
+def test_frame_signal_equals_the_index_gather(case):
+    config, x = case
+    frames = frame_signal(x, config)
+    want = gathered_frames(x, config)
+    assert frames.dtype == want.dtype and frames.shape == want.shape
+    assert frames.tobytes() == want.tobytes()
+    assert not frames.flags.writeable
+
+
+@settings(max_examples=50, deadline=None)
+@given(configs_and_signals())
+def test_stft_phase_is_the_angle_of_the_transform(case):
+    config, x = case
+    spec = stft(x, config)
+    ref = np.fft.rfft(gathered_frames(x, config) * hamming_window(config.frame_len),
+                      n=config.fft_size, axis=1)
+    np.testing.assert_array_equal(spec.magnitude, np.abs(ref))
+    np.testing.assert_array_equal(spec.phase, np.angle(ref))
+    assert spec.phase is spec.phase  # computed once, then kept
 
 
 def test_frame_signal_rejects_empty():

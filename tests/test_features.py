@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sefront.corpus import MixSpec
 from sefront.dsp import SpectroGram, stft
@@ -38,6 +39,18 @@ def test_filterbank_peaks_are_ordered():
     fb = mel_filterbank()
     peaks = fb.argmax(axis=1)
     assert np.all(np.diff(peaks) > 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_filters=st.integers(1, 40), n_bins=st.integers(2, 600),
+       sample_rate=st.sampled_from([8000, 16000, 44100]))
+def test_filterbank_is_built_once_and_read_only(n_filters, n_bins, sample_rate):
+    fb = mel_filterbank(n_filters, n_bins, sample_rate)
+    assert fb.shape == (n_filters, n_bins)
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        fb[0, 0] = 1.0
+    assert mel_filterbank(n_filters, n_bins, sample_rate) is fb
 
 
 def test_mfcc_against_straight_line_oracle():

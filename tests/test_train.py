@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SR, tone_bursts, white_noise
+from sefront.dsp import stft
 from sefront.rnn import forward, init_network
 from sefront.snr import XiStats, db_to_xi
 from sefront.train import (
@@ -36,6 +37,11 @@ def test_config_validation():
         TrainConfig(learn_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(snr_min=10, snr_max=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TrainConfig(learn_rate=bad)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TrainConfig(grad_clip_norm=bad)
 
 
 def test_snr_choices_grid():
@@ -163,6 +169,13 @@ def test_infer_xi_constant_half_lands_on_mu():
     rng = np.random.default_rng(6)
     xi = infer_xi(params, white_noise(rng, 8000), stats)
     np.testing.assert_allclose(xi, float(db_to_xi(np.array(-4.0))), rtol=1e-12)
+
+
+def test_infer_xi_takes_the_spectrogram_in_place_of_the_signal():
+    params = init_network(seed=5, cell_size=8, n_blocks=1)
+    x = white_noise(np.random.default_rng(7), 6000)
+    want = infer_xi(params, x, flat_stats())
+    np.testing.assert_array_equal(infer_xi(params, stft(x), flat_stats()), want)
 
 
 def test_infer_xi_dimension_checks():
