@@ -90,6 +90,8 @@ def _snr_grid(text: str):
         raise UsageError(f"bad SNR grid {text!r}: {exc}") from exc
     if not grid:
         raise UsageError("empty grid")
+    if not np.all(np.isfinite(grid)):
+        raise UsageError(f"SNR grid values must be finite, got {text!r}")
     return grid
 
 

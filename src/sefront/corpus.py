@@ -92,7 +92,9 @@ def save_wav(signal, path) -> None:
     if rate != SAMPLE_RATE:
         raise WavFormatError(f"sample_rate: expected {SAMPLE_RATE}, got {rate}")
     q = np.clip(np.rint(x * PCM_SCALE), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    # opened here, not by wave.open: a Wave_write whose own open fails
+    # reports an AttributeError from its __del__ on top of the OSError
+    with open(path, "wb") as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(SAMPLE_RATE)

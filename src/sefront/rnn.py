@@ -223,12 +223,18 @@ def _lstm_backprop(cell: LstmCellParams, cache, dh_out: np.ndarray):
     i, f, g, o = np.split(gates, _GATES, axis=1)
     # per frame: dh/dc through the output gate, and the local derivative
     # by which dc (input, forget, candidate gates) or dh (output gate)
-    # scales into each gate's pre-activation
-    dtc = o * (1.0 - tc * tc)
-    local = (gates * (1.0 - gates)).reshape(-1, _GATES, c_sz)
+    # scales into each gate's pre-activation; each is formed in place
+    dtc = np.multiply(tc, tc)
+    np.subtract(1.0, dtc, out=dtc)
+    dtc *= o
+    local = np.subtract(1.0, gates)
+    local *= gates
+    local = local.reshape(-1, _GATES, c_sz)
     local[:, 0] *= g
     local[:, 1] *= _previous(cache["cells"], steps)
-    local[:, 2] = i * (1.0 - g * g)
+    np.multiply(g, g, out=local[:, 2])
+    np.subtract(1.0, local[:, 2], out=local[:, 2])
+    local[:, 2] *= i
     local[:, 3] *= tc
     dz_all = np.empty_like(gates)
     dz_gates = dz_all.reshape(-1, _GATES, c_sz)
@@ -278,6 +284,19 @@ def _sequences(x) -> list[np.ndarray]:
     return [np.asarray(s, dtype=np.float64) for s in x]
 
 
+def _gather(seqs: list[np.ndarray], where: np.ndarray, width: int) -> np.ndarray:
+    """The frames of seqs in packed order, in one new (N, width) array.
+
+    where[j] is the packed row of frame j of the sequences laid end to end.
+    """
+    out = np.empty((where.size, width))
+    start = 0
+    for s in seqs:
+        out[where[start : start + len(s)]] = s
+        start += len(s)
+    return out
+
+
 def _forward(params: NetworkParams, seqs: list[np.ndarray]):
     """Packed outputs (N, K) of every frame of the sequences, and the cache."""
     if not seqs:
@@ -290,12 +309,13 @@ def _forward(params: NetworkParams, seqs: list[np.ndarray]):
     lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
     if np.any(lengths < 1):
         raise ValueError("every sequence needs at least one frame")
-    x = np.concatenate(seqs)
-    if not np.all(np.isfinite(x)):
+    if not all(np.isfinite(s).all() for s in seqs):
         raise ValueError("network input must be finite")
     rows, times, steps = _pack(lengths)
     index = (np.cumsum(lengths) - lengths)[rows] + times  # packed -> concatenated
-    xp = x[index]
+    where = np.empty_like(index)
+    where[index] = np.arange(index.size)  # concatenated -> packed
+    xp = _gather(seqs, where, params.input_dim)
 
     z0 = xp @ params.fc.w + params.fc.b
     y0, ln_cache = _layer_norm(z0, params.ln_gain, params.ln_offset)
@@ -312,8 +332,10 @@ def _forward(params: NetworkParams, seqs: list[np.ndarray]):
         block_caches.append(caches)
         act = nxt
 
-    pred = expit(act @ params.out.w + params.out.b)
-    cache = {"x": xp, "index": index, "ln": ln_cache, "y0": y0,
+    pred = act @ params.out.w
+    pred += params.out.b
+    expit(pred, out=pred)
+    cache = {"x": xp, "index": index, "where": where, "ln": ln_cache, "y0": y0,
              "blocks": block_caches, "final_act": act}
     return pred, cache
 
@@ -328,14 +350,28 @@ PRED_CLAMP = 1e-7
 
 
 def loss_cross_entropy(pred, target) -> float:
-    """Mean binary cross-entropy with predictions clamped to [1e-7, 1 - 1e-7]."""
-    p = np.clip(np.asarray(pred, dtype=np.float64), PRED_CLAMP, 1.0 - PRED_CLAMP)
+    """Mean binary cross-entropy with predictions clamped to [1e-7, 1 - 1e-7].
+
+    The mean of -(t log p + (1 - t) log1p(-p)), evaluated in two scratch
+    arrays.  Targets must lie in [0, 1]; NaN is rejected too.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
+    if pred.shape != t.shape:
         raise ValueError("prediction and target shapes differ")
-    if np.any((t < 0.0) | (t > 1.0)):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("targets must lie in [0, 1]")
-    return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log1p(-p))))
+    # the second term first, so the clamped p it consumes can be made
+    # again from pred for the first
+    second = np.subtract(1.0, t)
+    p = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    np.negative(p, out=p)
+    second *= np.log1p(p, out=p)
+    first = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP, out=p)
+    np.log(first, out=first)
+    first *= t
+    first += second
+    return float(np.mean(np.negative(first, out=first)))
 
 
 def backward(params: NetworkParams, x, target):
@@ -346,6 +382,11 @@ def backward(params: NetworkParams, x, target):
     single sequence.  Returns (loss, grads) where grads has exactly the
     keys of params.tensors().  The loss is the mean cross-entropy over
     every frame of every sequence.
+
+    Neither x nor target is written to.  The step holds one packed copy
+    of the inputs, the predictions and the targets, whose buffer then
+    carries the output-layer gradient; each block's forward cache is
+    dropped once its backpropagation through time has run.
     """
     seqs, targets = _sequences(x), _sequences(target)
     if len(targets) != len(seqs):
@@ -353,10 +394,13 @@ def backward(params: NetworkParams, x, target):
     pred, cache = _forward(params, seqs)
     if any(t.shape != (s.shape[0], params.output_dim) for s, t in zip(seqs, targets)):
         raise ValueError("target shape must match the prediction")
-    target = np.concatenate(targets)[cache["index"]]
+    target = _gather(targets, cache["where"], params.output_dim)
     loss = loss_cross_entropy(pred, target)
-    inside = (pred > PRED_CLAMP) & (pred < 1.0 - PRED_CLAMP)
-    dlogits = np.where(inside, pred - target, 0.0) / pred.size
+    clamped = ~((pred > PRED_CLAMP) & (pred < 1.0 - PRED_CLAMP))
+    dlogits = np.subtract(pred, target, out=target)
+    dlogits[clamped] = 0.0
+    dlogits /= pred.size
+    del pred  # nothing below reads it; free it before backpropagation
     grads: dict[str, np.ndarray] = {}
 
     grads["out.w"] = cache["final_act"].T @ dlogits
@@ -366,8 +410,10 @@ def backward(params: NetworkParams, x, target):
     for bi in range(params.n_blocks - 1, -1, -1):
         blk = params.blocks[bi]
         da_next = da.copy()
-        for direction, cell_cache in cache["blocks"][bi].items():
-            dx, g = _lstm_backprop(getattr(blk, direction), cell_cache, da)
+        block_cache = cache["blocks"].pop()
+        for direction in list(block_cache):
+            cell = getattr(blk, direction)
+            dx, g = _lstm_backprop(cell, block_cache.pop(direction), da)
             da_next += dx
             grads.update({f"block{bi}.{direction}.{k}": v for k, v in g.items()})
         da = da_next

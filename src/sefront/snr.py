@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 from .corpus import check_corpora, mixing_gain
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, stft, _samples
+from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, frame_count, stft, _samples
 
 NOISE_POWER_FLOOR = 1e-12
 MAP_CLAMP = 1e-7
@@ -108,18 +108,38 @@ def unmap_xi(bar_xi, stats: XiStats) -> np.ndarray:
     return db_to_xi(xi_db)
 
 
-def stats_from_xi_db(xi_db_frames: np.ndarray, n_frames: int | None = None) -> XiStats:
-    """Per-bin sample mean / sample std (ddof 1) with the 0.1 dB sigma floor."""
-    pooled = np.asarray(xi_db_frames, dtype=np.float64)
-    if pooled.ndim != 2 or pooled.shape[0] == 0:
-        raise ValueError("need a non-empty (frames x bins) array")
-    mu = pooled.mean(axis=0)
-    if pooled.shape[0] > 1:
-        sigma = pooled.std(axis=0, ddof=1)
+def _pool_stats(pool: np.ndarray, n_frames: int) -> XiStats:
+    """Per-bin stats of a (frames x bins) pool, computed in place on it.
+
+    The reductions are the ones np.mean and np.std(ddof=1) run, so the
+    result is theirs bit for bit; the pool is left holding the squared
+    deviations.
+    """
+    n = pool.shape[0]
+    mu = np.add.reduce(pool, axis=0)
+    mu /= n
+    if n > 1:
+        pool -= mu
+        np.square(pool, out=pool)
+        sigma = np.add.reduce(pool, axis=0)
+        sigma /= n - 1
+        np.sqrt(sigma, out=sigma)
     else:
         sigma = np.zeros_like(mu)
-    sigma = np.maximum(sigma, SIGMA_FLOOR_DB)
-    return XiStats(mu, sigma, pooled.shape[0] if n_frames is None else n_frames)
+    np.maximum(sigma, SIGMA_FLOOR_DB, out=sigma)
+    return XiStats(mu, sigma, n_frames)
+
+
+def stats_from_xi_db(xi_db_frames: np.ndarray, n_frames: int | None = None) -> XiStats:
+    """Per-bin sample mean / sample std (ddof 1) with the 0.1 dB sigma floor.
+
+    Bit for bit np.mean and np.std(ddof=1) of xi_db_frames (frames x
+    bins).  The input is copied once and left unchanged.
+    """
+    pooled = np.array(xi_db_frames, dtype=np.float64)
+    if pooled.ndim != 2 or pooled.shape[0] == 0:
+        raise ValueError("need a non-empty (frames x bins) array")
+    return _pool_stats(pooled, pooled.shape[0] if n_frames is None else n_frames)
 
 
 def _content_key(signal) -> str:
@@ -142,6 +162,11 @@ def estimate_stats(
     are ordered by content digest before the schedule is drawn, so the
     result is invariant to the order the recordings are passed in.  Clean
     cells with zero magnitude enter the pool at the -120 dB floor.
+
+    The pool is one (frames x bins) array, sized from the clean lengths;
+    each recording's xi_dB rows are written straight into it and the
+    stats are reduced in place, so the peak is about one pool plus one
+    recording's spectra.
     """
     clean_list = [_samples(s) for s in clean_signals]
     noise_list = [_samples(s) for s in noise_signals]
@@ -154,17 +179,22 @@ def estimate_stats(
     noise_list.sort(key=_content_key)
 
     rng = np.random.default_rng(seed)
-    pool = []
-    for x in clean_list:
+    n_frames = [frame_count(x.size, config.frame_shift) for x in clean_list]
+    pool = np.empty((sum(n_frames), config.n_bins))
+    start = 0
+    for x, n in zip(clean_list, n_frames):
         d = noise_list[rng.integers(len(noise_list))]
         offset = int(rng.integers(d.size - x.size + 1))
         snr_db = snrs[rng.integers(len(snrs))]
         section = d[offset : offset + x.size]
         g = mixing_gain(x, section, snr_db)
-        xi = oracle_xi(stft(x, config), stft(g * section, config))
-        pool.append(xi_to_db(np.maximum(xi, STATS_XI_FLOOR)))
-    pooled = np.concatenate(pool, axis=0)
-    return stats_from_xi_db(pooled)
+        rows = pool[start : start + n]
+        np.maximum(oracle_xi(stft(x, config), stft(g * section, config)),
+                   STATS_XI_FLOOR, out=rows)
+        np.log10(rows, out=rows)
+        rows *= 10.0
+        start += n
+    return _pool_stats(pool, pool.shape[0])
 
 
 def save_stats(stats: XiStats, path) -> None:

@@ -1,7 +1,11 @@
 """End-to-end runs of the command-line pipeline on a tiny corpus."""
 
 import importlib
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,19 @@ def test_mix_empty_grid_is_usage_error(wav_corpus, tmp_path):
                "--snr-grid", ",", "--out-dir", tmp_path / "x") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_mix_non_finite_grid_is_usage_error_before_writing(wav_corpus, tmp_path,
+                                                           capsys, value):
+    clean_dir, noise_dir = wav_corpus
+    out_dir = tmp_path / "x"
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir,
+               "--snr-grid", f"0,{value}", "--out-dir", out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: SNR grid values must be finite")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_wer_command(wav_corpus, tmp_path, capsys):
     clean_dir, noise_dir = wav_corpus
     out_dir = tmp_path / "noisy"
@@ -340,6 +357,22 @@ def test_empty_wav_is_a_one_line_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: empty.wav:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unwritable_output_is_a_one_line_data_error(noisy_file, tmp_path):
+    # a fresh interpreter, so a report a finaliser sends to stderr is not
+    # caught by the test runner's own hook
+    p, _ = noisy_file
+    out = tmp_path / "missing" / "o.wav"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "sefront", "enhance", "--in", str(p),
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sefront.dsp import SpectroGram, stft
+from sefront.dsp import SpectroGram, frame_count, stft
 from sefront.snr import (
     XiStats,
     db_to_xi,
@@ -142,6 +145,44 @@ def test_stats_constant_column_gets_sigma_floor():
     st = stats_from_xi_db(np.full((5, 3), 2.0))
     np.testing.assert_allclose(st.mu_db, 2.0)
     np.testing.assert_allclose(st.sigma_db, 0.1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 9)),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stats_from_xi_db_equals_numpy(shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(rng.normal(0, scale), scale, shape)
+    pool[:, 0] = pool[0, 0]  # a constant column: sigma at the floor
+    before = pool.copy()
+    got = stats_from_xi_db(pool)
+    want_mu = np.mean(pool, axis=0)
+    want_sigma = np.std(pool, axis=0, ddof=1) if shape[0] > 1 else np.zeros(shape[1])
+    assert got.mu_db.tobytes() == want_mu.tobytes()
+    assert got.sigma_db.tobytes() == np.maximum(want_sigma, 0.1).tobytes()
+    assert got.n_frames == shape[0]
+    np.testing.assert_array_equal(pool, before)
+
+
+def test_estimate_stats_peak_memory():
+    # 40 seeded recordings of 0.5-1.5 s.  Holding the per-recording list,
+    # its concatenation and np.std's centred copy peaked at 3.0 times the
+    # (frames x bins) pool above the inputs; the single pool, at 1.3.
+    rng = np.random.default_rng(0)
+    clean = [rng.normal(0, 0.1, int(rng.integers(8000, 24000))) for _ in range(40)]
+    noise = [rng.normal(0, 0.1, 32000) for _ in range(4)]
+    pool_bytes = sum(frame_count(x.size, 256) for x in clean) * 257 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_stats(clean, noise, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * pool_bytes
 
 
 def test_estimate_stats_identity_mixture():
