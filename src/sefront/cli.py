@@ -76,11 +76,11 @@ def _require_dir(path, what: str) -> Path:
     return p
 
 
-def _load_dir_wavs(path: Path):
+def _dir_wavs(path: Path) -> list[Path]:
     files = sorted(path.glob("*.wav"))
     if not files:
         raise ValueError(f"no .wav files in {path}")
-    return [corpus.load_wav(f) for f in files]
+    return files
 
 
 def _snr_grid(text: str):
@@ -100,8 +100,8 @@ def cmd_stats(args) -> int:
         raise UsageError(f"--snr-step must be at least 1, got {args.snr_step}")
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
-    clean = _load_dir_wavs(clean_dir)
-    noise = _load_dir_wavs(noise_dir)
+    clean = _dir_wavs(clean_dir)
+    noise = _dir_wavs(noise_dir)
     grid = range(args.snr_min, args.snr_max + 1, args.snr_step)
     stats = snr.estimate_stats(clean, noise, grid, seed=args.seed)
     snr.save_stats(stats, args.out)
@@ -126,8 +126,8 @@ def cmd_train(args) -> int:
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
     stats = snr.load_stats(_require_file(args.stats, "stats file"))
-    clean = _load_dir_wavs(clean_dir)
-    noise = _load_dir_wavs(noise_dir)
+    clean = _dir_wavs(clean_dir)
+    noise = _dir_wavs(noise_dir)
     params = rnn.init_network(
         seed=args.seed,
         cell_size=args.cell,

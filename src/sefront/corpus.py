@@ -6,13 +6,18 @@ byte-identical.  A load can read one section of a file, and mixing reads
 only the noise section it uses.  Every read checks that the data chunk
 holds the frames asked for, and wav_length reads the last frame back, so
 a file cut short of its header's frame count is a WavFormatError, never
-a silently shorter signal.  Mixing scales the noise section so the
-full-signal power ratio hits the requested SNR exactly, then rescales
-all three components together if the mixture would clip.
+a silently shorter signal.  A recording is either a WAV path or an
+in-memory signal; recording_length and read_recording serve both, so
+the training and statistics tools read each recording, or the noise
+section they mix, only when their schedule draws it.  Mixing scales the
+noise section so the full-signal power ratio hits the requested SNR
+exactly, then rescales all three components together if the mixture
+would clip.
 """
 
 from __future__ import annotations
 
+import os
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,13 +106,32 @@ def save_wav(signal, path) -> None:
         wf.writeframes(q.tobytes())
 
 
-def check_corpora(clean_list, noise_list) -> None:
-    """Both corpora non-empty, and no noise recording shorter than the
-    longest clean one, so any noise recording may be drawn for any clean
-    one."""
-    if not clean_list or not noise_list:
+def recording_length(rec) -> int:
+    """Sample count of a recording: wav_length of a path, the size of a signal."""
+    if isinstance(rec, (str, os.PathLike)):
+        return wav_length(rec)
+    return _samples(rec).size
+
+
+def read_recording(rec, start: int = 0, n: int | None = None) -> np.ndarray:
+    """Samples [start, start + n) of a recording, n=None reading to the end:
+    load_wav of a path, a slice view of a signal."""
+    if isinstance(rec, (str, os.PathLike)):
+        return load_wav(rec, start, n).samples
+    x = _samples(rec)
+    return x[start : None if n is None else start + n]
+
+
+def check_corpora(clean_lengths, noise_lengths) -> None:
+    """Both corpora non-empty, no clean recording empty, and no noise
+    recording shorter than the longest clean one, so any noise recording
+    may be drawn for any clean one.  Takes the recording lengths, so the
+    check reads no samples."""
+    if not clean_lengths or not noise_lengths:
         raise ValueError("clean and noise corpora must be non-empty")
-    if min(d.size for d in noise_list) < max(x.size for x in clean_list):
+    if 0 in clean_lengths:
+        raise ValueError(f"clean recording {list(clean_lengths).index(0)} is empty")
+    if min(noise_lengths) < max(clean_lengths):
         raise ValueError(
             "a noise recording is shorter than the longest clean recording"
         )
@@ -115,7 +139,10 @@ def check_corpora(clean_list, noise_list) -> None:
 
 def check_section(noise_name: str, n_noise: int, clean_name: str, n_clean: int,
                   offset: int) -> None:
-    """The noise section [offset, offset + n_clean) must lie inside the noise."""
+    """The clean recording must not be empty, and the noise section
+    [offset, offset + n_clean) must lie inside the noise."""
+    if n_clean == 0:
+        raise ValueError(f"{clean_name}: empty recording")
     if offset < 0:
         raise ValueError(f"{noise_name}: negative noise offset {offset}")
     if offset + n_clean > n_noise:
@@ -148,14 +175,13 @@ def mix_at_snr(clean, noise, snr_db: float, noise_offset: int = 0) -> MixResult:
     """Mix a noise section into the clean signal at an exact SNR.
 
     The section starts at noise_offset and must cover the clean length.
-    If the mixture peaks above 1.0, all three returned components are
-    rescaled together to a 0.99 peak, preserving the SNR and the exact
-    identity noisy == clean + noise.
+    noisy == clean + noise holds bit for bit.  If the mixture peaks above
+    1.0, all three returned components are rescaled together to a 0.99
+    peak, preserving the SNR; the mixture is scaled as summed, so the
+    identity then holds to a few ulps.
     """
     x = _samples(clean)
     d_full = _samples(noise)
-    if x.size == 0:
-        raise ValueError("clean signal is empty")
     check_section("noise", d_full.size, "clean", x.size, noise_offset)
     section = d_full[noise_offset : noise_offset + x.size]
     g = mixing_gain(x, section, snr_db)

@@ -381,7 +381,8 @@ def backward(params: NetworkParams, x, target):
     list of (frames_i, output bins) targets; one 2-D array each is a
     single sequence.  Returns (loss, grads) where grads has exactly the
     keys of params.tensors().  The loss is the mean cross-entropy over
-    every frame of every sequence.
+    every frame of every sequence.  The target count and shapes are
+    checked before the forward pass runs.
 
     Neither x nor target is written to.  The step holds one packed copy
     of the inputs, the predictions and the targets, whose buffer then
@@ -391,9 +392,9 @@ def backward(params: NetworkParams, x, target):
     seqs, targets = _sequences(x), _sequences(target)
     if len(targets) != len(seqs):
         raise ValueError(f"{len(seqs)} sequences but {len(targets)} targets")
-    pred, cache = _forward(params, seqs)
-    if any(t.shape != (s.shape[0], params.output_dim) for s, t in zip(seqs, targets)):
+    if any(t.shape != s.shape[:1] + (params.output_dim,) for s, t in zip(seqs, targets)):
         raise ValueError("target shape must match the prediction")
+    pred, cache = _forward(params, seqs)
     target = _gather(targets, cache["where"], params.output_dim)
     loss = loss_cross_entropy(pred, target)
     clamped = ~((pred > PRED_CLAMP) & (pred < 1.0 - PRED_CLAMP))

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .corpus import check_corpora, mixing_gain
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, frame_count, stft, _samples
+from .corpus import check_corpora, mixing_gain, read_recording, recording_length
+from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, frame_count, stft
 
 NOISE_POWER_FLOOR = 1e-12
 MAP_CLAMP = 1e-7
@@ -142,9 +142,15 @@ def stats_from_xi_db(xi_db_frames: np.ndarray, n_frames: int | None = None) -> X
     return _pool_stats(pooled, pooled.shape[0] if n_frames is None else n_frames)
 
 
-def _content_key(signal) -> str:
-    x = _samples(signal)
-    return hashlib.blake2b(x.tobytes(), digest_size=16).hexdigest()
+def _content_key(samples: np.ndarray) -> str:
+    return hashlib.blake2b(samples.tobytes(), digest_size=16).hexdigest()
+
+
+def _content_order(recordings) -> list[int]:
+    """Indices of the recordings sorted by the digest of their float64
+    samples; each recording is read once, one at a time."""
+    keys = [_content_key(read_recording(r)) for r in recordings]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def estimate_stats(
@@ -158,42 +164,50 @@ def estimate_stats(
 
     Each clean recording is paired with one noise recording, a random
     section of it, and one SNR from snr_range; as in training, no noise
-    recording may be shorter than the longest clean one.  Both corpora
-    are ordered by content digest before the schedule is drawn, so the
-    result is invariant to the order the recordings are passed in.  Clean
-    cells with zero magnitude enter the pool at the -120 dB floor.
+    recording may be shorter than the longest clean one, and no clean
+    recording may be empty.  Both corpora are ordered by content digest
+    before the schedule is drawn, so the result is invariant to the order
+    the recordings are passed in.  Clean cells with zero magnitude enter
+    the pool at the -120 dB floor.
 
-    The pool is one (frames x bins) array, sized from the clean lengths;
-    each recording's xi_dB rows are written straight into it and the
-    stats are reduced in place, so the peak is about one pool plus one
-    recording's spectra.
+    A recording is a WAV path or an in-memory signal.  Every length is
+    checked first; the digests then read one recording at a time, and the
+    schedule reads each clean recording and only the noise section it
+    mixes.  The pool is one (frames x bins) array, sized from the clean
+    lengths; each recording's xi_dB rows are written straight into it and
+    the stats are reduced in place, so the peak is about one pool plus
+    one recording's spectra.
     """
-    clean_list = [_samples(s) for s in clean_signals]
-    noise_list = [_samples(s) for s in noise_signals]
+    clean = list(clean_signals)
+    noise = list(noise_signals)
     snrs = list(snr_range)
-    check_corpora(clean_list, noise_list)
+    clean_lengths = [recording_length(r) for r in clean]
+    noise_lengths = [recording_length(r) for r in noise]
+    check_corpora(clean_lengths, noise_lengths)
     if not snrs:
         raise ValueError("empty grid")
 
-    clean_list.sort(key=_content_key)
-    noise_list.sort(key=_content_key)
+    clean_order = _content_order(clean)
+    noise_order = _content_order(noise)
 
     rng = np.random.default_rng(seed)
-    n_frames = [frame_count(x.size, config.frame_shift) for x in clean_list]
+    n_frames = [frame_count(clean_lengths[ci], config.frame_shift) for ci in clean_order]
     pool = np.empty((sum(n_frames), config.n_bins))
     start = 0
-    for x, n in zip(clean_list, n_frames):
-        d = noise_list[rng.integers(len(noise_list))]
-        offset = int(rng.integers(d.size - x.size + 1))
+    for ci, rows_n in zip(clean_order, n_frames):
+        n = clean_lengths[ci]
+        di = noise_order[rng.integers(len(noise))]
+        offset = int(rng.integers(noise_lengths[di] - n + 1))
         snr_db = snrs[rng.integers(len(snrs))]
-        section = d[offset : offset + x.size]
+        x = read_recording(clean[ci])
+        section = read_recording(noise[di], offset, n)
         g = mixing_gain(x, section, snr_db)
-        rows = pool[start : start + n]
+        rows = pool[start : start + rows_n]
         np.maximum(oracle_xi(stft(x, config), stft(g * section, config)),
                    STATS_XI_FLOOR, out=rows)
         np.log10(rows, out=rows)
         rows *= 10.0
-        start += n
+        start += rows_n
     return _pool_stats(pool, pool.shape[0])
 
 

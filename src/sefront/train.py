@@ -7,7 +7,9 @@ computed from the oracle a priori SNR of that very mixture.  One Adam
 step per batch on globally clipped gradients; a batch is the list of
 its examples, each as long as its own recording.  Every noise recording
 must be at least as long as the longest clean one, which train() checks
-before the first batch.
+before the first batch.  Recordings are WAV paths or in-memory signals;
+each is read when the schedule draws it, the noise only for the section
+it mixes.
 
 Everything is driven by one seeded generator, so a rerun with the same
 seed reproduces the loss history bit for bit.
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import check_corpora, mix_at_snr
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, stft, _samples
+from .corpus import check_corpora, mix_at_snr, read_recording, recording_length
+from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, stft
 from .rnn import NetworkParams, backward, forward
 from .snr import XiStats, map_xi, oracle_xi, unmap_xi, xi_to_db, STATS_XI_FLOOR
 
@@ -104,16 +106,22 @@ def train(
 ):
     """Train in place; returns (params, per-batch loss history).
 
-    Epochs shuffle the clean corpus; the trailing remainder that does
-    not fill a batch is dropped, so the history length is
-    epochs * (len(clean) // batch_size).
+    A recording is a WAV path or an in-memory signal.  Every length (and
+    so every file's format) is checked before the first batch; the seeded
+    draws use only the lengths.  A drawn clean recording is read whole,
+    and its noise recording only for the section it mixes, so the corpus
+    is never held in memory, only the batch.  Epochs shuffle the clean
+    corpus; the trailing remainder that does not fill a batch is dropped,
+    so the history length is epochs * (len(clean) // batch_size).
     """
-    clean_list = [_samples(s) for s in clean_signals]
-    noise_list = [_samples(s) for s in noise_signals]
-    check_corpora(clean_list, noise_list)
-    if len(clean_list) < cfg.batch_size:
+    clean = list(clean_signals)
+    noise = list(noise_signals)
+    clean_lengths = [recording_length(r) for r in clean]
+    noise_lengths = [recording_length(r) for r in noise]
+    check_corpora(clean_lengths, noise_lengths)
+    if len(clean) < cfg.batch_size:
         raise ValueError(
-            f"corpus of {len(clean_list)} recordings is smaller than "
+            f"corpus of {len(clean)} recordings is smaller than "
             f"batch_size {cfg.batch_size}"
         )
     if stats.n_bins != config.n_bins:
@@ -126,17 +134,19 @@ def train(
     history: list[float] = []
 
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(clean_list))
-        n_batches = len(clean_list) // cfg.batch_size
+        order = rng.permutation(len(clean))
+        n_batches = len(clean) // cfg.batch_size
         for b in range(n_batches):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             mags, targets = [], []
             for ci in idx:
-                x = clean_list[int(ci)]
-                d = noise_list[int(rng.integers(len(noise_list)))]
-                offset = int(rng.integers(d.size - x.size + 1))
+                n = clean_lengths[ci]
+                di = int(rng.integers(len(noise)))
+                offset = int(rng.integers(noise_lengths[di] - n + 1))
                 snr_db = int(snrs[rng.integers(len(snrs))])
-                m, t = make_example(x, d, snr_db, offset, stats, config)
+                m, t = make_example(read_recording(clean[ci]),
+                                    read_recording(noise[di], offset, n),
+                                    snr_db, 0, stats, config)
                 mags.append(m)
                 targets.append(t)
             loss, grads = backward(params, mags, targets)

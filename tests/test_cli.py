@@ -276,6 +276,102 @@ def test_mix_replay_rejects_a_truncated_noise_before_writing(wav_corpus, tmp_pat
     assert not out_dir.exists()
 
 
+def _clean_dir_with(tmp_path, clean_dir, wav_bytes):
+    """A copy of the clean corpus plus utt06.wav holding wav_bytes."""
+    out = tmp_path / "clean"
+    out.mkdir()
+    for p in clean_dir.glob("*.wav"):
+        (out / p.name).write_bytes(p.read_bytes())
+    (out / "utt06.wav").write_bytes(wav_bytes)
+    return out
+
+
+def _empty_wav_bytes(tmp_path):
+    p = tmp_path / "no_samples.wav"
+    save_wav(np.zeros(0), p)
+    return p.read_bytes()
+
+
+def _truncated_wav_bytes(clean_dir):
+    # a 1 s recording cut to 0.5 s of data, its header still giving 1 s
+    return sorted(clean_dir.glob("*.wav"))[0].read_bytes()[: 44 + SR]
+
+
+def _count_batches(monkeypatch):
+    # the package exports the train() function under the train module's name
+    train_module = importlib.import_module("sefront.train")
+    batches = []
+    real_backward = train_module.backward
+
+    def counting_backward(*args):
+        batches.append(1)
+        return real_backward(*args)
+
+    monkeypatch.setattr(train_module, "backward", counting_backward)
+    return batches
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["empty", "truncated"])
+def test_stats_rejects_a_bad_clean_recording_before_writing(wav_corpus, tmp_path,
+                                                            capsys, bad):
+    clean_dir, noise_dir = wav_corpus
+    wav_bytes = (_empty_wav_bytes(tmp_path) if bad == "empty"
+                 else _truncated_wav_bytes(clean_dir))
+    clean = _clean_dir_with(tmp_path, clean_dir, wav_bytes)
+    out = tmp_path / "stats.txt"
+    assert run("stats", "--clean", clean, "--noise", noise_dir, "--out", out) == 2
+    err = capsys.readouterr().err
+    want = ("error: clean recording 6 is empty" if bad == "empty"
+            else "error: utt06.wav: data chunk ends before frame 16000")
+    assert err.startswith(want) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["empty", "truncated"])
+def test_train_rejects_a_bad_clean_recording_before_the_first_batch(
+        wav_corpus, tmp_path, capsys, monkeypatch, bad):
+    clean_dir, noise_dir = wav_corpus
+    stats = tmp_path / "stats.txt"
+    assert run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats) == 0
+    capsys.readouterr()
+    wav_bytes = (_empty_wav_bytes(tmp_path) if bad == "empty"
+                 else _truncated_wav_bytes(clean_dir))
+    clean = _clean_dir_with(tmp_path, clean_dir, wav_bytes)
+    batches = _count_batches(monkeypatch)
+    model = tmp_path / "net.bin"
+    losses = tmp_path / "loss.csv"
+    assert run("train", "--clean", clean, "--noise", noise_dir, "--stats", stats,
+               "--out", model, "--loss-csv", losses, "--cell", 8, "--blocks", 1,
+               "--epochs", 1, "--batch", 1) == 2
+    err = capsys.readouterr().err
+    want = ("error: clean recording 6 is empty" if bad == "empty"
+            else "error: utt06.wav: data chunk ends before frame 16000")
+    assert err.startswith(want) and err.count("\n") == 1
+    assert batches == []
+    assert not model.exists() and not losses.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_mix_rejects_an_empty_clean_recording_before_writing(wav_corpus, tmp_path,
+                                                             capsys):
+    clean_dir, noise_dir = wav_corpus
+    clean = _clean_dir_with(tmp_path, clean_dir, _empty_wav_bytes(tmp_path))
+    out_dir = tmp_path / "noisy"
+    assert run("mix", "--clean", clean, "--noise", noise_dir, "--per-noise", 7,
+               "--snr-grid", "5", "--out-dir", out_dir) == 2
+    assert capsys.readouterr().err == "error: utt06.wav: empty recording\n"
+    assert not out_dir.exists()
+    noise = sorted(noise_dir.glob("*.wav"))[0]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{clean / 'utt00.wav'}\t{noise}\t5\t0\tfirst.wav\n"
+                        f"{clean / 'utt06.wav'}\t{noise}\t5\t0\tsecond.wav\n")
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir) == 2
+    assert capsys.readouterr().err == "error: utt06.wav: empty recording\n"
+    assert not out_dir.exists()
+
+
 def test_mix_empty_grid_is_usage_error(wav_corpus, tmp_path):
     clean_dir, noise_dir = wav_corpus
     assert run("mix", "--clean", clean_dir, "--noise", noise_dir,

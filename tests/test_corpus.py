@@ -2,18 +2,22 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SR, quantize, tone_bursts, white_noise
 from sefront.corpus import (
+    CLIP_TARGET,
     Manifest,
     MixSpec,
     WavFormatError,
     build_test_manifest,
+    check_corpora,
     load_manifest,
     load_wav,
     mix_at_snr,
     mixing_gain,
+    read_recording,
+    recording_length,
     run_mix_entry,
     save_manifest,
     save_wav,
@@ -142,6 +146,30 @@ def test_empty_file_is_a_format_error(tmp_path):
         wav_length(p)
 
 
+def test_recording_length_and_read_recording_for_paths_and_signals(pcm_file):
+    x = load_wav(pcm_file).samples
+    for rec in (pcm_file, str(pcm_file), x, load_wav(pcm_file), list(x)):
+        assert recording_length(rec) == 3000
+        assert read_recording(rec).tobytes() == x.tobytes()
+        assert read_recording(rec, 100).tobytes() == x[100:].tobytes()
+        assert read_recording(rec, 2500, 500).tobytes() == x[2500:].tobytes()
+        assert read_recording(rec, 7, 0).size == 0
+    # a signal's section is a view, not a copy
+    assert np.shares_memory(read_recording(x, 10, 20), x)
+
+
+def test_check_corpora_takes_lengths():
+    check_corpora([100, 300], [300, 400])
+    with pytest.raises(ValueError, match="non-empty"):
+        check_corpora([], [300])
+    with pytest.raises(ValueError, match="non-empty"):
+        check_corpora([100], [])
+    with pytest.raises(ValueError, match="clean recording 1 is empty"):
+        check_corpora([100, 0, 50], [300])
+    with pytest.raises(ValueError, match="shorter than the longest clean recording"):
+        check_corpora([100, 300], [299, 400])
+
+
 def test_mixing_gain_hand_values():
     clean = np.array([2.0, 2.0])
     noise = np.array([1.0, 1.0])
@@ -211,6 +239,31 @@ def test_mix_peak_rescale():
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), extra=st.integers(0, 400),
+       level=st.floats(-3.0, 0.5), snr_db=st.floats(-30.0, 30.0))
+@example(seed=1, n=300, extra=50, level=-2.0, snr_db=20.0)  # no rescale
+@example(seed=1, n=300, extra=50, level=0.3, snr_db=30.0)  # peak rescale
+def test_mix_at_snr_hits_the_snr_and_adds_up(seed, n, extra, level, snr_db):
+    rng = np.random.default_rng(seed)
+    clean = 10.0**level * rng.uniform(-1.0, 1.0, n)
+    noise = rng.normal(0.0, 0.1, n + extra)
+    offset = int(rng.integers(extra + 1))
+    mixed = mix_at_snr(clean, noise, snr_db, offset)
+    x, d, y = mixed.clean.samples, mixed.noise.samples, mixed.noisy.samples
+    assert abs(10.0 * np.log10(np.mean(x * x) / np.mean(d * d)) - snr_db) < 1e-9
+    section = noise[offset : offset + n]
+    unscaled = clean + mixing_gain(clean, section, snr_db) * section
+    if np.max(np.abs(unscaled)) <= 1.0:
+        assert x.tobytes() == clean.tobytes()
+        assert y.tobytes() == (x + d).tobytes()
+    else:
+        # the mixture is scaled as summed, not summed again from the
+        # scaled components, so the identity holds to a few ulps
+        assert abs(np.max(np.abs(y)) - CLIP_TARGET) <= 1e-15
+        assert np.all(np.abs(y - (x + d)) <= 4 * np.finfo(float).eps * (np.abs(x) + np.abs(d)))
+
+
 @pytest.fixture()
 def manifest_dirs(tmp_path):
     clean_dir = tmp_path / "clean"
@@ -273,6 +326,9 @@ def test_build_manifest_errors(manifest_dirs, tmp_path):
     save_wav(np.full(100, 0.1), short_dir / "tiny.wav")
     with pytest.raises(ValueError, match="shorter than"):
         build_test_manifest(clean_dir, short_dir, 1, [0.0])
+    save_wav(np.zeros(0), clean_dir / "c3.wav")
+    with pytest.raises(ValueError, match="c3.wav: empty recording"):
+        build_test_manifest(clean_dir, noise_dir, 4, [0.0])
 
 
 def test_manifest_file_round_trip(tmp_path, manifest_dirs):

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,31 @@ def test_backward_rejects_bad_batches():
     bad[1][1, 3] = np.nan
     with pytest.raises(ValueError, match=r"targets must lie in \[0, 1\]"):
         backward(p, xs, bad)
+
+
+def test_backward_checks_targets_before_the_forward_pass(monkeypatch):
+    rnn = importlib.import_module("sefront.rnn")
+    calls = []
+    real_forward = rnn._forward
+
+    def counting_forward(*args):
+        calls.append(1)
+        return real_forward(*args)
+
+    monkeypatch.setattr(rnn, "_forward", counting_forward)
+    rng = np.random.default_rng(4)
+    p = tiny()
+    xs = [rng.uniform(0, 2, (n, 9)) for n in (4, 2, 3)]
+    ts = [rng.uniform(0.1, 0.9, (n, 9)) for n in (4, 2, 3)]
+    with pytest.raises(ValueError, match="3 sequences but 2 targets"):
+        backward(p, xs, ts[:2])
+    with pytest.raises(ValueError, match="target shape"):
+        backward(p, xs, ts[:2] + [ts[2][:2]])
+    with pytest.raises(ValueError, match="target shape"):
+        backward(p, xs, ts[:2] + [ts[2][:, :8]])
+    assert calls == []
+    backward(p, xs, ts)
+    assert calls == [1]
 
 
 def test_uni_is_causal():

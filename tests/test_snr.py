@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sefront.corpus import load_wav
 from sefront.dsp import SpectroGram, frame_count, stft
 from sefront.snr import (
     XiStats,
@@ -217,6 +218,18 @@ def test_estimate_stats_rejects_short_noise():
     assert estimate_stats(clean, noise[:1], seed=0).n_bins == 257
 
 
+def test_estimate_stats_from_wav_paths_equals_the_loaded_signals(wav_corpus):
+    clean_paths = sorted(wav_corpus[0].glob("*.wav"))
+    noise_paths = sorted(wav_corpus[1].glob("*.wav"))
+    # reversed, so the digest order has work to do on both sides
+    a = estimate_stats(clean_paths[::-1], noise_paths[::-1], seed=7)
+    b = estimate_stats([load_wav(p) for p in clean_paths],
+                       [load_wav(p).samples for p in noise_paths], seed=7)
+    assert a.mu_db.tobytes() == b.mu_db.tobytes()
+    assert a.sigma_db.tobytes() == b.sigma_db.tobytes()
+    assert a.n_frames == b.n_frames
+
+
 def test_estimate_stats_rejects_empty():
     rng = np.random.default_rng(0)
     x = rng.normal(0, 0.1, 4000)
@@ -226,6 +239,8 @@ def test_estimate_stats_rejects_empty():
         estimate_stats([x], [])
     with pytest.raises(ValueError, match="empty grid"):
         estimate_stats([x], [x], snr_range=[])
+    with pytest.raises(ValueError, match="clean recording 1 is empty"):
+        estimate_stats([x, np.zeros(0)], [x])
 
 
 def test_stats_file_round_trip(tmp_path):

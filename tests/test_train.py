@@ -1,9 +1,11 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import SR, tone_bursts, white_noise
+from sefront.corpus import load_wav, save_wav
 from sefront.dsp import stft
 from sefront.rnn import forward, init_network
 from sefront.snr import XiStats, db_to_xi
@@ -133,6 +135,9 @@ def test_train_input_validation():
     bad_stats = XiStats(np.zeros(100), np.ones(100))
     with pytest.raises(ValueError, match="bin count"):
         train(params, clean, noise, bad_stats, TrainConfig(batch_size=4))
+    with pytest.raises(ValueError, match="clean recording 2 is empty"):
+        train(params, clean[:2] + [np.zeros(0)] + clean[3:], noise, flat_stats(),
+              TrainConfig(batch_size=4, epochs=1))
 
 
 def test_short_noise_rejected_before_the_first_batch(monkeypatch):
@@ -157,6 +162,51 @@ def test_short_noise_rejected_before_the_first_batch(monkeypatch):
     with pytest.raises(ValueError, match="shorter"):
         train(params, clean, noise, flat_stats(), cfg)
     assert batches == []
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_train_from_wav_paths_equals_training_on_the_loaded_signals(wav_corpus,
+                                                                     bidirectional):
+    clean_paths = sorted(wav_corpus[0].glob("*.wav"))
+    noise_paths = sorted(wav_corpus[1].glob("*.wav"))
+    cfg = TrainConfig(epochs=2, batch_size=3, seed=4)
+    runs = []
+    for clean, noise in ((clean_paths, noise_paths),
+                         ([load_wav(p) for p in clean_paths],
+                          [load_wav(p).samples for p in noise_paths])):
+        params = init_network(seed=2, cell_size=8, n_blocks=1,
+                              bidirectional=bidirectional)
+        runs.append(train(params, clean, noise, flat_stats(), cfg))
+    (p_paths, h_paths), (p_signals, h_signals) = runs
+    assert np.array(h_paths).tobytes() == np.array(h_signals).tobytes()
+    for k, v in p_signals.tensors().items():
+        assert p_paths.tensors()[k].tobytes() == v.tobytes()
+
+
+def test_train_peak_memory_is_flat_in_the_corpus_size(tmp_path):
+    # 0.5 s recordings, batches of 4.  Holding the loaded corpus, as
+    # training did before it read recordings as drawn, took the peak from
+    # 3.6 MB at 8 recordings to 5.2 MB at 32; read from their WAV files,
+    # the peak is 2.09 MB at both.
+    rng = np.random.default_rng(0)
+    clean = [tmp_path / f"c{i:02d}.wav" for i in range(32)]
+    for p in clean:
+        save_wav(tone_bursts(rng, SR // 2), p)
+    noise = [tmp_path / f"n{i}.wav" for i in range(2)]
+    for p in noise:
+        save_wav(white_noise(rng, 4 * SR), p)
+    peaks = []
+    for n in (8, 32):
+        params = init_network(seed=1, cell_size=8, n_blocks=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(params, clean[:n], noise, flat_stats(),
+                  TrainConfig(epochs=1, batch_size=4, seed=0))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_infer_xi_constant_half_lands_on_mu():
