@@ -200,6 +200,10 @@ def cmd_mix(args) -> int:
             grid,
             seed=args.seed,
         )
+    first = {}
+    for i, e in enumerate(manifest.entries, 1):
+        if (j := first.setdefault(Path(e.output_path), i)) != i:
+            raise ValueError(f"manifest entries {j} and {i} both write {e.output_path}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.manifest:
         corpus.save_manifest(manifest, args.manifest_out or out_dir / "manifest.tsv")

@@ -76,7 +76,7 @@ def load_wav(path, start: int = 0, n: int | None = None) -> AudioSignal:
             n = wf.getnframes() - start
         raw = _read_frames(wf, path.name, start, n)
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
-    return AudioSignal(data, SAMPLE_RATE)
+    return AudioSignal(data)
 
 
 def wav_length(path) -> int:
@@ -93,9 +93,6 @@ def wav_length(path) -> int:
 def save_wav(signal, path) -> None:
     """Write 16-bit mono PCM; amplitudes clip to the representable range."""
     x = _samples(signal)
-    rate = signal.sample_rate if isinstance(signal, AudioSignal) else SAMPLE_RATE
-    if rate != SAMPLE_RATE:
-        raise WavFormatError(f"sample_rate: expected {SAMPLE_RATE}, got {rate}")
     q = np.clip(np.rint(x * PCM_SCALE), -32768, 32767).astype("<i2")
     # opened here, not by wave.open: a Wave_write whose own open fails
     # reports an AttributeError from its __del__ on top of the OSError
@@ -122,19 +119,26 @@ def read_recording(rec, start: int = 0, n: int | None = None) -> np.ndarray:
     return x[start : None if n is None else start + n]
 
 
-def check_corpora(clean_lengths, noise_lengths) -> None:
-    """Both corpora non-empty, no clean recording empty, and no noise
-    recording shorter than the longest clean one, so any noise recording
-    may be drawn for any clean one.  Takes the recording lengths, so the
-    check reads no samples."""
+def check_corpora(clean, noise) -> tuple[list[int], list[int]]:
+    """The (clean, noise) recording lengths, checked: both corpora
+    non-empty, no clean recording empty, and no noise recording shorter
+    than the longest clean one, so any noise recording may be drawn for
+    any clean one.  Reads the lengths only, no samples; an empty clean
+    WAV is named by file, an empty in-memory signal by its position."""
+    clean_lengths = [recording_length(r) for r in clean]
+    noise_lengths = [recording_length(r) for r in noise]
     if not clean_lengths or not noise_lengths:
         raise ValueError("clean and noise corpora must be non-empty")
     if 0 in clean_lengths:
-        raise ValueError(f"clean recording {list(clean_lengths).index(0)} is empty")
+        i = clean_lengths.index(0)
+        if isinstance(clean[i], (str, os.PathLike)):
+            raise ValueError(f"{Path(clean[i]).name}: empty recording")
+        raise ValueError(f"clean recording {i} is empty")
     if min(noise_lengths) < max(clean_lengths):
         raise ValueError(
             "a noise recording is shorter than the longest clean recording"
         )
+    return clean_lengths, noise_lengths
 
 
 def check_section(noise_name: str, n_noise: int, clean_name: str, n_clean: int,
@@ -210,15 +214,15 @@ class MixSpec:
 @dataclass
 class Manifest:
     entries: list[MixSpec] = field(default_factory=list)
-    seed: int | None = None
-    snr_grid: tuple[float, ...] = ()
 
     def __len__(self):
         return len(self.entries)
 
 
 def _fmt_snr(snr_db: float) -> str:
-    return f"{snr_db:g}"
+    """The :g form if it reads back as snr_db, else the exact repr."""
+    short = f"{snr_db:g}"
+    return short if float(short) == snr_db else repr(float(snr_db))
 
 
 def build_test_manifest(
@@ -273,7 +277,7 @@ def build_test_manifest(
                         str(clean_path), str(noise_path), snr_db, offset, out_name
                     )
                 )
-    return Manifest(entries, seed, tuple(snrs))
+    return Manifest(entries)
 
 
 def save_manifest(manifest: Manifest, path) -> None:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsp import (AnalysisConfig, DEFAULT_CONFIG, AudioSignal, SpectroGram, istft,
-                  stft, _samples)
+from .dsp import AudioSignal, SpectroGram, istft, stft, _samples
 from .gain import GainRule, gain_for
 
 ALPHA_DD = 0.98
@@ -32,7 +31,7 @@ _POWER_FLOOR = 1e-12
 class NoiseTracker:
     """Per-bin noise power estimate lambda_d."""
 
-    lambda_d: np.ndarray | None = None
+    lambda_d: np.ndarray
 
     @classmethod
     def from_frames(cls, power_frames) -> "NoiseTracker":
@@ -42,10 +41,6 @@ class NoiseTracker:
             raise ValueError("need at least one frame to initialize")
         return cls(np.maximum(frames.mean(axis=0), _POWER_FLOOR))
 
-    @property
-    def initialized(self) -> bool:
-        return self.lambda_d is not None
-
 
 def track_noise(state: NoiseTracker, noisy_power_frame) -> NoiseTracker:
     """One gated recursion step.
@@ -54,8 +49,6 @@ def track_noise(state: NoiseTracker, noisy_power_frame) -> NoiseTracker:
     lambda_d <- ALPHA_NOISE * lambda_d + (1 - ALPHA_NOISE) * |X|^2; the
     rest keep their value.  The estimate stays strictly positive.
     """
-    if not state.initialized:
-        raise ValueError("tracker not initialized: call NoiseTracker.from_frames first")
     p = np.asarray(noisy_power_frame, dtype=np.float64)
     if p.shape != state.lambda_d.shape:
         raise ValueError("power frame shape does not match the tracker")
@@ -125,7 +118,6 @@ def enhance(
     noisy,
     rule: GainRule = GainRule.SRWF,
     xi=None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
     out_len: int | None = None,
 ) -> AudioSignal:
     """Enhance one signal: stft, track, gain, istft.
@@ -143,7 +135,7 @@ def enhance(
     if isinstance(noisy, SpectroGram):
         spec = noisy
     else:
-        spec = stft(noisy, config)
+        spec = stft(noisy)
         if out_len is None:
             out_len = _samples(noisy).size
     power = spec.magnitude**2

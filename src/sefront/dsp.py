@@ -27,7 +27,6 @@ class AudioSignal:
     """Mono waveform, float64 samples nominally in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -35,8 +34,6 @@ class AudioSignal:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
     def __len__(self):
         return self.samples.size

@@ -35,23 +35,19 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def mel_filterbank(
-    n_filters: int = N_MEL_FILTERS,
-    n_bins: int = 257,
-    sample_rate: int = SAMPLE_RATE,
-) -> np.ndarray:
-    """Triangular filters on a mel-spaced grid from 0 Hz to Nyquist.
+def mel_filterbank(n_bins: int = 257) -> np.ndarray:
+    """The 26 triangular filters on a mel-spaced grid from 0 Hz to Nyquist.
 
     Rows are evaluated at the bin centre frequencies, so adjacent
     triangles tile the band and every bin above the lowest filter edge
-    gets positive weight somewhere.  Built once per argument triple; the
+    gets positive weight somewhere.  Built once per bin count; the
     returned array is shared and read-only.
     """
-    nyquist = sample_rate / 2.0
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_filters + 2))
+    nyquist = SAMPLE_RATE / 2.0
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), N_MEL_FILTERS + 2))
     bin_freqs = np.linspace(0.0, nyquist, n_bins)
-    fb = np.zeros((n_filters, n_bins))
-    for m in range(n_filters):
+    fb = np.zeros((N_MEL_FILTERS, n_bins))
+    for m in range(N_MEL_FILTERS):
         lo, mid, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         up = (bin_freqs - lo) / (mid - lo)
         down = (hi - bin_freqs) / (hi - mid)
@@ -60,7 +56,7 @@ def mel_filterbank(
     return fb
 
 
-def mfcc(spec: SpectroGram, n_coeffs: int = N_MEL_FILTERS) -> np.ndarray:
+def mfcc(spec: SpectroGram) -> np.ndarray:
     """Mel-frequency cepstra from the magnitude spectrogram.
 
     Power spectrum -> 26 triangular mel filters -> natural log with a
@@ -69,10 +65,10 @@ def mfcc(spec: SpectroGram, n_coeffs: int = N_MEL_FILTERS) -> np.ndarray:
     """
     if spec.magnitude.shape[1] != spec.config.n_bins:
         raise ValueError("spectrogram bin count does not match its config")
-    fb = mel_filterbank(N_MEL_FILTERS, spec.config.n_bins)
+    fb = mel_filterbank(spec.config.n_bins)
     energies = (spec.magnitude**2) @ fb.T
     logs = np.log(np.maximum(energies, LOG_FLOOR))
-    return dct(logs, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+    return dct(logs, type=2, norm="ortho", axis=1)
 
 
 _KEEP = "'"
@@ -152,7 +148,7 @@ def wer(reference: Transcript, hypothesis: Transcript) -> EvalRecord:
     return EvalRecord(reference, hypothesis, subs, dels, ins, 100.0 * total / m)
 
 
-def segmental_snr(clean, processed, frame_len: int = SEG_FRAME_LEN) -> float:
+def segmental_snr(clean, processed) -> float:
     """Mean per-frame SNR in dB over 32 ms non-overlapping frames.
 
     Each frame's 10 log10(clean energy / error energy) is clamped to
@@ -162,11 +158,11 @@ def segmental_snr(clean, processed, frame_len: int = SEG_FRAME_LEN) -> float:
     y = _samples(processed)
     if x.size != y.size:
         raise ValueError(f"length mismatch: clean {x.size}, processed {y.size}")
-    n_frames = x.size // frame_len
+    n_frames = x.size // SEG_FRAME_LEN
     if n_frames == 0:
-        raise ValueError(f"need at least {frame_len} samples")
-    x = x[: n_frames * frame_len].reshape(n_frames, frame_len)
-    y = y[: n_frames * frame_len].reshape(n_frames, frame_len)
+        raise ValueError(f"need at least {SEG_FRAME_LEN} samples")
+    x = x[: n_frames * SEG_FRAME_LEN].reshape(n_frames, SEG_FRAME_LEN)
+    y = y[: n_frames * SEG_FRAME_LEN].reshape(n_frames, SEG_FRAME_LEN)
     sig = np.sum(x * x, axis=1)
     err = np.sum((x - y) ** 2, axis=1)
     keep = sig >= SEG_CLEAN_ENERGY_FLOOR

@@ -1,11 +1,12 @@
 """Spectral gain rules driven by the a priori SNR.
 
 All rules take linear xi (and, for the amplitude estimator, the a
-posteriori SNR gamma) and return a gain in [0, 1] that multiplies the
-noisy magnitude.  The short-time amplitude estimator is the MMSE
-solution of Ephraim and Malah (1984), evaluated with SciPy's
-exponentially scaled Bessel functions; above nu = 700 it takes its
-Wiener limit.
+posteriori SNR gamma) and return a non-negative gain, rising with xi,
+that multiplies the noisy magnitude; Wiener and SRWF gains lie in [0, 1].
+The short-time amplitude estimator is the MMSE solution of Ephraim and
+Malah (1984), evaluated with SciPy's exponentially scaled Bessel
+functions; it exceeds 1 at low gamma (6.28 at xi = 1, gamma = 0.01), and
+above nu = 700 takes its Wiener limit, up to 1/2800 lower (a dip there).
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ class GainRule(Enum):
 
 
 NU_OVERFLOW = 700.0
-# exp(-|x|) I0(x) and exp(-|x|) I1(x)
-bessel_i0e = i0e
-bessel_i1e = i1e
 
 
 def gain_wiener(xi) -> np.ndarray:
@@ -61,7 +59,7 @@ def gain_mmse_stsa(xi, gamma) -> np.ndarray:
     g = (
         (0.5 * np.sqrt(np.pi))
         * (np.sqrt(nu_s) / gamma)
-        * ((1.0 + nu_s) * bessel_i0e(0.5 * nu_s) + nu_s * bessel_i1e(0.5 * nu_s))
+        * ((1.0 + nu_s) * i0e(0.5 * nu_s) + nu_s * i1e(0.5 * nu_s))
     )
     return np.where(safe, g, gain_wiener(xi))
 

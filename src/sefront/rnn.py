@@ -67,14 +67,26 @@ class NetworkParams:
     ln_offset: np.ndarray
     blocks: list[ResBlockParams]
     out: DenseParams
-    bidirectional: bool
-    input_dim: int
-    output_dim: int
-    cell_size: int
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    @property
+    def bidirectional(self) -> bool:
+        return self.blocks[0].bwd is not None
+
+    @property
+    def input_dim(self) -> int:
+        return self.fc.w.shape[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.out.w.shape[1]
+
+    @property
+    def cell_size(self) -> int:
+        return self.fc.w.shape[1]
 
     @property
     def mode(self) -> str:
@@ -89,29 +101,44 @@ class NetworkParams:
             "ln.offset": self.ln_offset,
         }
         for i, blk in enumerate(self.blocks):
-            out[f"block{i}.fwd.w_x"] = blk.fwd.w_x
-            out[f"block{i}.fwd.w_h"] = blk.fwd.w_h
-            out[f"block{i}.fwd.b"] = blk.fwd.b
-            if blk.bwd is not None:
-                out[f"block{i}.bwd.w_x"] = blk.bwd.w_x
-                out[f"block{i}.bwd.w_h"] = blk.bwd.w_h
-                out[f"block{i}.bwd.b"] = blk.bwd.b
+            for direction, cell in (("fwd", blk.fwd), ("bwd", blk.bwd)):
+                if cell is not None:
+                    for k in ("w_x", "w_h", "b"):
+                        out[f"block{i}.{direction}.{k}"] = getattr(cell, k)
         out["out.w"] = self.out.w
         out["out.b"] = self.out.b
         return out
 
 
-def _glorot(rng, fan_in, fan_out, shape):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def _tensor_shapes(bidirectional: bool, n_blocks: int, cell: int,
+                   input_dim: int, output_dim: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every named tensor for the given network layout, in
+    serialisation order."""
+    shapes = {"fc.w": (input_dim, cell), "fc.b": (cell,),
+              "ln.gain": (cell,), "ln.offset": (cell,)}
+    for i in range(n_blocks):
+        for direction in ("fwd", "bwd") if bidirectional else ("fwd",):
+            shapes[f"block{i}.{direction}.w_x"] = (cell, _GATES * cell)
+            shapes[f"block{i}.{direction}.w_h"] = (cell, _GATES * cell)
+            shapes[f"block{i}.{direction}.b"] = (_GATES * cell,)
+    shapes["out.w"] = (cell, output_dim)
+    shapes["out.b"] = (output_dim,)
+    return shapes
 
 
-def _init_cell(rng, input_dim: int, cell: int) -> LstmCellParams:
-    w_x = _glorot(rng, input_dim, cell, (input_dim, _GATES * cell))
-    w_h = _glorot(rng, cell, cell, (cell, _GATES * cell))
-    b = np.zeros(_GATES * cell)
-    b[cell : 2 * cell] = FORGET_BIAS
-    return LstmCellParams(w_x, w_h, b)
+def _assemble(t: dict[str, np.ndarray]) -> NetworkParams:
+    """The network from its named tensors, laid out as _tensor_shapes gives."""
+    def cell(prefix):
+        if prefix + ".b" not in t:
+            return None
+        return LstmCellParams(t[prefix + ".w_x"], t[prefix + ".w_h"], t[prefix + ".b"])
+
+    blocks = []
+    while f"block{len(blocks)}.fwd.b" in t:
+        i = len(blocks)
+        blocks.append(ResBlockParams(cell(f"block{i}.fwd"), cell(f"block{i}.bwd")))
+    return NetworkParams(DenseParams(t["fc.w"], t["fc.b"]), t["ln.gain"], t["ln.offset"],
+                         blocks, DenseParams(t["out.w"], t["out.b"]))
 
 
 def init_network(
@@ -122,33 +149,24 @@ def init_network(
     n_blocks: int = 2,
     bidirectional: bool = False,
 ) -> NetworkParams:
-    """Glorot-uniform weights, zero biases except the +1 forget gate."""
+    """Glorot-uniform weights drawn in serialisation order (an LSTM weight's
+    fan-out is one gate's width), zero biases except the +1 forget gate."""
     if input_dim < 1 or output_dim < 1 or cell_size < 1 or n_blocks < 1:
         raise ValueError("network dimensions must be positive")
     rng = np.random.default_rng(seed)
-    fc = DenseParams(
-        _glorot(rng, input_dim, cell_size, (input_dim, cell_size)), np.zeros(cell_size)
-    )
-    blocks = []
-    for _ in range(n_blocks):
-        fwd = _init_cell(rng, cell_size, cell_size)
-        bwd = _init_cell(rng, cell_size, cell_size) if bidirectional else None
-        blocks.append(ResBlockParams(fwd, bwd))
-    out = DenseParams(
-        _glorot(rng, cell_size, output_dim, (cell_size, output_dim)),
-        np.zeros(output_dim),
-    )
-    return NetworkParams(
-        fc,
-        np.ones(cell_size),
-        np.zeros(cell_size),
-        blocks,
-        out,
-        bidirectional,
-        input_dim,
-        output_dim,
-        cell_size,
-    )
+    tensors = {}
+    layout = _tensor_shapes(bidirectional, n_blocks, cell_size, input_dim, output_dim)
+    for name, shape in layout.items():
+        kind = name.rsplit(".", 1)[1]
+        if kind.startswith("w"):
+            fan_out = shape[1] if kind == "w" else cell_size
+            limit = np.sqrt(6.0 / (shape[0] + fan_out))
+            tensors[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            tensors[name] = np.ones(shape) if kind == "gain" else np.zeros(shape)
+            if name.startswith("block"):
+                tensors[name][cell_size : 2 * cell_size] = FORGET_BIAS
+    return _assemble(tensors)
 
 
 def _pack(lengths: np.ndarray):
@@ -448,21 +466,6 @@ def save_network(params: NetworkParams, path) -> None:
     Path(path).write_bytes(header + blob)
 
 
-def _tensor_shapes(bidirectional: bool, n_blocks: int, cell: int,
-                   input_dim: int, output_dim: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every named tensor for the given network layout."""
-    shapes = {"fc.w": (input_dim, cell), "fc.b": (cell,),
-              "ln.gain": (cell,), "ln.offset": (cell,)}
-    for i in range(n_blocks):
-        for direction in ("fwd", "bwd") if bidirectional else ("fwd",):
-            shapes[f"block{i}.{direction}.w_x"] = (cell, _GATES * cell)
-            shapes[f"block{i}.{direction}.w_h"] = (cell, _GATES * cell)
-            shapes[f"block{i}.{direction}.b"] = (_GATES * cell,)
-    shapes["out.w"] = (cell, output_dim)
-    shapes["out.b"] = (output_dim,)
-    return shapes
-
-
 def load_network(path) -> NetworkParams:
     raw = Path(path).read_bytes()
     marker = b"\ndata\n"
@@ -521,30 +524,4 @@ def load_network(path) -> NetworkParams:
         pos += n
     if pos != data.size:
         raise ValueError("model file: trailing data after last tensor")
-
-    blocks = []
-    for i in range(n_blocks):
-        fwd = LstmCellParams(
-            arrays[f"block{i}.fwd.w_x"],
-            arrays[f"block{i}.fwd.w_h"],
-            arrays[f"block{i}.fwd.b"],
-        )
-        bwd = None
-        if mode == "BI":
-            bwd = LstmCellParams(
-                arrays[f"block{i}.bwd.w_x"],
-                arrays[f"block{i}.bwd.w_h"],
-                arrays[f"block{i}.bwd.b"],
-            )
-        blocks.append(ResBlockParams(fwd, bwd))
-    return NetworkParams(
-        DenseParams(arrays["fc.w"], arrays["fc.b"]),
-        arrays["ln.gain"],
-        arrays["ln.offset"],
-        blocks,
-        DenseParams(arrays["out.w"], arrays["out.b"]),
-        mode == "BI",
-        input_dim,
-        output_dim,
-        cell,
-    )
+    return _assemble(arrays)

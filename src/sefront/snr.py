@@ -4,7 +4,7 @@ The a priori SNR xi of a noisy spectral cell is the ratio of clean to
 noise power.  For training targets it is compressed through the normal
 CDF in the dB domain, parameterised per frequency bin by the mean and
 standard deviation of xi_dB over a mixed corpus, so every target lands
-in (0, 1) and the inverse map recovers xi_dB exactly on the interior.
+in (0, 1) and the inverse map recovers xi_dB on the interior.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .corpus import check_corpora, mixing_gain, read_recording, recording_length
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, frame_count, stft
+from .corpus import check_corpora, mixing_gain, read_recording
+from .dsp import DEFAULT_CONFIG, SpectroGram, frame_count, stft
 
 NOISE_POWER_FLOOR = 1e-12
 MAP_CLAMP = 1e-7
@@ -88,27 +88,22 @@ def map_xi(xi_db, stats: XiStats) -> np.ndarray:
     return 0.5 * (1.0 + erf(z))
 
 
-def inverse_erf(y) -> np.ndarray:
-    """Inverse of erf on [-1, 1]; the endpoints map to -inf and +inf."""
-    return erfinv(y)
-
-
 def unmap_xi(bar_xi, stats: XiStats) -> np.ndarray:
     """Invert the bounded map back to linear xi.
 
     Inputs are clamped to [1e-7, 1 - 1e-7] before inversion, so saturated
     network outputs stay finite; interior values round-trip to within
-    1e-9 dB of the original xi_dB.
+    2e-10 * sigma dB of xi_dB, most of that next to the clamp.
     """
     bar = np.asarray(bar_xi, dtype=np.float64)
     if bar.shape[-1] != stats.n_bins:
         raise ValueError("last axis must match the stats bin count")
     bar = np.clip(bar, MAP_CLAMP, 1.0 - MAP_CLAMP)
-    xi_db = stats.sigma_db * _SQRT2 * inverse_erf(2.0 * bar - 1.0) + stats.mu_db
+    xi_db = stats.sigma_db * _SQRT2 * erfinv(2.0 * bar - 1.0) + stats.mu_db
     return db_to_xi(xi_db)
 
 
-def _pool_stats(pool: np.ndarray, n_frames: int) -> XiStats:
+def _pool_stats(pool: np.ndarray) -> XiStats:
     """Per-bin stats of a (frames x bins) pool, computed in place on it.
 
     The reductions are the ones np.mean and np.std(ddof=1) run, so the
@@ -127,10 +122,10 @@ def _pool_stats(pool: np.ndarray, n_frames: int) -> XiStats:
     else:
         sigma = np.zeros_like(mu)
     np.maximum(sigma, SIGMA_FLOOR_DB, out=sigma)
-    return XiStats(mu, sigma, n_frames)
+    return XiStats(mu, sigma, n)
 
 
-def stats_from_xi_db(xi_db_frames: np.ndarray, n_frames: int | None = None) -> XiStats:
+def stats_from_xi_db(xi_db_frames: np.ndarray) -> XiStats:
     """Per-bin sample mean / sample std (ddof 1) with the 0.1 dB sigma floor.
 
     Bit for bit np.mean and np.std(ddof=1) of xi_db_frames (frames x
@@ -139,7 +134,7 @@ def stats_from_xi_db(xi_db_frames: np.ndarray, n_frames: int | None = None) -> X
     pooled = np.array(xi_db_frames, dtype=np.float64)
     if pooled.ndim != 2 or pooled.shape[0] == 0:
         raise ValueError("need a non-empty (frames x bins) array")
-    return _pool_stats(pooled, pooled.shape[0] if n_frames is None else n_frames)
+    return _pool_stats(pooled)
 
 
 def _content_key(samples: np.ndarray) -> str:
@@ -158,7 +153,6 @@ def estimate_stats(
     noise_signals,
     snr_range=range(-10, 21, 5),
     seed: int = 0,
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> XiStats:
     """Pool oracle xi_dB over a seeded mixing schedule and take per-bin stats.
 
@@ -181,9 +175,7 @@ def estimate_stats(
     clean = list(clean_signals)
     noise = list(noise_signals)
     snrs = list(snr_range)
-    clean_lengths = [recording_length(r) for r in clean]
-    noise_lengths = [recording_length(r) for r in noise]
-    check_corpora(clean_lengths, noise_lengths)
+    clean_lengths, noise_lengths = check_corpora(clean, noise)
     if not snrs:
         raise ValueError("empty grid")
 
@@ -191,8 +183,9 @@ def estimate_stats(
     noise_order = _content_order(noise)
 
     rng = np.random.default_rng(seed)
-    n_frames = [frame_count(clean_lengths[ci], config.frame_shift) for ci in clean_order]
-    pool = np.empty((sum(n_frames), config.n_bins))
+    n_frames = [frame_count(clean_lengths[ci], DEFAULT_CONFIG.frame_shift)
+                for ci in clean_order]
+    pool = np.empty((sum(n_frames), DEFAULT_CONFIG.n_bins))
     start = 0
     for ci, rows_n in zip(clean_order, n_frames):
         n = clean_lengths[ci]
@@ -203,12 +196,11 @@ def estimate_stats(
         section = read_recording(noise[di], offset, n)
         g = mixing_gain(x, section, snr_db)
         rows = pool[start : start + rows_n]
-        np.maximum(oracle_xi(stft(x, config), stft(g * section, config)),
-                   STATS_XI_FLOOR, out=rows)
+        np.maximum(oracle_xi(stft(x), stft(g * section)), STATS_XI_FLOOR, out=rows)
         np.log10(rows, out=rows)
         rows *= 10.0
         start += rows_n
-    return _pool_stats(pool, pool.shape[0])
+    return _pool_stats(pool)
 
 
 def save_stats(stats: XiStats, path) -> None:

@@ -21,10 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import check_corpora, mix_at_snr, read_recording, recording_length
-from .dsp import AnalysisConfig, DEFAULT_CONFIG, SpectroGram, stft
+from .corpus import check_corpora, mix_at_snr, read_recording
+from .dsp import DEFAULT_CONFIG, SpectroGram, stft
 from .rnn import NetworkParams, backward, forward
 from .snr import XiStats, map_xi, oracle_xi, unmap_xi, xi_to_db, STATS_XI_FLOOR
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -32,9 +36,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 10
     learn_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip_norm: float = 5.0
     snr_min: int = -10
     snr_max: int = 20
@@ -58,23 +59,23 @@ class TrainConfig:
 class Adam:
     """Plain Adam with bias correction; state keyed by tensor name."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr=1e-3):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for name, p in tensors.items():
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(p))
             v = self.v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -86,12 +87,11 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
             g *= scale
     return total
 
-def make_example(clean, noise, snr_db, noise_offset, stats: XiStats,
-                 config: AnalysisConfig = DEFAULT_CONFIG):
+def make_example(clean, noise_section, snr_db, stats: XiStats):
     """(noisy magnitudes, mapped target) for one mixture."""
-    mixed = mix_at_snr(clean, noise, snr_db, noise_offset)
-    noisy_spec = stft(mixed.noisy, config)
-    xi = oracle_xi(stft(mixed.clean, config), stft(mixed.noise, config))
+    mixed = mix_at_snr(clean, noise_section, snr_db)
+    noisy_spec = stft(mixed.noisy)
+    xi = oracle_xi(stft(mixed.clean), stft(mixed.noise))
     target = map_xi(xi_to_db(np.maximum(xi, STATS_XI_FLOOR)), stats)
     return noisy_spec.magnitude, target
 
@@ -102,7 +102,6 @@ def train(
     noise_signals,
     stats: XiStats,
     cfg: TrainConfig = TrainConfig(),
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ):
     """Train in place; returns (params, per-batch loss history).
 
@@ -116,19 +115,17 @@ def train(
     """
     clean = list(clean_signals)
     noise = list(noise_signals)
-    clean_lengths = [recording_length(r) for r in clean]
-    noise_lengths = [recording_length(r) for r in noise]
-    check_corpora(clean_lengths, noise_lengths)
+    clean_lengths, noise_lengths = check_corpora(clean, noise)
     if len(clean) < cfg.batch_size:
         raise ValueError(
             f"corpus of {len(clean)} recordings is smaller than "
             f"batch_size {cfg.batch_size}"
         )
-    if stats.n_bins != config.n_bins:
+    if stats.n_bins != DEFAULT_CONFIG.n_bins:
         raise ValueError("stats bin count does not match the analysis config")
 
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(cfg.learn_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = Adam(cfg.learn_rate)
     tensors = params.tensors()
     snrs = cfg.snr_choices
     history: list[float] = []
@@ -146,7 +143,7 @@ def train(
                 snr_db = int(snrs[rng.integers(len(snrs))])
                 m, t = make_example(read_recording(clean[ci]),
                                     read_recording(noise[di], offset, n),
-                                    snr_db, 0, stats, config)
+                                    snr_db, stats)
                 mags.append(m)
                 targets.append(t)
             loss, grads = backward(params, mags, targets)
@@ -160,14 +157,13 @@ def infer_xi(
     params: NetworkParams,
     noisy,
     stats: XiStats,
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """Estimated linear a priori SNR per frame and bin, strictly positive.
 
     noisy is a waveform, or its SpectroGram, which is used as it is (with
     its own config).
     """
-    spec = noisy if isinstance(noisy, SpectroGram) else stft(noisy, config)
+    spec = noisy if isinstance(noisy, SpectroGram) else stft(noisy)
     n_bins = spec.config.n_bins
     if params.input_dim != n_bins or params.output_dim != n_bins:
         raise ValueError("model dimensions do not match the analysis config")

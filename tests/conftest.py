@@ -6,12 +6,20 @@ exploit) plus white and pink noise generators.  Everything is seeded so
 tests stay deterministic.
 """
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sefront.corpus import save_wav
 
 SR = 16000
+
+# HYPOTHESIS_PROFILE=ci runs every property test on the same examples each
+# time; unset, the default (randomized) profile applies
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def tone_bursts(rng, n_samples):

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 import wave
@@ -322,7 +323,7 @@ def test_stats_rejects_a_bad_clean_recording_before_writing(wav_corpus, tmp_path
     out = tmp_path / "stats.txt"
     assert run("stats", "--clean", clean, "--noise", noise_dir, "--out", out) == 2
     err = capsys.readouterr().err
-    want = ("error: clean recording 6 is empty" if bad == "empty"
+    want = ("error: utt06.wav: empty recording" if bad == "empty"
             else "error: utt06.wav: data chunk ends before frame 16000")
     assert err.startswith(want) and err.count("\n") == 1
     assert not out.exists()
@@ -346,7 +347,7 @@ def test_train_rejects_a_bad_clean_recording_before_the_first_batch(
                "--out", model, "--loss-csv", losses, "--cell", 8, "--blocks", 1,
                "--epochs", 1, "--batch", 1) == 2
     err = capsys.readouterr().err
-    want = ("error: clean recording 6 is empty" if bad == "empty"
+    want = ("error: utt06.wav: empty recording" if bad == "empty"
             else "error: utt06.wav: data chunk ends before frame 16000")
     assert err.startswith(want) and err.count("\n") == 1
     assert batches == []
@@ -388,6 +389,43 @@ def test_mix_non_finite_grid_is_usage_error_before_writing(wav_corpus, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("usage error: SNR grid values must be finite")
     assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_mix_keeps_snrs_past_six_digits_apart(wav_corpus, tmp_path, capsys):
+    # at :g's 6 digits 5.0000001 reads 5; it keeps its own name and value
+    clean_dir, noise_dir = wav_corpus
+    out_dir = tmp_path / "noisy"
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir, "--per-noise", 1,
+               "--snr-grid", "0.1234567,5,5.0000001", "--out-dir", out_dir) == 0
+    assert capsys.readouterr().out == f"mix: 12 mixtures -> {out_dir}\n"
+    rows = [line.split("\t") for line in
+            (out_dir / "manifest.tsv").read_text().splitlines()]
+    assert [r[2] for r in rows] == ["0.1234567", "5", "5.0000001"] * 4
+    assert all(r[4].endswith(f"__{r[2]}dB.wav") for r in rows)
+    assert len({r[4] for r in rows}) == len(list(out_dir.glob("*.wav"))) == 12
+    assert [e.snr_db for e in load_manifest(out_dir / "manifest.tsv").entries[:3]] == [
+        0.1234567, 5.0, 5.0000001]
+
+
+@pytest.mark.parametrize("source", ["grid", "manifest"])
+def test_mix_rejects_two_entries_writing_one_file(wav_corpus, tmp_path, capsys, source):
+    clean_dir, noise_dir = wav_corpus
+    if source == "grid":
+        args = ("--clean", clean_dir, "--noise", noise_dir, "--per-noise", 1,
+                "--snr-grid", "5,5.0")
+        want = r"error: manifest entries 1 and 2 both write utt0\d__pink_a__5dB\.wav\n"
+    else:
+        clean, noise = clean_dir / "utt00.wav", noise_dir / "white_a.wav"
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"{clean}\t{noise}\t0\t0\ta.wav\n"
+                            f"{clean}\t{noise}\t5\t0\tb.wav\n"
+                            f"{clean}\t{noise}\t10\t0\t./a.wav\n")
+        args = ("--manifest", manifest)
+        want = r"error: manifest entries 1 and 3 both write \./a\.wav\n"
+    out_dir = tmp_path / "noisy"
+    assert run("mix", *args, "--out-dir", out_dir) == 2
+    assert re.fullmatch(want, capsys.readouterr().err)
     assert not out_dir.exists()
 
 

@@ -28,11 +28,6 @@ def test_tracker_init_floors_zero():
     np.testing.assert_array_equal(tr.lambda_d, 1e-12)
 
 
-def test_track_before_init_raises():
-    with pytest.raises(ValueError, match="not initialized"):
-        track_noise(NoiseTracker(), np.ones(5))
-
-
 def test_track_gated_update():
     tr = NoiseTracker(np.ones(2))
     # 1.5 < beta*lambda = 2 updates; 3.0 does not

@@ -161,8 +161,6 @@ def test_audio_signal_validation():
         AudioSignal(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         AudioSignal(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        AudioSignal(np.zeros(4), sample_rate=0)
 
 
 def test_analysis_config_validation():

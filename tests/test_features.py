@@ -42,15 +42,14 @@ def test_filterbank_peaks_are_ordered():
 
 
 @settings(max_examples=30, deadline=None)
-@given(n_filters=st.integers(1, 40), n_bins=st.integers(2, 600),
-       sample_rate=st.sampled_from([8000, 16000, 44100]))
-def test_filterbank_is_built_once_and_read_only(n_filters, n_bins, sample_rate):
-    fb = mel_filterbank(n_filters, n_bins, sample_rate)
-    assert fb.shape == (n_filters, n_bins)
+@given(n_bins=st.integers(2, 600))
+def test_filterbank_is_built_once_and_read_only(n_bins):
+    fb = mel_filterbank(n_bins)
+    assert fb.shape == (26, n_bins)
     assert not fb.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         fb[0, 0] = 1.0
-    assert mel_filterbank(n_filters, n_bins, sample_rate) is fb
+    assert mel_filterbank(n_bins) is fb
 
 
 def test_mfcc_against_straight_line_oracle():
@@ -58,7 +57,7 @@ def test_mfcc_against_straight_line_oracle():
     spec = stft(rng.normal(0, 0.2, 8000))
     got = mfcc(spec)
 
-    fb = mel_filterbank(26, 257)
+    fb = mel_filterbank(257)
     logs = np.log(np.maximum((spec.magnitude ** 2) @ fb.T, 1e-10))
     n = 26
     basis = np.cos(np.pi * np.arange(n)[:, None] * (2 * np.arange(n)[None, :] + 1) / (2 * n))

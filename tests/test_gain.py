@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import i0e, i1e
 
 from sefront.gain import (
+    NU_OVERFLOW,
     GainRule,
-    bessel_i0e,
-    bessel_i1e,
     gain_for,
     gain_mmse_stsa,
     gain_srwf,
@@ -70,7 +71,7 @@ def test_bessel_scaled_against_high_precision():
         np.array([14.99, 15.0, 15.01]),
         np.linspace(15.1, 300.0, 120),
     ])
-    for order, fn in ((0, bessel_i0e), (1, bessel_i1e)):
+    for order, fn in ((0, i0e), (1, i1e)):
         got = fn(xs)
         want = np.array(
             [float(mp.besseli(order, mp.mpf(float(x))) * mp.e ** (-mp.mpf(float(x)))) for x in xs]
@@ -79,8 +80,8 @@ def test_bessel_scaled_against_high_precision():
 
 
 def test_bessel_at_zero():
-    np.testing.assert_allclose(bessel_i0e(np.array([0.0])), [1.0])
-    np.testing.assert_allclose(bessel_i1e(np.array([0.0])), [0.0])
+    np.testing.assert_allclose(i0e(np.array([0.0])), [1.0])
+    np.testing.assert_allclose(i1e(np.array([0.0])), [0.0])
 
 
 def test_gains_monotone_in_xi():
@@ -99,6 +100,48 @@ def test_gains_bounded():
         assert np.all(np.isfinite(g))
     assert np.all(gain_wiener(xi) <= 1)
     assert np.all(gain_srwf(xi) <= 1)
+
+
+xis = st.floats(0.0, 1e15)
+EPS = np.finfo(float).eps
+# rounding alone can turn the gains of neighbouring xi values around, by
+# up to one ulp for Wiener and SRWF and 7 eps for MMSE-STSA (measured on
+# 3e7 neighbouring pairs), so "rises" allows a few ulps
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=xis, b=xis)
+@example(a=31.78249854498514, b=31.782498544985142)  # the wrong way by an ulp
+def test_wiener_and_srwf_lie_in_the_unit_interval_and_rise_with_xi(a, b):
+    xi = np.array(sorted((a, b)))
+    for g in (gain_wiener(xi), gain_srwf(xi)):
+        assert np.all((g >= 0.0) & (g <= 1.0))
+        assert g[0] <= g[1] * (1.0 + 2.0 * EPS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=xis, b=xis, gamma=st.floats(1e-12, 1e15))
+@example(a=1.0, b=1.0, gamma=0.01)  # gain 6.28
+@example(a=1e15, b=1e15, gamma=1e-3)  # gain 28
+@example(a=6.999999, b=7.000001, gamma=800.0)  # either side of nu = 700
+@example(a=0.07429998260135516, b=0.07429998260135517, gamma=2.5)  # the wrong way by an ulp
+def test_mmse_stsa_is_non_negative_rises_below_the_switch_and_is_wiener_above(a, b, gamma):
+    xi = np.array(sorted((a, b)))
+    g = gain_mmse_stsa(xi, gamma)
+    assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
+    nu = xi * gamma / (1.0 + xi)
+    if nu[1] <= NU_OVERFLOW:
+        assert g[0] <= g[1] * (1.0 + 16.0 * EPS)
+    above = nu > NU_OVERFLOW
+    assert g[above].tobytes() == gain_wiener(xi[above]).tobytes()
+
+
+def test_mmse_stsa_exceeds_one_and_dips_at_the_switch():
+    assert gain_mmse_stsa(1.0, 0.01) == pytest.approx(6.282, abs=1e-3)
+    assert gain_mmse_stsa(1e15, 1e-3) == pytest.approx(28.039, abs=1e-3)
+    # just below nu = 700 the exact gain; just above, the lower Wiener limit
+    below, above = gain_mmse_stsa(np.array([6.999999, 7.000001]), 800.0)
+    assert 3.1e-4 < below - above < 1.0 / 2800.0
 
 
 def test_mmse_stsa_validation():

@@ -2,15 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.special import erfinv
 
 from sefront.corpus import load_wav
 from sefront.dsp import SpectroGram, frame_count, stft
 from sefront.snr import (
     XiStats,
     db_to_xi,
+    MAP_CLAMP,
     estimate_stats,
-    inverse_erf,
     load_stats,
     map_xi,
     oracle_xi,
@@ -90,6 +91,19 @@ def test_unmap_round_trip_interior():
     assert np.max(np.abs(back - xi_db)) < 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(mu=st.floats(-80.0, 80.0), sigma=st.floats(0.1, 50.0), z=st.floats(-5.2, 5.2))
+@example(mu=0.0, sigma=40.0, z=5.199)  # next to the clamp: 1.3e-9 dB off
+def test_unmap_inverts_map_inside_the_clamp(mu, sigma, z):
+    stats = XiStats([mu], [sigma])
+    xi_db = np.array([[mu + sigma * z]])
+    bar = map_xi(xi_db, stats)
+    assume(MAP_CLAMP < bar[0, 0] < 1.0 - MAP_CLAMP)
+    # bar keeps only absolute precision near 0 and 1, so the recovered xi_dB
+    # is off by up to 1.55e-10 * sigma there (1e-9 dB at sigma = 6.5 dB)
+    assert abs(xi_to_db(unmap_xi(bar, stats))[0, 0] - xi_db[0, 0]) <= 2e-10 * sigma
+
+
 def test_unmap_clamps_saturated_inputs():
     st = uniform_stats(3, mu=0.0, sigma=10.0)
     lo = unmap_xi(np.zeros((1, 3)), st)
@@ -101,10 +115,10 @@ def test_unmap_clamps_saturated_inputs():
 
 
 def test_inverse_erf_edges():
-    assert inverse_erf(0.0) == 0.0
-    assert inverse_erf(1.0) == np.inf
-    assert inverse_erf(-1.0) == -np.inf
-    np.testing.assert_allclose(inverse_erf(0.3), -inverse_erf(-0.3), rtol=0)
+    assert erfinv(0.0) == 0.0
+    assert erfinv(1.0) == np.inf
+    assert erfinv(-1.0) == -np.inf
+    np.testing.assert_allclose(erfinv(0.3), -erfinv(-0.3), rtol=0)
 
 
 def test_inverse_erf_against_high_precision():
@@ -114,7 +128,7 @@ def test_inverse_erf_against_high_precision():
         np.linspace(-0.999, 0.999, 81),
         np.array([-1 + 2e-7, -0.5, 0.5, 1 - 2e-7, 0.49999, 0.50001]),
     ])
-    got = inverse_erf(ys)
+    got = erfinv(ys)
     ref = np.array([float(mp.erfinv(mp.mpf(float(y)))) for y in ys])
     assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -252,6 +266,25 @@ def test_stats_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.mu_db, st.mu_db)
     np.testing.assert_array_equal(back.sigma_db, st.sigma_db)
     assert back.n_frames == 123
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stats")
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(5e-324, 1e300)),
+                        min_size=1, max_size=40),
+       n_frames=st.integers(0, 2**62))
+def test_stats_file_round_trips_exactly(scratch_dir, columns, n_frames):
+    mu, sigma = zip(*columns)
+    stats = XiStats(mu, sigma, n_frames)
+    save_stats(stats, scratch_dir / "stats.txt")
+    back = load_stats(scratch_dir / "stats.txt")
+    assert back.mu_db.tobytes() == stats.mu_db.tobytes()
+    assert back.sigma_db.tobytes() == stats.sigma_db.tobytes()
+    assert back.n_frames == n_frames
 
 
 def test_stats_file_errors(tmp_path):

@@ -83,7 +83,8 @@ def test_clip_gradients():
 
 def test_make_example_shapes_and_target_range():
     clean, noise = toy_corpora(n_clean=1)
-    mag, target = make_example(clean[0], noise[0], 5.0, 123, flat_stats())
+    section = noise[0][123 : 123 + clean[0].size]
+    mag, target = make_example(clean[0], section, 5.0, flat_stats())
     assert mag.shape == target.shape == (63, 257)
     assert np.all(mag >= 0)
     assert np.all((target >= 0) & (target <= 1))
