@@ -76,6 +76,12 @@ def _require_dir(path, what: str) -> Path:
     return p
 
 
+def _require_counts(*flags) -> None:
+    for flag, value in flags:
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _dir_wavs(path: Path) -> list[Path]:
     files = sorted(path.glob("*.wav"))
     if not files:
@@ -96,8 +102,10 @@ def _snr_grid(text: str):
 
 
 def cmd_stats(args) -> int:
-    if args.snr_step < 1:
-        raise UsageError(f"--snr-step must be at least 1, got {args.snr_step}")
+    _require_counts(("--snr-step", args.snr_step))
+    if args.snr_max < args.snr_min:
+        raise UsageError(f"--snr-max {args.snr_max} is below --snr-min {args.snr_min}")
+    _require_dir(Path(args.out).parent, "output")
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
     clean = _dir_wavs(clean_dir)
@@ -123,6 +131,10 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _require_counts(("--cell", args.cell), ("--blocks", args.blocks))
+    _require_dir(Path(args.out).parent, "output")
+    if args.loss_csv:
+        _require_dir(Path(args.loss_csv).parent, "loss CSV")
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
     stats = snr.load_stats(_require_file(args.stats, "stats file"))
@@ -192,7 +204,10 @@ def cmd_mix(args) -> int:
     else:
         if args.clean is None or args.noise is None:
             raise UsageError("mix needs either --manifest or --clean/--noise dirs")
+        _require_counts(("--per-noise", args.per_noise))
         grid = _snr_grid(args.snr_grid)
+        if args.manifest_out:
+            _require_dir(Path(args.manifest_out).parent, "manifest output")
         manifest = corpus.build_test_manifest(
             _require_dir(args.clean, "clean"),
             _require_dir(args.noise, "noise"),
@@ -229,7 +244,7 @@ def cmd_wer(args) -> int:
     )
     features.write_score_csv(scores, args.out)
     for s in scores:
-        print(f"{s.noise} @ {s.snr_db:g} dB: n={s.n} wer={s.wer_percent:.2f}%")
+        print(f"{s.noise} @ {corpus._fmt_snr(s.snr_db)} dB: n={s.n} wer={s.wer_percent:.2f}%")
     print(f"wer: {len(scores)} conditions -> {args.out}")
     return EXIT_OK
 

@@ -28,38 +28,6 @@ _POWER_FLOOR = 1e-12
 
 
 @dataclass
-class NoiseTracker:
-    """Per-bin noise power estimate lambda_d."""
-
-    lambda_d: np.ndarray
-
-    @classmethod
-    def from_frames(cls, power_frames) -> "NoiseTracker":
-        """Initialize from the arithmetic mean power of the first frames."""
-        frames = np.atleast_2d(np.asarray(power_frames, dtype=np.float64))
-        if frames.shape[0] == 0:
-            raise ValueError("need at least one frame to initialize")
-        return cls(np.maximum(frames.mean(axis=0), _POWER_FLOOR))
-
-
-def track_noise(state: NoiseTracker, noisy_power_frame) -> NoiseTracker:
-    """One gated recursion step.
-
-    Cells with |X|^2 < BETA_ABSENCE * lambda_d update as
-    lambda_d <- ALPHA_NOISE * lambda_d + (1 - ALPHA_NOISE) * |X|^2; the
-    rest keep their value.  The estimate stays strictly positive.
-    """
-    p = np.asarray(noisy_power_frame, dtype=np.float64)
-    if p.shape != state.lambda_d.shape:
-        raise ValueError("power frame shape does not match the tracker")
-    absent = p < BETA_ABSENCE * state.lambda_d
-    lam = np.where(
-        absent, ALPHA_NOISE * state.lambda_d + (1.0 - ALPHA_NOISE) * p, state.lambda_d
-    )
-    return replace(state, lambda_d=lam)
-
-
-@dataclass
 class DdState:
     """Carry-over between frames: previous post-gain amplitude squared.
 
@@ -100,17 +68,23 @@ def dd_xi(
 def tracked_noise_power(power: np.ndarray) -> np.ndarray:
     """lambda_d per frame for a whole power spectrogram.
 
-    The first INIT_FRAMES frames share the initial mean estimate; the
-    recursion starts after them.
+    The first INIT_FRAMES frames share their mean power, floored at
+    1e-12.  After them a gated recursion runs: cells with
+    |X|^2 < BETA_ABSENCE * lambda_d update as
+    lambda_d <- ALPHA_NOISE * lambda_d + (1 - ALPHA_NOISE) * |X|^2; the
+    rest keep their value, so the estimate stays strictly positive.
     """
     power = np.asarray(power, dtype=np.float64)
     n_init = min(INIT_FRAMES, power.shape[0])
-    tracker = NoiseTracker.from_frames(power[:n_init])
+    if n_init == 0:
+        raise ValueError("need at least one frame to initialize")
     lam = np.empty_like(power)
-    for l in range(power.shape[0]):
-        if l >= n_init:
-            tracker = track_noise(tracker, power[l])
-        lam[l] = tracker.lambda_d
+    lam[:n_init] = np.maximum(power[:n_init].mean(axis=0), _POWER_FLOOR)
+    for l in range(n_init, power.shape[0]):
+        prev, p = lam[l - 1], power[l]
+        lam[l] = np.where(
+            p < BETA_ABSENCE * prev, ALPHA_NOISE * prev + (1.0 - ALPHA_NOISE) * p, prev
+        )
     return lam
 
 

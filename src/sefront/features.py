@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct
 
+from .corpus import _fmt_snr
 from .dsp import SAMPLE_RATE, SpectroGram, _samples
 
 N_MEL_FILTERS = 26
@@ -213,9 +214,10 @@ def score_manifest(entries, ref_dir, hyp_dir) -> list[ConditionScore]:
 
 
 def write_score_csv(scores, path) -> None:
-    """CSV with header noise,snr_db,n,wer_percent; WER to two decimals."""
+    """CSV with header noise,snr_db,n,wer_percent; each SNR as the
+    manifest writes it, WER to two decimals."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["noise", "snr_db", "n", "wer_percent"])
         for s in scores:
-            w.writerow([s.noise, f"{s.snr_db:g}", s.n, f"{s.wer_percent:.2f}"])
+            w.writerow([s.noise, _fmt_snr(s.snr_db), s.n, f"{s.wer_percent:.2f}"])

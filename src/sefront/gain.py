@@ -5,8 +5,8 @@ posteriori SNR gamma) and return a non-negative gain, rising with xi,
 that multiplies the noisy magnitude; Wiener and SRWF gains lie in [0, 1].
 The short-time amplitude estimator is the MMSE solution of Ephraim and
 Malah (1984), evaluated with SciPy's exponentially scaled Bessel
-functions; it exceeds 1 at low gamma (6.28 at xi = 1, gamma = 0.01), and
-above nu = 700 takes its Wiener limit, up to 1/2800 lower (a dip there).
+functions, which hold at every nu; it exceeds 1 at low gamma (6.28 at
+xi = 1, gamma = 0.01).
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ class GainRule(Enum):
     WIENER = "wiener"
     SRWF = "srwf"
     MMSE_STSA = "mmse-stsa"
-
-
-NU_OVERFLOW = 700.0
 
 
 def gain_wiener(xi) -> np.ndarray:
@@ -43,8 +40,8 @@ def gain_mmse_stsa(xi, gamma) -> np.ndarray:
     nu = xi * gamma / (1 + xi)
     G  = (sqrt(pi)/2) (sqrt(nu)/gamma) exp(-nu/2) [(1+nu) I0(nu/2) + nu I1(nu/2)]
 
-    computed in exponentially scaled form; cells with nu > 700 use the
-    Wiener limit.  gamma must be strictly positive.
+    computed in exponentially scaled form at every nu.  gamma must be
+    strictly positive, and xi * gamma must not overflow.
     """
     xi = np.asarray(xi, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -52,16 +49,15 @@ def gain_mmse_stsa(xi, gamma) -> np.ndarray:
         raise ValueError("xi and gamma must be finite")
     if np.any(xi < 0) or np.any(gamma <= 0):
         raise ValueError("xi must be >= 0 and gamma > 0")
-    xi, gamma = np.broadcast_arrays(xi, gamma)
-    nu = xi * gamma / (1.0 + xi)
-    safe = nu <= NU_OVERFLOW
-    nu_s = np.where(safe, nu, 0.0)
-    g = (
+    with np.errstate(over="ignore"):
+        nu = xi * gamma / (1.0 + xi)
+    if not np.all(np.isfinite(nu)):
+        raise ValueError("xi * gamma overflows")
+    return (
         (0.5 * np.sqrt(np.pi))
-        * (np.sqrt(nu_s) / gamma)
-        * ((1.0 + nu_s) * i0e(0.5 * nu_s) + nu_s * i1e(0.5 * nu_s))
+        * (np.sqrt(nu) / gamma)
+        * ((1.0 + nu) * i0e(0.5 * nu) + nu * i1e(0.5 * nu))
     )
-    return np.where(safe, g, gain_wiener(xi))
 
 
 def gain_for(rule: GainRule, xi, gamma=None) -> np.ndarray:

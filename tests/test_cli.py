@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import SR, quantize, tone_bursts, white_noise
-from sefront import cli, dd, dsp
+from sefront import cli, dd, dsp, snr
 from sefront.cli import main
 from sefront.corpus import load_manifest, load_wav, mix_at_snr, save_wav
 from sefront.features import segmental_snr, transcript_name
 from sefront.rnn import init_network, load_network, save_network
-from sefront.snr import estimate_stats, load_stats
+from sefront.snr import XiStats, estimate_stats, load_stats, save_stats
 
 
 def run(*argv):
@@ -641,3 +641,95 @@ def test_config_abbreviated_flag_applies_file(noisy_file, tmp_path):
     assert run("--conf", cfg, "enhance", "--in", p, "--out", a) == 0
     assert run("enhance", "--in", p, "--out", b, "--gain", "mmse-stsa") == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--cell", "0"],
+    ["train", "--blocks", "0"],
+    ["mix", "--per-noise", "0"],
+    ["stats", "--snr-min", "30", "--snr-max", "0"],
+], ids=lambda a: " ".join(a[1:]))
+def test_bad_counts_are_usage_errors_before_any_read(tmp_path, capsys, argv):
+    # every input is missing, so a check made after reading would exit 2
+    missing = tmp_path / "none"
+    files = {"--clean": missing, "--noise": missing, "--out": tmp_path / "out"}
+    if argv[0] == "train":
+        files["--stats"] = missing / "stats.txt"
+    elif argv[0] == "mix":
+        files = {"--clean": missing, "--noise": missing, "--out-dir": tmp_path / "out"}
+    assert run(*argv, *[a for kv in files.items() for a in kv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture()
+def no_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before checking the outputs")
+
+    monkeypatch.setattr(cli, "run_training", refuse)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--out", "--loss-csv"])
+def test_train_checks_output_directories_before_training(wav_corpus, tmp_path, capsys,
+                                                         no_training, flag):
+    clean_dir, noise_dir = wav_corpus
+    stats = tmp_path / "stats.txt"
+    save_stats(XiStats(np.zeros(257), np.ones(257)), stats)
+    outputs = {"--out": tmp_path / "net.bin", "--loss-csv": tmp_path / "loss.csv"}
+    outputs[flag] = tmp_path / "missing" / "x"
+    what = {"--out": "output", "--loss-csv": "loss CSV"}[flag]
+    assert run("train", "--clean", clean_dir, "--noise", noise_dir, "--stats", stats,
+               "--cell", 8, "--blocks", 1, "--epochs", 1,
+               *[a for kv in outputs.items() for a in kv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {what} directory not found: {tmp_path / 'missing'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.txt"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_mix_checks_the_manifest_directory_before_mixing(wav_corpus, tmp_path, capsys):
+    clean_dir, noise_dir = wav_corpus
+    out_dir = tmp_path / "noisy"
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir, "--per-noise", 1,
+               "--snr-grid", "0", "--out-dir", out_dir,
+               "--manifest-out", tmp_path / "missing" / "m.tsv") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: manifest output directory not found: {tmp_path / 'missing'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_stats_checks_the_output_directory_before_reading(wav_corpus, tmp_path, capsys,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimated before checking the output")
+
+    monkeypatch.setattr(snr, "estimate_stats", refuse)
+    clean_dir, noise_dir = wav_corpus
+    assert run("stats", "--clean", clean_dir, "--noise", noise_dir,
+               "--out", tmp_path / "missing" / "stats.txt") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory not found: {tmp_path / 'missing'}\n"
+
+
+def test_wer_keeps_snrs_past_six_digits_apart(wav_corpus, tmp_path, capsys):
+    clean, noise = wav_corpus[0] / "utt00.wav", wav_corpus[1] / "white_a.wav"
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{clean}\t{noise}\t5\t0\ta.wav\n"
+                        f"{clean}\t{noise}\t5.0000001\t0\tb.wav\n")
+    ref, hyp = tmp_path / "ref", tmp_path / "hyp"
+    ref.mkdir()
+    hyp.mkdir()
+    for name, text in (("a", "one two three"), ("b", "one two four")):
+        (ref / f"{name}.txt").write_text("one two three")
+        (hyp / f"{name}.txt").write_text(text)
+    out = tmp_path / "scores.csv"
+    assert run("wer", "--manifest", manifest, "--ref", ref, "--hyp", hyp,
+               "--out", out) == 0
+    assert out.read_text().splitlines()[1:] == ["white_a,5,1,0.00",
+                                                "white_a,5.0000001,1,33.33"]
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "white_a @ 5 dB: n=1 wer=0.00%", "white_a @ 5.0000001 dB: n=1 wer=33.33%"]

@@ -1,16 +1,11 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SR, toy_voice, white_noise
-from sefront.dd import (
-    DdState,
-    NoiseTracker,
-    dd_xi,
-    enhance,
-    track_noise,
-    tracked_noise_power,
-)
+from sefront.dd import DdState, dd_xi, enhance, tracked_noise_power
 from sefront.dsp import stft, synthesis_length
 from sefront import gain as gain_module
 from sefront.gain import GainRule, gain_for
@@ -18,27 +13,68 @@ from sefront.snr import oracle_xi
 
 
 def test_tracker_init_mean():
+    # fewer frames than INIT_FRAMES: every row is the initial mean
     frames = np.arange(12, dtype=float).reshape(4, 3)
-    tr = NoiseTracker.from_frames(frames)
-    np.testing.assert_allclose(tr.lambda_d, frames.mean(axis=0))
+    lam = tracked_noise_power(frames)
+    np.testing.assert_allclose(lam, np.broadcast_to(frames.mean(axis=0), (4, 3)))
 
 
 def test_tracker_init_floors_zero():
-    tr = NoiseTracker.from_frames(np.zeros((3, 5)))
-    np.testing.assert_array_equal(tr.lambda_d, 1e-12)
+    lam = tracked_noise_power(np.zeros((3, 5)))
+    np.testing.assert_array_equal(lam, 1e-12)
+
+
+def test_tracker_rejects_no_frames():
+    with pytest.raises(ValueError, match="at least one frame"):
+        tracked_noise_power(np.zeros((0, 5)))
 
 
 def test_track_gated_update():
-    tr = NoiseTracker(np.ones(2))
+    power = np.ones((11, 2))
     # 1.5 < beta*lambda = 2 updates; 3.0 does not
-    out = track_noise(tr, np.array([1.5, 3.0]))
-    np.testing.assert_allclose(out.lambda_d, [0.98 + 0.02 * 1.5, 1.0])
+    power[10] = [1.5, 3.0]
+    lam = tracked_noise_power(power)
+    np.testing.assert_allclose(lam[10], [0.98 + 0.02 * 1.5, 1.0])
 
 
-def test_track_shape_mismatch():
-    tr = NoiseTracker(np.ones(4))
-    with pytest.raises(ValueError):
-        track_noise(tr, np.ones(3))
+def reference_tracked_noise_power(power):
+    """The per-frame tracker object the one-loop tracker replaced: a
+    dataclass rebuilt with dataclasses.replace on every frame."""
+
+    @dataclass
+    class NoiseTracker:
+        lambda_d: np.ndarray
+
+    def track_noise(state, p):
+        absent = p < 2.0 * state.lambda_d
+        lam = np.where(absent, 0.98 * state.lambda_d + (1.0 - 0.98) * p, state.lambda_d)
+        return replace(state, lambda_d=lam)
+
+    n_init = min(10, power.shape[0])
+    tracker = NoiseTracker(np.maximum(power[:n_init].mean(axis=0), 1e-12))
+    lam = np.empty_like(power)
+    for l in range(power.shape[0]):
+        if l >= n_init:
+            tracker = track_noise(tracker, power[l])
+        lam[l] = tracker.lambda_d
+    return lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    frames=st.integers(1, 40),
+    bins=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+)
+def test_tracker_matches_the_per_frame_reference_bit_for_bit(frames, bins, seed, zeros):
+    # exponential power spans decades; optional silent cells hit the floor
+    rng = np.random.default_rng(seed)
+    power = rng.exponential(1.0, (frames, bins)) * 10.0 ** rng.uniform(-6, 3, bins)
+    if zeros:
+        power[rng.random((frames, bins)) < 0.3] = 0.0
+    got = tracked_noise_power(power)
+    assert got.tobytes() == reference_tracked_noise_power(power).tobytes()
 
 
 def test_tracked_constant_power_is_fixed_point():

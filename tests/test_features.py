@@ -102,6 +102,23 @@ def test_wer_identical_is_zero():
     assert rec.wer_percent == 0.0
 
 
+words = st.lists(st.sampled_from(["a", "b", "c", "don't"]), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref=words.filter(bool), hyp=words)
+def test_wer_counts_are_consistent(ref, hyp):
+    # a small vocabulary makes matches, substitutions and shifts all likely
+    r, h = Transcript(tuple(ref)), Transcript(tuple(hyp))
+    rec = wer(r, h)
+    m, n = len(ref), len(hyp)
+    assert 0 <= rec.errors <= max(m, n)
+    assert n == m - rec.deletions + rec.insertions
+    assert rec.wer_percent == 100.0 * rec.errors / m
+    same = wer(r, r)
+    assert (same.substitutions, same.deletions, same.insertions) == (0, 0, 0)
+
+
 def test_wer_single_deletion():
     rec = wer(Transcript.from_text("the cat sat"), Transcript.from_text("the cat"))
     assert (rec.substitutions, rec.deletions, rec.insertions) == (0, 1, 0)
@@ -208,3 +225,18 @@ def test_score_csv_format(tmp_path, scored_layout):
     assert lines[1] == "pink,0,1,50.00"
     assert lines[2] == "pink,10,1,0.00"
     assert len(lines) == 5
+
+
+def test_score_csv_keeps_snrs_past_six_digits_apart(tmp_path):
+    # at :g's 6 digits both SNRs read 5; the labels follow the manifest's
+    ref, hyp = tmp_path / "ref", tmp_path / "hyp"
+    ref.mkdir()
+    hyp.mkdir()
+    entries = []
+    for snr, out, hyp_text in ((5.0, "a.wav", "alpha"), (5.0000001, "b.wav", "alpha beta")):
+        entries.append(MixSpec("c.wav", "white.wav", snr, 0, out))
+        (ref / transcript_name(out)).write_text("alpha beta")
+        (hyp / transcript_name(out)).write_text(hyp_text)
+    p = tmp_path / "scores.csv"
+    write_score_csv(score_manifest(entries, ref, hyp), p)
+    assert p.read_text().splitlines()[1:] == ["white,5,1,50.00", "white,5.0000001,1,0.00"]

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import i0e, i1e
 
-from sefront.gain import (
-    NU_OVERFLOW,
-    GainRule,
-    gain_for,
-    gain_mmse_stsa,
-    gain_srwf,
-    gain_wiener,
-)
+from sefront.gain import GainRule, gain_for, gain_mmse_stsa, gain_srwf, gain_wiener
 
 
 def test_wiener_values():
@@ -35,31 +28,35 @@ def test_mmse_stsa_tracks_wiener_at_high_snr():
     assert abs(g[0] - gain_wiener(np.array([100.0]))[0]) < 1e-2
 
 
-def test_mmse_stsa_overflow_guard_equals_wiener():
-    # nu = xi*gamma/(1+xi) beyond 700 switches to the Wiener value exactly
-    xi = np.array([100.0, 3000.0])
-    gamma = np.array([800.0, 900.0])
-    np.testing.assert_array_equal(gain_mmse_stsa(xi, gamma), gain_wiener(xi))
-
-
-def test_mmse_stsa_against_high_precision():
+def mmse_stsa_reference(xi, gamma):
+    """The closed form at 40 digits, from the float inputs as given."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-
-    def ref(xi, gamma):
-        xi, gamma = mp.mpf(xi), mp.mpf(gamma)
+    with mp.workdps(40):
+        xi, gamma = mp.mpf(float(xi)), mp.mpf(float(gamma))
         nu = xi * gamma / (1 + xi)
         return float(
             (mp.sqrt(mp.pi) / 2) * (mp.sqrt(nu) / gamma) * mp.e ** (-nu / 2)
             * ((1 + nu) * mp.besseli(0, nu / 2) + nu * mp.besseli(1, nu / 2))
         )
 
+
+def test_mmse_stsa_against_high_precision():
     rng = np.random.default_rng(4)
     xi = 10 ** rng.uniform(-3, 3, 40)
     gamma = 10 ** rng.uniform(-2, 2, 40)
     got = gain_mmse_stsa(xi, gamma)
-    want = np.array([ref(a, b) for a, b in zip(xi, gamma)])
+    want = np.array([mmse_stsa_reference(a, b) for a, b in zip(xi, gamma)])
     np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_mmse_stsa_is_exact_up_to_nu_1e15():
+    # nu = xi gamma / (1 + xi) < gamma, so this spans nu from ~1e-12 to ~1e15
+    rng = np.random.default_rng(11)
+    xi = 10 ** rng.uniform(-6, 15, 400)
+    gamma = 10 ** rng.uniform(-6, 15, 400)
+    got = gain_mmse_stsa(xi, gamma)
+    want = np.array([mmse_stsa_reference(a, b) for a, b in zip(xi, gamma)])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_bessel_scaled_against_high_precision():
@@ -125,23 +122,22 @@ def test_wiener_and_srwf_lie_in_the_unit_interval_and_rise_with_xi(a, b):
 @example(a=1e15, b=1e15, gamma=1e-3)  # gain 28
 @example(a=6.999999, b=7.000001, gamma=800.0)  # either side of nu = 700
 @example(a=0.07429998260135516, b=0.07429998260135517, gamma=2.5)  # the wrong way by an ulp
-def test_mmse_stsa_is_non_negative_rises_below_the_switch_and_is_wiener_above(a, b, gamma):
+def test_mmse_stsa_is_non_negative_and_rises_with_xi(a, b, gamma):
     xi = np.array(sorted((a, b)))
     g = gain_mmse_stsa(xi, gamma)
     assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
-    nu = xi * gamma / (1.0 + xi)
-    if nu[1] <= NU_OVERFLOW:
-        assert g[0] <= g[1] * (1.0 + 16.0 * EPS)
-    above = nu > NU_OVERFLOW
-    assert g[above].tobytes() == gain_wiener(xi[above]).tobytes()
+    assert g[0] <= g[1] * (1.0 + 16.0 * EPS)
 
 
-def test_mmse_stsa_exceeds_one_and_dips_at_the_switch():
+def test_mmse_stsa_exceeds_one_and_has_no_dip_at_nu_700():
     assert gain_mmse_stsa(1.0, 0.01) == pytest.approx(6.282, abs=1e-3)
     assert gain_mmse_stsa(1e15, 1e-3) == pytest.approx(28.039, abs=1e-3)
-    # just below nu = 700 the exact gain; just above, the lower Wiener limit
-    below, above = gain_mmse_stsa(np.array([6.999999, 7.000001]), 800.0)
-    assert 3.1e-4 < below - above < 1.0 / 2800.0
+    # gamma = 800 puts nu = 700 at xi = 7; the gain rises straight through
+    xi = np.linspace(6.99, 7.01, 2001)
+    g = gain_mmse_stsa(xi, 800.0)
+    assert np.all(g[:-1] <= g[1:] * (1.0 + 16.0 * EPS))
+    assert gain_mmse_stsa(1e3, 800.0) == pytest.approx(
+        mmse_stsa_reference(1e3, 800.0), rel=1e-14)
 
 
 def test_mmse_stsa_validation():
@@ -151,6 +147,9 @@ def test_mmse_stsa_validation():
         gain_mmse_stsa(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         gain_mmse_stsa(np.array([np.inf]), np.array([1.0]))
+    # xi * gamma overflows although each is finite
+    with pytest.raises(ValueError, match="overflow"):
+        gain_mmse_stsa(np.array([1.0, 1e300]), np.array([1.0, 1e300]))
 
 
 def test_gain_for_dispatch():
