@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or format error,
 3 numerical failure.  Every command validates its inputs before it
-creates any output file, so a failed invocation leaves nothing behind.
-A config file of key=value lines can preset any long option; explicit
-flags win.
+creates any output file, and mix and train remove what they wrote on a
+later failure, so a failed invocation leaves nothing behind.  A config
+file of key=value lines can preset any long option (a flag takes true
+or false); explicit flags win.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +55,26 @@ def _read_config(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        value = value.strip()
-        # String defaults pass back through each option's type converter at
-        # parse time; booleans need converting here.
-        if value.lower() in ("true", "false"):
-            value = value.lower() == "true"
-        out[key.strip().replace("-", "_")] = value
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
+
+
+@contextmanager
+def _removed_on_failure(out_dir: Path | None = None):
+    """Make out_dir, if given, and yield a list for each file the command has
+    written; if the command fails, remove those and the directories made
+    before the error propagates, so a failed run leaves nothing behind."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()] if out_dir else []
+    written: list[Path] = []
+    try:
+        if out_dir:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        yield written
+    except BaseException:
+        for path in written + made:  # files, then directories deepest first
+            with suppress(OSError):
+                (path.rmdir if path in made else path.unlink)()
+        raise
 
 
 def _require_file(path, what: str) -> Path:
@@ -149,10 +164,12 @@ def cmd_train(args) -> int:
     params, history = run_training(params, clean, noise, stats, cfg)
     if not np.all(np.isfinite(history)):
         raise FloatingPointError("training loss went non-finite")
-    rnn.save_network(params, args.out)
-    if args.loss_csv:
-        lines = ["batch,loss"] + [f"{i},{v:.17g}" for i, v in enumerate(history)]
-        Path(args.loss_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _removed_on_failure() as written:
+        rnn.save_network(params, args.out)
+        written.append(Path(args.out))
+        if args.loss_csv:
+            lines = ["batch,loss"] + [f"{i},{v:.17g}" for i, v in enumerate(history)]
+            Path(args.loss_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"train: {len(history)} batches, final loss {history[-1]:.6f} -> {args.out}")
     return EXIT_OK
 
@@ -191,6 +208,7 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    _require_counts(("--jobs", args.jobs))
     out_dir = Path(args.out_dir)
     if args.manifest:
         manifest = corpus.load_manifest(_require_file(args.manifest, "manifest"))
@@ -219,16 +237,21 @@ def cmd_mix(args) -> int:
     for i, e in enumerate(manifest.entries, 1):
         if (j := first.setdefault(Path(e.output_path), i)) != i:
             raise ValueError(f"manifest entries {j} and {i} both write {e.output_path}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not args.manifest:
-        corpus.save_manifest(manifest, args.manifest_out or out_dir / "manifest.tsv")
+    with _removed_on_failure(out_dir) as written:
+        if not args.manifest:
+            path = Path(args.manifest_out or out_dir / "manifest.tsv")
+            corpus.save_manifest(manifest, path)
+            written.append(path)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(lambda e: corpus.run_mix_entry(e, out_dir), manifest.entries))
-    else:
-        for e in manifest.entries:
-            corpus.run_mix_entry(e, out_dir)
+        def mix(e):
+            written.append(corpus.run_mix_entry(e, out_dir))
+
+        if args.jobs > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                list(pool.map(mix, manifest.entries))
+        else:
+            for e in manifest.entries:
+                mix(e)
     print(f"mix: {len(manifest.entries)} mixtures -> {out_dir}")
     return EXIT_OK
 
@@ -332,15 +355,19 @@ def main(argv=None) -> int:
             overrides = _read_config(Path(ns.config))
             if ns.command is None:
                 raise UsageError("missing command")
-            sub_actions = [
-                a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)
-            ]
-            sub_parser = sub_actions[0].choices[ns.command]
-            known = {a.dest for a in sub_parser._actions}
+            subparsers = next(a for a in parser._actions
+                              if isinstance(a, argparse._SubParsersAction))
+            sub_parser = subparsers.choices[ns.command]
+            actions = {a.dest: a for a in sub_parser._actions}
             for key, value in overrides.items():
-                if key not in known:
+                if key not in actions:
                     raise UsageError(f"config key {key!r} unknown for {ns.command}")
+                # string defaults go through the option's type; flags convert here
+                if isinstance(actions[key], argparse._StoreTrueAction):
+                    if value.lower() not in ("true", "false"):
+                        raise UsageError(f"config key {key!r} takes true or false, "
+                                         f"got {value!r}")
+                    overrides[key] = value.lower() == "true"
             sub_parser.set_defaults(**overrides)
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:

@@ -17,13 +17,15 @@ same steps in reverse, each sequence starting from zero state at its last
 frame.  forward() runs one sequence, whose packed output is already in
 time order.
 
-Everything is float64 in memory; the file format stores little-endian
-float32 tensors after a short text header.
+The network is a NetworkParams, the ordered mapping of its named
+tensors (params["block0.fwd.w_x"] and so on) in the one layout
+_tensor_shapes states; gradients, Adam and the model file share those
+names.  Everything is float64 in memory; the file format stores
+little-endian float32 tensors after a short text header.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,58 +37,28 @@ _GATES = 4  # order: input, forget, candidate, output
 _MODEL_MAGIC = "sefront-net-v1"
 
 
-@dataclass
-class DenseParams:
-    w: np.ndarray  # (fan_in, fan_out)
-    b: np.ndarray  # (fan_out,)
-
-
-@dataclass
-class LstmCellParams:
-    """Stacked gate parameters, gate order input, forget, candidate, output."""
-
-    w_x: np.ndarray  # (input_dim, 4 * cell)
-    w_h: np.ndarray  # (cell, 4 * cell)
-    b: np.ndarray    # (4 * cell,)
-
-    @property
-    def cell_size(self) -> int:
-        return self.w_h.shape[0]
-
-
-@dataclass
-class ResBlockParams:
-    fwd: LstmCellParams
-    bwd: LstmCellParams | None = None  # present only in bidirectional mode
-
-
-@dataclass
-class NetworkParams:
-    fc: DenseParams
-    ln_gain: np.ndarray
-    ln_offset: np.ndarray
-    blocks: list[ResBlockParams]
-    out: DenseParams
+class NetworkParams(dict):
+    """The network's named tensors, in the order _tensor_shapes gives."""
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return sum(name.endswith(".fwd.b") for name in self)
 
     @property
     def bidirectional(self) -> bool:
-        return self.blocks[0].bwd is not None
+        return "block0.bwd.b" in self
 
     @property
     def input_dim(self) -> int:
-        return self.fc.w.shape[0]
+        return self["fc.w"].shape[0]
 
     @property
     def output_dim(self) -> int:
-        return self.out.w.shape[1]
+        return self["out.w"].shape[1]
 
     @property
     def cell_size(self) -> int:
-        return self.fc.w.shape[1]
+        return self["fc.w"].shape[1]
 
     @property
     def mode(self) -> str:
@@ -94,26 +66,12 @@ class NetworkParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Named parameter tensors in a fixed serialisation order."""
-        out = {
-            "fc.w": self.fc.w,
-            "fc.b": self.fc.b,
-            "ln.gain": self.ln_gain,
-            "ln.offset": self.ln_offset,
-        }
-        for i, blk in enumerate(self.blocks):
-            for direction, cell in (("fwd", blk.fwd), ("bwd", blk.bwd)):
-                if cell is not None:
-                    for k in ("w_x", "w_h", "b"):
-                        out[f"block{i}.{direction}.{k}"] = getattr(cell, k)
-        out["out.w"] = self.out.w
-        out["out.b"] = self.out.b
-        return out
+        return self
 
 
 def _tensor_shapes(bidirectional: bool, n_blocks: int, cell: int,
                    input_dim: int, output_dim: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every named tensor for the given network layout, in
-    serialisation order."""
+    """Shape of every named tensor of the layout, in serialisation order."""
     shapes = {"fc.w": (input_dim, cell), "fc.b": (cell,),
               "ln.gain": (cell,), "ln.offset": (cell,)}
     for i in range(n_blocks):
@@ -126,19 +84,9 @@ def _tensor_shapes(bidirectional: bool, n_blocks: int, cell: int,
     return shapes
 
 
-def _assemble(t: dict[str, np.ndarray]) -> NetworkParams:
-    """The network from its named tensors, laid out as _tensor_shapes gives."""
-    def cell(prefix):
-        if prefix + ".b" not in t:
-            return None
-        return LstmCellParams(t[prefix + ".w_x"], t[prefix + ".w_h"], t[prefix + ".b"])
-
-    blocks = []
-    while f"block{len(blocks)}.fwd.b" in t:
-        i = len(blocks)
-        blocks.append(ResBlockParams(cell(f"block{i}.fwd"), cell(f"block{i}.bwd")))
-    return NetworkParams(DenseParams(t["fc.w"], t["fc.b"]), t["ln.gain"], t["ln.offset"],
-                         blocks, DenseParams(t["out.w"], t["out.b"]))
+def _cell(params: NetworkParams, i: int, direction: str):
+    """(w_x, w_h, b) of the direction's cell in block i."""
+    return tuple(params[f"block{i}.{direction}.{k}"] for k in ("w_x", "w_h", "b"))
 
 
 def init_network(
@@ -166,7 +114,7 @@ def init_network(
             tensors[name] = np.ones(shape) if kind == "gain" else np.zeros(shape)
             if name.startswith("block"):
                 tensors[name][cell_size : 2 * cell_size] = FORGET_BIAS
-    return _assemble(tensors)
+    return NetworkParams(tensors)
 
 
 def _pack(lengths: np.ndarray):
@@ -204,13 +152,14 @@ def _previous(a: np.ndarray, steps) -> np.ndarray:
     return out
 
 
-def _lstm_run(cell: LstmCellParams, x: np.ndarray, steps):
-    """Run over packed frames x (N, D), walking steps in the order given.
+def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
+    """Run one cell over packed frames x (N, D), walking steps in the
+    order given.
 
     steps lists the (start, count) of each step's rows in x.  Returns h
     (N, C) and the cache.
     """
-    c_sz = cell.cell_size
+    c_sz = w_h.shape[0]
     gates = np.empty((x.shape[0], _GATES * c_sz))
     cells = np.empty((x.shape[0], c_sz))
     tanh_c = np.empty_like(cells)
@@ -221,7 +170,7 @@ def _lstm_run(cell: LstmCellParams, x: np.ndarray, steps):
             zero = np.zeros((n - m, c_sz))
             h, c = np.vstack((h, zero)), np.vstack((c, zero))
         z = gates[s : s + n]
-        np.add(x[s : s + n] @ cell.w_x + h @ cell.w_h, cell.b, out=z)
+        np.add(x[s : s + n] @ w_x + h @ w_h, b, out=z)
         expit(z[:, : 2 * c_sz], out=z[:, : 2 * c_sz])  # input and forget gates
         g, o = z[:, 2 * c_sz : 3 * c_sz], z[:, 3 * c_sz :]
         np.tanh(g, out=g)
@@ -234,10 +183,10 @@ def _lstm_run(cell: LstmCellParams, x: np.ndarray, steps):
     return hs, cache
 
 
-def _lstm_backprop(cell: LstmCellParams, cache, dh_out: np.ndarray):
+def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
     """BPTT for one cell. dh_out is packed (N, C); returns (dx, grads)."""
     steps, gates, tc = cache["steps"], cache["gates"], cache["tanh_c"]
-    c_sz = cell.cell_size
+    c_sz = w_h.shape[0]
     i, f, g, o = np.split(gates, _GATES, axis=1)
     # per frame: dh/dc through the output gate, and the local derivative
     # by which dc (input, forget, candidate gates) or dh (output gate)
@@ -265,12 +214,12 @@ def _lstm_backprop(cell: LstmCellParams, cache, dh_out: np.ndarray):
         dc = dh * dtc[s:e] + dc_next[:n]
         np.multiply(local[s:e, :3], dc[:, None], out=dz_gates[s:e, :3])
         np.multiply(local[s:e, 3], dh, out=dz_gates[s:e, 3])
-        np.matmul(dz_all[s:e], cell.w_h.T, out=dh_next[:n])
+        np.matmul(dz_all[s:e], w_h.T, out=dh_next[:n])
         np.multiply(dc, f[s:e], out=dc_next[:n])
     grads = {"w_x": cache["x"].T @ dz_all,
              "w_h": _previous(cache["hs"], steps).T @ dz_all,
              "b": dz_all.sum(axis=0)}
-    return dz_all @ cell.w_x.T, grads
+    return dz_all @ w_x.T, grads
 
 
 def _layer_norm(z: np.ndarray, gain, offset):
@@ -335,23 +284,23 @@ def _forward(params: NetworkParams, seqs: list[np.ndarray]):
     where[index] = np.arange(index.size)  # concatenated -> packed
     xp = _gather(seqs, where, params.input_dim)
 
-    z0 = xp @ params.fc.w + params.fc.b
-    y0, ln_cache = _layer_norm(z0, params.ln_gain, params.ln_offset)
+    z0 = xp @ params["fc.w"] + params["fc.b"]
+    y0, ln_cache = _layer_norm(z0, params["ln.gain"], params["ln.offset"])
     act = np.maximum(y0, 0.0)
 
     block_caches = []
-    for blk in params.blocks:
-        h_f, cache_f = _lstm_run(blk.fwd, act, steps)
+    for i in range(params.n_blocks):
+        h_f, cache_f = _lstm_run(*_cell(params, i, "fwd"), act, steps)
         nxt = act + h_f
         caches = {"fwd": cache_f}
-        if blk.bwd is not None:
-            h_b, caches["bwd"] = _lstm_run(blk.bwd, act, steps[::-1])
+        if params.bidirectional:
+            h_b, caches["bwd"] = _lstm_run(*_cell(params, i, "bwd"), act, steps[::-1])
             nxt += h_b
         block_caches.append(caches)
         act = nxt
 
-    pred = act @ params.out.w
-    pred += params.out.b
+    pred = act @ params["out.w"]
+    pred += params["out.b"]
     expit(pred, out=pred)
     cache = {"x": xp, "index": index, "where": where, "ln": ln_cache, "y0": y0,
              "blocks": block_caches, "final_act": act}
@@ -398,7 +347,7 @@ def backward(params: NetworkParams, x, target):
     x is a list of (frames_i, bins) sequences and target the matching
     list of (frames_i, output bins) targets; one 2-D array each is a
     single sequence.  Returns (loss, grads) where grads has exactly the
-    keys of params.tensors().  The loss is the mean cross-entropy over
+    keys of params.  The loss is the mean cross-entropy over
     every frame of every sequence.  The target count and shapes are
     checked before the forward pass runs.
 
@@ -424,21 +373,20 @@ def backward(params: NetworkParams, x, target):
 
     grads["out.w"] = cache["final_act"].T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
-    da = dlogits @ params.out.w.T
+    da = dlogits @ params["out.w"].T
 
-    for bi in range(params.n_blocks - 1, -1, -1):
-        blk = params.blocks[bi]
+    for i in range(params.n_blocks - 1, -1, -1):
         da_next = da.copy()
         block_cache = cache["blocks"].pop()
         for direction in list(block_cache):
-            cell = getattr(blk, direction)
-            dx, g = _lstm_backprop(cell, block_cache.pop(direction), da)
+            w_x, w_h, _ = _cell(params, i, direction)
+            dx, g = _lstm_backprop(w_x, w_h, block_cache.pop(direction), da)
             da_next += dx
-            grads.update({f"block{bi}.{direction}.{k}": v for k, v in g.items()})
+            grads.update({f"block{i}.{direction}.{k}": v for k, v in g.items()})
         da = da_next
 
     dy0 = da * (cache["y0"] > 0.0)
-    dz0, dgain, doffset = _layer_norm_backprop(dy0, params.ln_gain, cache["ln"])
+    dz0, dgain, doffset = _layer_norm_backprop(dy0, params["ln.gain"], cache["ln"])
     grads["ln.gain"] = dgain
     grads["ln.offset"] = doffset
     grads["fc.w"] = cache["x"].T @ dz0
@@ -448,7 +396,6 @@ def backward(params: NetworkParams, x, target):
 
 def save_network(params: NetworkParams, path) -> None:
     """Text header naming every tensor and its shape, then raw float32 data."""
-    tensors = params.tensors()
     lines = [
         _MODEL_MAGIC,
         f"mode {params.mode}",
@@ -457,11 +404,11 @@ def save_network(params: NetworkParams, path) -> None:
         f"input_dim {params.input_dim}",
         f"output_dim {params.output_dim}",
     ]
-    for name, arr in tensors.items():
+    for name, arr in params.items():
         lines.append("tensor " + name + " " + " ".join(str(d) for d in arr.shape))
     header = ("\n".join(lines) + "\ndata\n").encode("utf-8")
     blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in tensors.values()
+        np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in params.values()
     )
     Path(path).write_bytes(header + blob)
 
@@ -524,4 +471,4 @@ def load_network(path) -> NetworkParams:
         pos += n
     if pos != data.size:
         raise ValueError("model file: trailing data after last tensor")
-    return _assemble(arrays)
+    return NetworkParams((name, arrays[name]) for name in expected)

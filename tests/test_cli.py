@@ -354,6 +354,58 @@ def test_train_rejects_a_bad_clean_recording_before_the_first_batch(
     assert not model.exists() and not losses.exists()
 
 
+def _silent_wav_bytes(tmp_path):
+    p = tmp_path / "silent.wav"
+    save_wav(np.zeros(SR), p)
+    return p.read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("out_dir_exists", [False, True])
+def test_mix_failing_after_some_mixtures_leaves_nothing_behind(
+        wav_corpus, tmp_path, capsys, jobs, out_dir_exists):
+    # a silent clean recording passes every pre-check and fails only when
+    # its own mixture is made, after the manifest and other mixtures
+    clean_dir, noise_dir = wav_corpus
+    clean = _clean_dir_with(tmp_path, clean_dir, _silent_wav_bytes(tmp_path))
+    out_dir = tmp_path / "out" / "new" / "noisy"
+    keep = (out_dir if out_dir_exists else tmp_path / "out") / "keep.wav"
+    keep.parent.mkdir(parents=True)
+    keep.write_bytes(b"not ours")
+    assert run("mix", "--clean", clean, "--noise", noise_dir, "--per-noise", 7,
+               "--snr-grid", "0,5", "--out-dir", out_dir, "--jobs", jobs) == 2
+    assert capsys.readouterr().err == "error: clean signal has zero power\n"
+    assert out_dir.exists() == out_dir_exists
+    assert [p.name for p in keep.parent.iterdir()] == ["keep.wav"]
+    assert keep.read_bytes() == b"not ours"
+    noise = sorted(noise_dir.glob("*.wav"))[0]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{clean / 'utt00.wav'}\t{noise}\t5\t0\tfirst.wav\n"
+                        f"{clean / 'utt06.wav'}\t{noise}\t5\t0\tsecond.wav\n")
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir, "--jobs", jobs) == 2
+    assert capsys.readouterr().err == "error: clean signal has zero power\n"
+    assert out_dir.exists() == out_dir_exists
+    assert [p.name for p in keep.parent.iterdir()] == ["keep.wav"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_failing_at_the_loss_csv_leaves_no_model(wav_corpus, tmp_path, capsys):
+    clean_dir, noise_dir = wav_corpus
+    stats = tmp_path / "stats.txt"
+    assert run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats) == 0
+    csv_dir = tmp_path / "csvdir"
+    csv_dir.mkdir()
+    capsys.readouterr()
+    assert run("train", "--clean", clean_dir, "--noise", noise_dir, "--stats", stats,
+               "--out", tmp_path / "net.bin", "--loss-csv", csv_dir, "--cell", 8,
+               "--blocks", 1, "--epochs", 1, "--batch", 3) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{csv_dir}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["csvdir", "stats.txt"]
+    assert list(csv_dir.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_mix_rejects_an_empty_clean_recording_before_writing(wav_corpus, tmp_path,
                                                              capsys):
@@ -596,6 +648,45 @@ def test_config_unknown_key_is_usage_error(noisy_file, tmp_path):
                "--out", tmp_path / "x.wav") == 1
 
 
+@pytest.mark.parametrize("command, line", [
+    ("enhance", "unity-gain=no"),
+    ("enhance", "unity-gain=1"),
+    ("train", "bidirectional=0"),
+    ("train", "bidirectional="),
+])
+def test_config_flag_takes_only_true_or_false(noisy_file, tmp_path, capsys, command,
+                                              line):
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = {"enhance": ("--in", p, "--out", tmp_path / "x.wav"),
+            "train": ("--clean", tmp_path, "--noise", tmp_path, "--stats", p,
+                      "--out", tmp_path / "x.bin")}[command]
+    assert run("--config", cfg, command, *argv) == 1
+    key, value = line.split("=")
+    err = capsys.readouterr().err
+    assert err == (f"usage error: config key {key.replace('-', '_')!r} takes true "
+                   f"or false, got {value!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.wav", "run.cfg"]
+
+
+def test_config_flag_reads_true_and_false_in_any_case(noisy_file, tmp_path):
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    outs = {}
+    for value in ("TRUE", "True", "FALSE", "false"):
+        cfg.write_text(f"unity-gain={value}\n")
+        outs[value] = tmp_path / f"{value}.wav"
+        assert run("--config", cfg, "enhance", "--in", p, "--out", outs[value]) == 0
+    flag, plain = tmp_path / "flag.wav", tmp_path / "plain.wav"
+    assert run("enhance", "--in", p, "--out", flag, "--unity-gain") == 0
+    assert run("enhance", "--in", p, "--out", plain) == 0
+    assert flag.read_bytes() != plain.read_bytes()
+    for value, want in (("TRUE", flag), ("True", flag), ("FALSE", plain),
+                        ("false", plain)):
+        assert outs[value].read_bytes() == want.read_bytes()
+
+
 def test_config_missing_file_is_usage_error(noisy_file, tmp_path):
     p, _ = noisy_file
     assert run("--config", tmp_path / "nope.cfg", "enhance", "--in", p,
@@ -647,6 +738,9 @@ def test_config_abbreviated_flag_applies_file(noisy_file, tmp_path):
     ["train", "--cell", "0"],
     ["train", "--blocks", "0"],
     ["mix", "--per-noise", "0"],
+    ["mix", "--jobs", "0"],
+    ["mix", "--jobs", "-2"],
+    ["mix", "--manifest", "no-such-manifest.tsv", "--jobs", "0"],
     ["stats", "--snr-min", "30", "--snr-max", "0"],
 ], ids=lambda a: " ".join(a[1:]))
 def test_bad_counts_are_usage_errors_before_any_read(tmp_path, capsys, argv):

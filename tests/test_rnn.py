@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sefront.rnn import (
-    LstmCellParams,
     backward,
     forward,
     init_network,
@@ -14,7 +13,7 @@ from sefront.rnn import (
     loss_cross_entropy,
     save_network,
 )
-from sefront.rnn import _forward, _lstm_run
+from sefront.rnn import _forward, _lstm_run, _tensor_shapes
 
 
 def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
@@ -32,13 +31,11 @@ def test_lstm_run_two_steps_against_straight_line():
     # the second step starts from the nonzero h and c of the first
     rng = np.random.default_rng(0)
     d, c_sz = 4, 3
-    cell = LstmCellParams(
-        rng.normal(0, 0.3, (d, 4 * c_sz)),
-        rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
-        rng.normal(0, 0.3, 4 * c_sz),
-    )
+    w_x = rng.normal(0, 0.3, (d, 4 * c_sz))
+    w_h = rng.normal(0, 0.3, (c_sz, 4 * c_sz))
+    b = rng.normal(0, 0.3, 4 * c_sz)
     x = rng.normal(0, 1, (2, d))  # one row, two packed steps
-    hs, cache = _lstm_run(cell, x, [(0, 1), (1, 1)])
+    hs, cache = _lstm_run(w_x, w_h, b, x, [(0, 1), (1, 1)])
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -46,7 +43,7 @@ def test_lstm_run_two_steps_against_straight_line():
     h_ref = np.zeros(c_sz)
     c_ref = np.zeros(c_sz)
     for t in range(2):
-        z = x[t] @ cell.w_x + h_ref @ cell.w_h + cell.b
+        z = x[t] @ w_x + h_ref @ w_h + b
         i, f, g, o = z[:3], z[3:6], z[6:9], z[9:]
         c_ref = sig(f) * c_ref + sig(i) * np.tanh(g)
         h_ref = sig(o) * np.tanh(c_ref)
@@ -57,26 +54,26 @@ def test_lstm_run_two_steps_against_straight_line():
 
 def test_lstm_run_zero_weights_keep_zero_state():
     # all-zero weights: candidate tanh(0)=0, so the state never moves
-    cell = LstmCellParams(np.zeros((4, 12)), np.zeros((3, 12)), np.zeros(12))
     # two rows over five packed steps
-    hs, cache = _lstm_run(cell, np.ones((10, 4)), [(2 * t, 2) for t in range(5)])
+    hs, cache = _lstm_run(np.zeros((4, 12)), np.zeros((3, 12)), np.zeros(12),
+                          np.ones((10, 4)), [(2 * t, 2) for t in range(5)])
     np.testing.assert_array_equal(hs, 0.0)
     np.testing.assert_array_equal(cache["cells"], 0.0)
 
 
 def test_init_shapes_and_forget_bias():
     p = tiny(cell=8, blocks=3, dim=9)
-    assert p.fc.w.shape == (9, 8)
-    assert p.out.w.shape == (8, 9)
+    assert p["fc.w"].shape == (9, 8)
+    assert p["out.w"].shape == (8, 9)
     assert p.n_blocks == 3
     assert p.mode == "UNI"
-    for blk in p.blocks:
-        np.testing.assert_array_equal(blk.fwd.b[8:16], 1.0)
-        np.testing.assert_array_equal(blk.fwd.b[:8], 0.0)
-        assert blk.bwd is None
+    for i in range(3):
+        np.testing.assert_array_equal(p[f"block{i}.fwd.b"][8:16], 1.0)
+        np.testing.assert_array_equal(p[f"block{i}.fwd.b"][:8], 0.0)
+    assert not any(".bwd." in name for name in p)
     bi = tiny(bidirectional=True)
-    assert bi.mode == "BI"
-    assert all(blk.bwd is not None for blk in bi.blocks)
+    assert bi.mode == "BI" and bi.n_blocks == 2
+    assert all(f"block{i}.bwd.b" in bi for i in range(2))
 
 
 def test_tensor_names():
@@ -188,15 +185,10 @@ def test_bi_with_zero_backward_equals_uni():
     # the forward-only sum
     uni = tiny(seed=5)
     bi = tiny(seed=6, bidirectional=True)
-    bi.fc = uni.fc
-    bi.ln_gain = uni.ln_gain
-    bi.ln_offset = uni.ln_offset
-    bi.out = uni.out
-    for bu, bb in zip(uni.blocks, bi.blocks):
-        bb.fwd = bu.fwd
-        bb.bwd.w_x = np.zeros_like(bb.bwd.w_x)
-        bb.bwd.w_h = np.zeros_like(bb.bwd.w_h)
-        bb.bwd.b = np.zeros_like(bb.bwd.b)
+    bi.update(uni)  # every tensor but the backward cells'
+    for name in bi:
+        if ".bwd." in name:
+            bi[name] = np.zeros_like(bi[name])
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 2, (8, 9))
     np.testing.assert_allclose(forward(bi, x), forward(uni, x), rtol=1e-12)
@@ -400,6 +392,40 @@ def test_save_load_round_trip(tmp_path, bidirectional):
         np.testing.assert_array_equal(q2.tensors()[k], v)
     save_network(q2, tmp_path / "net3.bin")
     assert (tmp_path / "net3.bin").read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bidirectional=st.booleans(),
+    n_blocks=st.integers(1, 3),
+    cell=st.integers(1, 6),
+    input_dim=st.integers(1, 7),
+    output_dim=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_file_round_trip_property(tmp_path_factory, bidirectional, n_blocks,
+                                        cell, input_dim, output_dim, seed):
+    # the file is the tensors in _tensor_shapes order: save -> load -> save
+    # is byte-identical, and a load gives each tensor rounded to float32
+    p = init_network(seed=seed, input_dim=input_dim, output_dim=output_dim,
+                     cell_size=cell, n_blocks=n_blocks, bidirectional=bidirectional)
+    layout = _tensor_shapes(bidirectional, n_blocks, cell, input_dim, output_dim)
+    assert list(p) == list(layout)
+    d = tmp_path_factory.mktemp("model")
+    save_network(p, d / "a.bin")
+    header = (d / "a.bin").read_bytes().split(b"\ndata\n")[0].decode().splitlines()
+    assert [line for line in header if line.startswith("tensor ")] == [
+        " ".join(["tensor", name, *map(str, shape)]) for name, shape in layout.items()]
+    q = load_network(d / "a.bin")
+    save_network(q, d / "b.bin")
+    assert (d / "b.bin").read_bytes() == (d / "a.bin").read_bytes()
+    assert list(q) == list(layout)
+    assert [q[name].shape for name in q] == list(layout.values())
+    for name, arr in p.items():
+        assert q[name].dtype == np.float64
+        np.testing.assert_array_equal(q[name], arr.astype(np.float32).astype(np.float64))
+    assert (q.mode, q.n_blocks, q.cell_size, q.input_dim, q.output_dim) == (
+        p.mode, n_blocks, cell, input_dim, output_dim)
 
 
 def test_load_rejects_bad_files(tmp_path):

@@ -214,8 +214,8 @@ def test_infer_xi_constant_half_lands_on_mu():
     # zeroed output layer keeps the prediction at exactly 0.5, so the
     # unmapped estimate is mu in every cell
     params = init_network(seed=4, cell_size=8, n_blocks=1)
-    params.out.w[:] = 0.0
-    params.out.b[:] = 0.0
+    params["out.w"][:] = 0.0
+    params["out.b"][:] = 0.0
     stats = flat_stats(mu=-4.0, sigma=7.0)
     rng = np.random.default_rng(6)
     xi = infer_xi(params, white_noise(rng, 8000), stats)
