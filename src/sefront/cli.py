@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data or format error,
 3 numerical failure.  Every command validates its inputs before it
 creates any output file, and mix and train remove what they wrote on a
 later failure, so a failed invocation leaves nothing behind.  A config
-file of key=value lines can preset any long option (a flag takes true
-or false); explicit flags win.
+file of key=value lines can preset any long option, a required one too;
+a flag takes true or false, an option with choices one of them, and
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -97,11 +98,12 @@ def _require_counts(*flags) -> None:
             raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
-def _dir_wavs(path: Path) -> list[Path]:
-    files = sorted(path.glob("*.wav"))
-    if not files:
-        raise ValueError(f"no .wav files in {path}")
-    return files
+def _snr_range(args) -> range:
+    """The --snr-min/--snr-max/--snr-step range of train and stats."""
+    _require_counts(("--snr-step", args.snr_step))
+    if args.snr_max < args.snr_min:
+        raise UsageError(f"--snr-max {args.snr_max} is below --snr-min {args.snr_min}")
+    return range(args.snr_min, args.snr_max + 1, args.snr_step)
 
 
 def _snr_grid(text: str):
@@ -117,16 +119,12 @@ def _snr_grid(text: str):
 
 
 def cmd_stats(args) -> int:
-    _require_counts(("--snr-step", args.snr_step))
-    if args.snr_max < args.snr_min:
-        raise UsageError(f"--snr-max {args.snr_max} is below --snr-min {args.snr_min}")
+    grid = _snr_range(args)
     _require_dir(Path(args.out).parent, "output")
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
-    clean = _dir_wavs(clean_dir)
-    noise = _dir_wavs(noise_dir)
-    grid = range(args.snr_min, args.snr_max + 1, args.snr_step)
-    stats = snr.estimate_stats(clean, noise, grid, seed=args.seed)
+    stats = snr.estimate_stats(corpus.wav_files(clean_dir), corpus.wav_files(noise_dir),
+                               grid, seed=args.seed)
     snr.save_stats(stats, args.out)
     print(f"stats: {stats.n_bins} bins from {stats.n_frames} frames -> {args.out}")
     return EXIT_OK
@@ -134,16 +132,9 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     try:
-        cfg = TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch,
-            learn_rate=args.lr,
-            grad_clip_norm=args.clip,
-            snr_min=args.snr_min,
-            snr_max=args.snr_max,
-            snr_step=args.snr_step,
-            seed=args.seed,
-        )
+        cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, learn_rate=args.lr,
+                          grad_clip_norm=args.clip, snrs=_snr_range(args),
+                          seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _require_counts(("--cell", args.cell), ("--blocks", args.blocks))
@@ -153,14 +144,10 @@ def cmd_train(args) -> int:
     clean_dir = _require_dir(args.clean, "clean")
     noise_dir = _require_dir(args.noise, "noise")
     stats = snr.load_stats(_require_file(args.stats, "stats file"))
-    clean = _dir_wavs(clean_dir)
-    noise = _dir_wavs(noise_dir)
-    params = rnn.init_network(
-        seed=args.seed,
-        cell_size=args.cell,
-        n_blocks=args.blocks,
-        bidirectional=args.bidirectional,
-    )
+    clean = corpus.wav_files(clean_dir)
+    noise = corpus.wav_files(noise_dir)
+    params = rnn.init_network(seed=args.seed, cell_size=args.cell, n_blocks=args.blocks,
+                              bidirectional=args.bidirectional)
     params, history = run_training(params, clean, noise, stats, cfg)
     if not np.all(np.isfinite(history)):
         raise FloatingPointError("training loss went non-finite")
@@ -349,26 +336,37 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # Apply config-file values as subcommand defaults before parsing.
+        # config values become defaults; the full parse checks required options
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        required = [a for p in subparsers.choices.values() for a in p._actions
+                    if a.required]
+        for a in required:
+            a.required = False
         ns, _ = parser.parse_known_args(argv)
+        overrides = {}
         if ns.config is not None:
             overrides = _read_config(Path(ns.config))
             if ns.command is None:
                 raise UsageError("missing command")
-            subparsers = next(a for a in parser._actions
-                              if isinstance(a, argparse._SubParsersAction))
             sub_parser = subparsers.choices[ns.command]
             actions = {a.dest: a for a in sub_parser._actions}
             for key, value in overrides.items():
-                if key not in actions:
+                action = actions.get(key)
+                if action is None:
                     raise UsageError(f"config key {key!r} unknown for {ns.command}")
-                # string defaults go through the option's type; flags convert here
-                if isinstance(actions[key], argparse._StoreTrueAction):
+                # a string default gets the option's type but not its choices
+                if isinstance(action, argparse._StoreTrueAction):
                     if value.lower() not in ("true", "false"):
                         raise UsageError(f"config key {key!r} takes true or false, "
                                          f"got {value!r}")
                     overrides[key] = value.lower() == "true"
+                elif action.choices is not None and value not in action.choices:
+                    raise UsageError(f"config key {key!r} takes one of "
+                                     f"{', '.join(action.choices)}, got {value!r}")
             sub_parser.set_defaults(**overrides)
+        for a in required:
+            a.required = a.dest not in overrides
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("missing command (stats, train, enhance, mix, wer)")

@@ -7,12 +7,11 @@ only the noise section it uses.  Every read checks that the data chunk
 holds the frames asked for, and wav_length reads the last frame back, so
 a file cut short of its header's frame count is a WavFormatError, never
 a silently shorter signal.  A recording is either a WAV path or an
-in-memory signal; recording_length and read_recording serve both, so
-the training and statistics tools read each recording, or the noise
-section they mix, only when their schedule draws it.  Mixing scales the
-noise section so the full-signal power ratio hits the requested SNR
-exactly, then rescales all three components together if the mixture
-would clip.
+in-memory signal.  Training and statistics share one seeded schedule,
+draw_mixtures, which reads each clean recording it draws and only the
+noise section it mixes.  Mixing scales the noise section so the
+full-signal power ratio hits the requested SNR exactly, then rescales
+all three components together if the mixture would clip.
 """
 
 from __future__ import annotations
@@ -141,6 +140,27 @@ def check_corpora(clean, noise) -> tuple[list[int], list[int]]:
     return clean_lengths, noise_lengths
 
 
+def draw_mixtures(clean, noise, lengths, picks, snrs, rng):
+    """Per clean index in picks, draw a noise index, an offset into that
+    noise and an SNR from snrs, in that order, and yield (clean samples,
+    noise section, snr_db); lengths is check_corpora's (clean, noise)."""
+    clean_lengths, noise_lengths = lengths
+    for ci in picks:
+        n = clean_lengths[ci]
+        di = int(rng.integers(len(noise)))
+        offset = int(rng.integers(noise_lengths[di] - n + 1))
+        snr_db = snrs[rng.integers(len(snrs))]
+        yield read_recording(clean[ci]), read_recording(noise[di], offset, n), snr_db
+
+
+def wav_files(directory) -> list[Path]:
+    """The .wav files in a directory, sorted by name; there must be one."""
+    files = sorted(Path(directory).glob("*.wav"))
+    if not files:
+        raise ValueError(f"no .wav files in {directory}")
+    return files
+
+
 def check_section(noise_name: str, n_noise: int, clean_name: str, n_clean: int,
                   offset: int) -> None:
     """The clean recording must not be empty, and the noise section
@@ -244,12 +264,8 @@ def build_test_manifest(
         raise ValueError("empty grid")
     if per_noise_count < 1:
         raise ValueError("per_noise_count must be at least 1")
-    clean_paths = sorted(Path(clean_dir).glob("*.wav"))
-    noise_paths = sorted(Path(noise_dir).glob("*.wav"))
-    if not clean_paths:
-        raise ValueError(f"no .wav files in {clean_dir}")
-    if not noise_paths:
-        raise ValueError(f"no .wav files in {noise_dir}")
+    clean_paths = wav_files(clean_dir)
+    noise_paths = wav_files(noise_dir)
     if per_noise_count > len(clean_paths):
         raise ValueError(
             f"per_noise_count {per_noise_count} exceeds {len(clean_paths)} clean files"

@@ -468,6 +468,8 @@ def load_network(path) -> NetworkParams:
         if pos + n > data.size:
             raise ValueError(f"model file: truncated data for tensor {name}")
         arrays[name] = data[pos : pos + n].astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"model file: tensor {name} is not finite")
         pos += n
     if pos != data.size:
         raise ValueError("model file: trailing data after last tensor")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .corpus import check_corpora, mixing_gain, read_recording
+from .corpus import check_corpora, draw_mixtures, mixing_gain, read_recording
 from .dsp import DEFAULT_CONFIG, SpectroGram, frame_count, stft
 
 NOISE_POWER_FLOOR = 1e-12
@@ -125,27 +125,16 @@ def _pool_stats(pool: np.ndarray) -> XiStats:
     return XiStats(mu, sigma, n)
 
 
-def stats_from_xi_db(xi_db_frames: np.ndarray) -> XiStats:
-    """Per-bin sample mean / sample std (ddof 1) with the 0.1 dB sigma floor.
-
-    Bit for bit np.mean and np.std(ddof=1) of xi_db_frames (frames x
-    bins).  The input is copied once and left unchanged.
-    """
-    pooled = np.array(xi_db_frames, dtype=np.float64)
-    if pooled.ndim != 2 or pooled.shape[0] == 0:
-        raise ValueError("need a non-empty (frames x bins) array")
-    return _pool_stats(pooled)
-
-
 def _content_key(samples: np.ndarray) -> str:
     return hashlib.blake2b(samples.tobytes(), digest_size=16).hexdigest()
 
 
-def _content_order(recordings) -> list[int]:
-    """Indices of the recordings sorted by the digest of their float64
-    samples; each recording is read once, one at a time."""
+def _by_content(recordings, lengths) -> tuple[list, list[int]]:
+    """The recordings and their lengths, sorted by the digest of their
+    float64 samples; each recording is read once, one at a time."""
     keys = [_content_key(read_recording(r)) for r in recordings]
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [recordings[i] for i in order], [lengths[i] for i in order]
 
 
 def estimate_stats(
@@ -156,13 +145,14 @@ def estimate_stats(
 ) -> XiStats:
     """Pool oracle xi_dB over a seeded mixing schedule and take per-bin stats.
 
-    Each clean recording is paired with one noise recording, a random
-    section of it, and one SNR from snr_range; as in training, no noise
-    recording may be shorter than the longest clean one, and no clean
-    recording may be empty.  Both corpora are ordered by content digest
-    before the schedule is drawn, so the result is invariant to the order
-    the recordings are passed in.  Clean cells with zero magnitude enter
-    the pool at the -120 dB floor.
+    The schedule is training's, corpus.draw_mixtures: each clean
+    recording is paired with one noise recording, a random section of
+    it, and one SNR from snr_range; as in training, no noise recording
+    may be shorter than the longest clean one, and no clean recording
+    may be empty.  Both corpora are put in content-digest order before
+    the schedule runs over every clean recording, so the result is
+    invariant to the order the recordings are passed in.  Clean cells
+    with zero magnitude enter the pool at the -120 dB floor.
 
     A recording is a WAV path or an in-memory signal.  Every length is
     checked first; the digests then read one recording at a time, and the
@@ -179,21 +169,16 @@ def estimate_stats(
     if not snrs:
         raise ValueError("empty grid")
 
-    clean_order = _content_order(clean)
-    noise_order = _content_order(noise)
+    clean, clean_lengths = _by_content(clean, clean_lengths)
+    noise, noise_lengths = _by_content(noise, noise_lengths)
 
     rng = np.random.default_rng(seed)
-    n_frames = [frame_count(clean_lengths[ci], DEFAULT_CONFIG.frame_shift)
-                for ci in clean_order]
+    n_frames = [frame_count(n, DEFAULT_CONFIG.frame_shift) for n in clean_lengths]
     pool = np.empty((sum(n_frames), DEFAULT_CONFIG.n_bins))
+    mixtures = draw_mixtures(clean, noise, (clean_lengths, noise_lengths),
+                             range(len(clean)), snrs, rng)
     start = 0
-    for ci, rows_n in zip(clean_order, n_frames):
-        n = clean_lengths[ci]
-        di = noise_order[rng.integers(len(noise))]
-        offset = int(rng.integers(noise_lengths[di] - n + 1))
-        snr_db = snrs[rng.integers(len(snrs))]
-        x = read_recording(clean[ci])
-        section = read_recording(noise[di], offset, n)
+    for (x, section, snr_db), rows_n in zip(mixtures, n_frames):
         g = mixing_gain(x, section, snr_db)
         rows = pool[start : start + rows_n]
         np.maximum(oracle_xi(stft(x), stft(g * section)), STATS_XI_FLOOR, out=rows)

@@ -1,15 +1,15 @@
 """Training loop for the spectral target network, plus inference.
 
 Each mini-batch takes a slate of clean recordings, mixes every one with
-a random section of a random noise recording at a random integer SNR,
-and regresses the noisy magnitudes onto the bounded mapped targets
-computed from the oracle a priori SNR of that very mixture.  One Adam
-step per batch on globally clipped gradients; a batch is the list of
-its examples, each as long as its own recording.  Every noise recording
-must be at least as long as the longest clean one, which train() checks
-before the first batch.  Recordings are WAV paths or in-memory signals;
-each is read when the schedule draws it, the noise only for the section
-it mixes.
+a random section of a random noise recording at a random SNR from the
+config's range (corpus.draw_mixtures, the schedule estimate_stats also
+draws), and regresses the noisy magnitudes onto the bounded mapped
+targets computed from the oracle a priori SNR of that very mixture.  One
+Adam step per batch on globally clipped gradients; a batch is the list
+of its examples, each as long as its own recording.  Every noise
+recording must be at least as long as the longest clean one, which
+train() checks before the first batch.  Recordings are WAV paths or
+in-memory signals.
 
 Everything is driven by one seeded generator, so a rerun with the same
 seed reproduces the loss history bit for bit.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import check_corpora, mix_at_snr, read_recording
+from .corpus import check_corpora, draw_mixtures, mix_at_snr
 from .dsp import DEFAULT_CONFIG, SpectroGram, stft
 from .rnn import NetworkParams, backward, forward
 from .snr import XiStats, map_xi, oracle_xi, unmap_xi, xi_to_db, STATS_XI_FLOOR
@@ -33,13 +33,14 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
+    """Training settings; snrs is the SNR range (dB) each mixture draws
+    from, -10 to 20 dB in 1 dB steps by default, and must not be empty."""
+
     epochs: int = 10
     batch_size: int = 10
     learn_rate: float = 1e-3
     grad_clip_norm: float = 5.0
-    snr_min: int = -10
-    snr_max: int = 20
-    snr_step: int = 1
+    snrs: range = range(-10, 21)
     seed: int = 0
 
     def __post_init__(self):
@@ -48,12 +49,8 @@ class TrainConfig:
         # written so that NaN fails too
         if not (0 <= self.learn_rate < np.inf and 0 <= self.grad_clip_norm < np.inf):
             raise ValueError("learn_rate and grad_clip_norm must be finite and non-negative")
-        if self.snr_max < self.snr_min or self.snr_step < 1:
-            raise ValueError("bad SNR range")
-
-    @property
-    def snr_choices(self) -> np.ndarray:
-        return np.arange(self.snr_min, self.snr_max + 1, self.snr_step)
+        if len(self.snrs) == 0:
+            raise ValueError("empty SNR range")
 
 
 class Adam:
@@ -106,16 +103,16 @@ def train(
     """Train in place; returns (params, per-batch loss history).
 
     A recording is a WAV path or an in-memory signal.  Every length (and
-    so every file's format) is checked before the first batch; the seeded
-    draws use only the lengths.  A drawn clean recording is read whole,
-    and its noise recording only for the section it mixes, so the corpus
-    is never held in memory, only the batch.  Epochs shuffle the clean
-    corpus; the trailing remainder that does not fill a batch is dropped,
-    so the history length is epochs * (len(clean) // batch_size).
+    so every file's format) is checked before the first batch.  Each
+    epoch shuffles the clean corpus, and each batch runs its slice of
+    that permutation through corpus.draw_mixtures, which reads only what
+    it draws, so only the batch is held in memory.  The trailing
+    remainder that does not fill a batch is dropped, so the history
+    length is epochs * (len(clean) // batch_size).
     """
     clean = list(clean_signals)
     noise = list(noise_signals)
-    clean_lengths, noise_lengths = check_corpora(clean, noise)
+    lengths = check_corpora(clean, noise)
     if len(clean) < cfg.batch_size:
         raise ValueError(
             f"corpus of {len(clean)} recordings is smaller than "
@@ -127,23 +124,16 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(cfg.learn_rate)
     tensors = params.tensors()
-    snrs = cfg.snr_choices
     history: list[float] = []
 
     for _ in range(cfg.epochs):
         order = rng.permutation(len(clean))
-        n_batches = len(clean) // cfg.batch_size
-        for b in range(n_batches):
+        for b in range(len(clean) // cfg.batch_size):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             mags, targets = [], []
-            for ci in idx:
-                n = clean_lengths[ci]
-                di = int(rng.integers(len(noise)))
-                offset = int(rng.integers(noise_lengths[di] - n + 1))
-                snr_db = int(snrs[rng.integers(len(snrs))])
-                m, t = make_example(read_recording(clean[ci]),
-                                    read_recording(noise[di], offset, n),
-                                    snr_db, stats)
+            for x, section, snr_db in draw_mixtures(clean, noise, lengths, idx,
+                                                    cfg.snrs, rng):
+                m, t = make_example(x, section, snr_db, stats)
                 mags.append(m)
                 targets.append(t)
             loss, grads = backward(params, mags, targets)

@@ -611,6 +611,19 @@ def test_stats_zero_snr_step_is_usage_error(wav_corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--snr-step", "0"], "--snr-step must be at least 1, got 0"),
+    (["--snr-min", "30", "--snr-max", "0"], "--snr-max 0 is below --snr-min 30"),
+], ids=["step", "order"])
+def test_train_and_stats_check_the_snr_range_alike(tmp_path, capsys, flags, message):
+    missing = tmp_path / "none"
+    inputs = ["--clean", missing, "--noise", missing, "--out", tmp_path / "out"]
+    assert run("stats", *inputs, *flags) == 1
+    assert run("train", *inputs, "--stats", missing / "stats.txt", *flags) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n" * 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_run_leaves_no_output(tmp_path):
     out = tmp_path / "never.wav"
     assert run("enhance", "--in", tmp_path / "nope.wav", "--out", out) == 2
@@ -732,6 +745,51 @@ def test_config_abbreviated_flag_applies_file(noisy_file, tmp_path):
     assert run("--conf", cfg, "enhance", "--in", p, "--out", a) == 0
     assert run("enhance", "--in", p, "--out", b, "--gain", "mmse-stsa") == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("line", ["gain=bogus", "estimator=bogus", "gain=SRWF"])
+def test_config_value_outside_the_choices_is_usage_error(noisy_file, tmp_path, capsys,
+                                                         line):
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run("--config", cfg, "enhance", "--in", p, "--out", tmp_path / "x.wav") == 1
+    key, value = line.split("=")
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"usage error: config key {key!r} takes one of ")
+    assert err.endswith(f", got {value!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.wav", "run.cfg"]
+
+
+def test_config_value_satisfies_a_required_option(noisy_file, tmp_path, capsys):
+    p, _ = noisy_file
+    a, b = tmp_path / "a.wav", tmp_path / "b.wav"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out={a}\n")
+    assert run("--config", cfg, "enhance", "--in", p) == 0
+    assert run("enhance", "--in", p, "--out", b) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # an option neither preset nor given is still required
+    cfg.write_text("gain=wiener\n")
+    capsys.readouterr()
+    assert run("--config", cfg, "enhance", "--in", p) == 1
+    assert capsys.readouterr().err == (
+        "usage error: the following arguments are required: --out\n")
+
+
+def test_enhance_non_finite_model_is_data_error(noisy_file, tmp_path, capsys):
+    p, _ = noisy_file
+    params = init_network(cell_size=4, n_blocks=1)
+    params["fc.w"][0, 0] = np.nan
+    model, stats = tmp_path / "net.bin", tmp_path / "stats.txt"
+    save_network(params, model)
+    save_stats(XiStats(np.zeros(257), np.ones(257)), stats)
+    out = tmp_path / "o.wav"
+    assert run("enhance", "--in", p, "--out", out, "--estimator", "neural",
+               "--model", model, "--stats", stats) == 2
+    assert capsys.readouterr().err == "error: model file: tensor fc.w is not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

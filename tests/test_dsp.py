@@ -97,6 +97,15 @@ def test_stft_phase_is_the_angle_of_the_transform(case):
     assert spec.phase is spec.phase  # computed once, then kept
 
 
+@settings(max_examples=100, deadline=None)
+@given(configs_and_signals())
+def test_istft_inverts_stft(case):
+    config, x = case
+    y = istft(stft(x, config), len(x))
+    assert len(y) == len(x)
+    assert np.max(np.abs(y.samples - x)) <= 1e-12
+
+
 def test_frame_signal_rejects_empty():
     with pytest.raises(ValueError):
         frame_signal(np.array([]))

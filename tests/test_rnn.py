@@ -472,6 +472,16 @@ def test_load_rejects_tensor_shape_mismatch(tmp_path):
         load_network(wrong_cell)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_tensors(tmp_path, value):
+    p = tiny()
+    p["block1.fwd.w_h"][2, 3] = value
+    bad = tmp_path / "bad.bin"
+    save_network(p, bad)
+    with pytest.raises(ValueError, match=r"^model file: tensor block1\.fwd\.w_h is not "
+                                         r"finite$"):
+        load_network(bad)
+
 
 def test_load_rejects_huge_block_count_fast(tmp_path):
     good = tmp_path / "good.bin"

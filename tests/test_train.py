@@ -37,8 +37,8 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learn_rate=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(snr_min=10, snr_max=0)
+    with pytest.raises(ValueError, match="empty SNR range"):
+        TrainConfig(snrs=range(10, 1))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite and non-negative"):
             TrainConfig(learn_rate=bad)
@@ -46,10 +46,9 @@ def test_config_validation():
             TrainConfig(grad_clip_norm=bad)
 
 
-def test_snr_choices_grid():
-    cfg = TrainConfig(snr_min=-5, snr_max=15, snr_step=5)
-    np.testing.assert_array_equal(cfg.snr_choices, [-5, 0, 5, 10, 15])
-    assert TrainConfig().snr_choices.size == 31
+def test_default_snr_range():
+    assert TrainConfig().snrs == range(-10, 21)
+    assert list(TrainConfig(snrs=range(-5, 16, 5)).snrs) == [-5, 0, 5, 10, 15]
 
 
 def test_adam_zero_lr_keeps_parameters():
