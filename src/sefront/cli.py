@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 data or format error,
 3 numerical failure.  Every command validates its inputs before it
 creates any output file, and mix and train remove what they wrote on a
 later failure, so a failed invocation leaves nothing behind.  A config
-file of key=value lines can preset any long option, a required one too;
+file of key=value lines can preset any long option, a required one too:
+a key is the option's name without the dashes (in, out-dir or out_dir),
 a flag takes true or false, an option with choices one of them, and
 explicit flags win.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, dd, features, rnn, snr
-from .dsp import AudioSignal, istft, stft
+from .dsp import istft, stft
 from .gain import GainRule
 # the package re-exports the train() function under the submodule's name,
 # so pull what the commands need straight from the submodule
@@ -186,10 +187,8 @@ def cmd_enhance(args) -> int:
                 raise ValueError("oracle references must match the input length")
             xi = snr.oracle_xi(stft(clean), stft(noise))
         out = dd.enhance(spec, rule, xi, out_len=len(noisy))
-    samples = np.clip(out.samples, -1.0, 1.0)
-    if not np.all(np.isfinite(samples)):
-        raise FloatingPointError("enhancement produced non-finite samples")
-    corpus.save_wav(AudioSignal(samples), args.out)
+    np.clip(out.samples, -1.0, 1.0, out=out.samples)  # finite, as istft checks
+    corpus.save_wav(out, args.out)
     print(f"enhance[{args.estimator}/{args.gain}]: {in_path} -> {args.out}")
     return EXIT_OK
 
@@ -296,19 +295,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enhance", help="enhance one noisy recording")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--estimator", choices=("neural", "dd", "oracle"), default="dd"
-    )
+    p.add_argument("--estimator", choices=("neural", "dd", "oracle"), default="dd")
     p.add_argument("--gain", choices=sorted(_GAIN_NAMES), default="srwf")
     p.add_argument("--model")
     p.add_argument("--stats")
     p.add_argument("--clean", help="clean reference (oracle estimator)")
     p.add_argument("--noise", help="noise reference (oracle estimator)")
-    p.add_argument(
-        "--unity-gain",
-        action="store_true",
-        help="debug: analysis/synthesis round trip with no gain",
-    )
+    p.add_argument("--unity-gain", action="store_true",
+                   help="debug: analysis/synthesis round trip with no gain")
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("mix", help="build and run a mixing manifest")
@@ -346,13 +340,15 @@ def main(argv=None) -> int:
         ns, _ = parser.parse_known_args(argv)
         overrides = {}
         if ns.config is not None:
-            overrides = _read_config(Path(ns.config))
+            config = _read_config(Path(ns.config))
             if ns.command is None:
                 raise UsageError("missing command")
             sub_parser = subparsers.choices[ns.command]
-            actions = {a.dest: a for a in sub_parser._actions}
-            for key, value in overrides.items():
-                action = actions.get(key)
+            # a key names a long option; its value presets the option's dest
+            options = {s[2:].replace("-", "_"): a for a in sub_parser._actions
+                       for s in a.option_strings if s.startswith("--") and a.dest != "help"}
+            for key, value in config.items():
+                action = options.get(key)
                 if action is None:
                     raise UsageError(f"config key {key!r} unknown for {ns.command}")
                 # a string default gets the option's type but not its choices
@@ -360,10 +356,11 @@ def main(argv=None) -> int:
                     if value.lower() not in ("true", "false"):
                         raise UsageError(f"config key {key!r} takes true or false, "
                                          f"got {value!r}")
-                    overrides[key] = value.lower() == "true"
+                    value = value.lower() == "true"
                 elif action.choices is not None and value not in action.choices:
                     raise UsageError(f"config key {key!r} takes one of "
                                      f"{', '.join(action.choices)}, got {value!r}")
+                overrides[action.dest] = value
             sub_parser.set_defaults(**overrides)
         for a in required:
             a.required = a.dest not in overrides

@@ -1,24 +1,25 @@
 """Noise tracking, decision-directed a priori SNR and the enhancement pipeline.
 
 Noise power is tracked by a gated first-order recursion (updates only
-where the cell looks speech-absent).  The classical non-neural xi
-estimate is the usual decision-directed blend of the previous frame's
-post-gain amplitude estimate and the instantaneous max(gamma - 1, 0).
-enhance() is the one front-end every xi estimator runs through: stft,
-tracked noise, gamma, gain, and resynthesis with the noisy phase; it
-runs the decision-directed recursion itself unless it is given xi, and
-it takes the noisy spectrogram instead of the waveform when a caller has
-already transformed it for its own xi estimate.
+where the cell looks speech-absent).  The decision-directed xi blends the
+previous frame's post-gain amplitude estimate with max(gamma - 1, 0).
+enhance() is the one front-end every xi estimator runs through (stft,
+tracked noise, gamma, gain, resynthesis with the noisy phase); it runs
+the recursion itself unless given xi, and takes a spectrogram in place of
+the waveform.  The recursion runs an unchecked gain kernel per frame and
+enhance checks the MMSE-STSA inputs once per call; past the phase, power
+and noise track it allocates only the gains, and frees power and track
+before resynthesis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import AudioSignal, SpectroGram, istft, stft, _samples
-from .gain import GainRule, gain_for
+from .gain import GainRule, _gain_kernel, gain_for, gain_mmse_stsa
 
 ALPHA_DD = 0.98
 ALPHA_NOISE = 0.98
@@ -29,22 +30,14 @@ _POWER_FLOOR = 1e-12
 
 @dataclass
 class DdState:
-    """Carry-over between frames: previous post-gain amplitude squared.
-
-    gain is the rule's gain for the frame that produced this state, or
-    None before the first step.
-    """
+    """Carry-over between frames: the previous post-gain amplitude squared,
+    and the gain of the frame that produced it (None before the first)."""
 
     prev_amp_sq: np.ndarray
     gain: np.ndarray | None = None
 
 
-def dd_xi(
-    state: DdState,
-    noisy_power_frame,
-    lambda_d,
-    rule: GainRule = GainRule.SRWF,
-):
+def dd_xi(state: DdState, noisy_power_frame, lambda_d, rule: GainRule = GainRule.SRWF):
     """One decision-directed step; returns (xi, gamma, next state).
 
     gamma = |X|^2 / lambda_d
@@ -52,17 +45,15 @@ def dd_xi(
 
     The state advances with (G |X|)^2 where G is the rule's gain for
     this frame, so the recursion sees the enhanced amplitude; G itself
-    is kept as next_state.gain.
+    is kept as next_state.gain.  G is unchecked: an MMSE-STSA input that
+    gain_mmse_stsa rejects gives NaN.
     """
     p = np.asarray(noisy_power_frame, dtype=np.float64)
     lam = np.maximum(np.asarray(lambda_d, dtype=np.float64), _POWER_FLOOR)
     gamma = p / lam
-    xi = ALPHA_DD * state.prev_amp_sq / lam + (1.0 - ALPHA_DD) * np.maximum(
-        gamma - 1.0, 0.0
-    )
-    g = gain_for(rule, xi, np.maximum(gamma, _POWER_FLOOR))
-    next_state = replace(state, prev_amp_sq=(g * g) * p, gain=g)
-    return xi, gamma, next_state
+    xi = ALPHA_DD * state.prev_amp_sq / lam + (1.0 - ALPHA_DD) * np.maximum(gamma - 1.0, 0.0)
+    g = _gain_kernel(rule, xi, np.maximum(gamma, _POWER_FLOOR))
+    return xi, gamma, DdState((g * g) * p, g)
 
 
 def tracked_noise_power(power: np.ndarray) -> np.ndarray:
@@ -88,23 +79,39 @@ def tracked_noise_power(power: np.ndarray) -> np.ndarray:
     return lam
 
 
-def enhance(
-    noisy,
-    rule: GainRule = GainRule.SRWF,
-    xi=None,
-    out_len: int | None = None,
-) -> AudioSignal:
+def _dd_gains(power: np.ndarray, lam: np.ndarray, rule: GainRule) -> np.ndarray:
+    """The gain of every frame, one dd_xi step each.  An MMSE-STSA input
+    that gain_mmse_stsa rejects gives NaN, so the first non-finite frame is
+    derived again and gain_mmse_stsa raises the error it would raise there."""
+    state = DdState(np.zeros(power.shape[1]))
+    gains = np.empty_like(power)
+    with np.errstate(all="ignore"):
+        for l in range(power.shape[0]):
+            _, _, state = dd_xi(state, power[l], lam[l], rule)
+            gains[l] = state.gain
+        if rule is not GainRule.MMSE_STSA or np.all(np.isfinite(gains)):
+            return gains
+        l = int(np.argmin(np.all(np.isfinite(gains), axis=1)))
+        prev = gains[l - 1] * gains[l - 1] * power[l - 1] if l else np.zeros(power.shape[1])
+        xi, gamma, _ = dd_xi(DdState(prev), power[l], lam[l], rule)
+    gain_mmse_stsa(xi, np.maximum(gamma, _POWER_FLOOR))
+    raise AssertionError("gain_mmse_stsa accepted the inputs of a NaN gain")
+
+
+def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
+            out_len: int | None = None) -> AudioSignal:
     """Enhance one signal: stft, track, gain, istft.
 
     noisy is a waveform, or its SpectroGram, which is used as it is (with
-    its own config).  With xi=None the decision-directed recursion
-    estimates xi frame by frame.  Otherwise xi is the linear a priori SNR
-    of another estimator, shaped like the spectrogram (frames, bins), and
-    gamma comes from the tracked noise with the same floor the recursion
-    uses.  The output is out_len samples long; that defaults to the
-    length of a waveform input and to istft's full span for a
-    SpectroGram.  Resynthesis reuses the noisy phase.  An all-zero input
-    comes back all zero.
+    its own config) and left unchanged, as is xi.  With xi=None the
+    decision-directed recursion estimates xi frame by frame, with the
+    MMSE-STSA inputs checked once for the call.  Otherwise xi is the
+    linear a priori SNR of another estimator, shaped like the spectrogram
+    (frames, bins), and gamma comes from the tracked noise with the same
+    floor the recursion uses.  The output is out_len samples long; that
+    defaults to the length of a waveform input and to istft's full span
+    for a SpectroGram.  Resynthesis reuses the noisy phase.  An all-zero
+    input comes back all zero.
     """
     if isinstance(noisy, SpectroGram):
         spec = noisy
@@ -112,18 +119,17 @@ def enhance(
         spec = stft(noisy)
         if out_len is None:
             out_len = _samples(noisy).size
+    phase = spec.phase  # frees stft's complex spectrum before the gains are made
     power = spec.magnitude**2
     lam = tracked_noise_power(power)
     if xi is None:
-        state = DdState(np.zeros(spec.config.n_bins))
-        gains = np.empty_like(power)
-        for l in range(spec.n_frames):
-            _, _, state = dd_xi(state, power[l], lam[l], rule)
-            gains[l] = state.gain
+        gains = _dd_gains(power, lam, rule)
+    elif np.shape(xi) != power.shape:
+        raise ValueError("xi shape must match the spectrogram")
     else:
-        if np.shape(xi) != power.shape:
-            raise ValueError("xi shape must match the spectrogram")
-        gamma = power / np.maximum(lam, _POWER_FLOOR)
-        gains = gain_for(rule, xi, np.maximum(gamma, _POWER_FLOOR))
-    shaped = SpectroGram(spec.magnitude * gains, spec.phase, spec.config)
-    return istft(shaped, out_len)
+        np.maximum(lam, _POWER_FLOOR, out=lam)
+        np.divide(power, lam, out=power)  # power becomes gamma, floored below
+        gains = gain_for(rule, xi, np.maximum(power, _POWER_FLOOR, out=power))
+    del power, lam  # istft's buffers take their place
+    gains *= spec.magnitude
+    return istft(SpectroGram(gains, phase, spec.config), out_len)

@@ -10,7 +10,11 @@ with np.angle on first read, so analyses that use magnitudes only
 is weighted overlap-add: the analysis window is reused for synthesis and
 each output sample is normalised by the summed squared window, which
 reconstructs unmodified spectra exactly at any frame position, including
-the partially covered edges.
+the partially covered edges.  It builds the spectrum as magnitude *
+cos(phase) + i magnitude * sin(phase) in one complex array (magnitude *
+exp(i phase) but for the sign of a zero, which the overlap-add onto +0.0
+erases) and overlap-adds ceil(frame_len / frame_shift) blocks of one
+shift each, last block first, so each sample sums its frames in order.
 """
 
 from __future__ import annotations
@@ -178,18 +182,30 @@ def istft(spec: SpectroGram, out_len: int | None = None) -> AudioSignal:
     if out_len < 0:
         raise ValueError("out_len must be non-negative")
 
+    hop, n_frames = cfg.frame_shift, spec.n_frames
+    k = -(-cfg.frame_len // hop)  # shifts one frame spans
     window = hamming_window(cfg.frame_len)
-    frames = np.fft.irfft(
-        spec.magnitude * np.exp(1j * spec.phase), n=cfg.fft_size, axis=1
-    )[:, : cfg.frame_len]
-    frames *= window
+    frames = np.fft.irfft(_polar(spec.magnitude, spec.phase), n=cfg.fft_size, axis=1)
+    if frames.shape[1] < k * hop:
+        frames = np.pad(frames, ((0, 0), (0, k * hop - frames.shape[1])))
+    frames = frames[:, : k * hop]
+    frames[:, : cfg.frame_len] *= window
+    frames[:, cfg.frame_len :] = 0.0
+    wsq = np.pad(window * window, (0, k * hop - cfg.frame_len))
+    out = np.zeros((n_frames + k - 1, hop))
+    norm = np.zeros_like(out)
+    for j in range(k - 1, -1, -1):  # later frames add last to each sample
+        out[j : j + n_frames] += frames[:, j * hop : (j + 1) * hop]
+        norm[j : j + n_frames] += wsq[j * hop : (j + 1) * hop]
+    out = out.reshape(-1)[:out_len]
+    out /= norm.reshape(-1)[:out_len]  # window strictly positive, so norm > 0 here
+    return AudioSignal(out)
 
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    wsq = window * window
-    for l in range(spec.n_frames):
-        start = l * cfg.frame_shift
-        out[start : start + cfg.frame_len] += frames[l]
-        norm[start : start + cfg.frame_len] += wsq
-    out /= norm  # window strictly positive, so norm > 0 everywhere
-    return AudioSignal(out[:out_len])
+
+def _polar(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """magnitude * (cos(phase) + i sin(phase)), in one complex array."""
+    z = np.empty(magnitude.shape, dtype=np.complex128)
+    for part, f in ((z.real, np.cos), (z.imag, np.sin)):
+        f(phase, out=part)
+        part *= magnitude
+    return z

@@ -6,7 +6,8 @@ that multiplies the noisy magnitude; Wiener and SRWF gains lie in [0, 1].
 The short-time amplitude estimator is the MMSE solution of Ephraim and
 Malah (1984), evaluated with SciPy's exponentially scaled Bessel
 functions, which hold at every nu; it exceeds 1 at low gamma (6.28 at
-xi = 1, gamma = 0.01).
+xi = 1, gamma = 0.01).  The decision-directed recursion runs the rules
+per frame through the unchecked _gain_kernel; dd.enhance checks once.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ def gain_srwf(xi) -> np.ndarray:
     return np.sqrt(gain_wiener(xi))
 
 
+def _mmse_stsa(xi, gamma) -> np.ndarray:
+    """gain_mmse_stsa unchecked: NaN where that rejects the input."""
+    nu = xi * gamma / (1.0 + xi)
+    return (0.5 * np.sqrt(np.pi)) * (np.sqrt(nu) / gamma) * (
+        (1.0 + nu) * i0e(0.5 * nu) + nu * i1e(0.5 * nu))
+
+
 def gain_mmse_stsa(xi, gamma) -> np.ndarray:
     """MMSE short-time spectral amplitude gain.
 
@@ -49,15 +57,19 @@ def gain_mmse_stsa(xi, gamma) -> np.ndarray:
         raise ValueError("xi and gamma must be finite")
     if np.any(xi < 0) or np.any(gamma <= 0):
         raise ValueError("xi must be >= 0 and gamma > 0")
-    with np.errstate(over="ignore"):
-        nu = xi * gamma / (1.0 + xi)
-    if not np.all(np.isfinite(nu)):
+    # with finite xi >= 0 and gamma > 0 the gain is finite unless nu overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _mmse_stsa(xi, gamma)
+    if not np.all(np.isfinite(g)):
         raise ValueError("xi * gamma overflows")
-    return (
-        (0.5 * np.sqrt(np.pi))
-        * (np.sqrt(nu) / gamma)
-        * ((1.0 + nu) * i0e(0.5 * nu) + nu * i1e(0.5 * nu))
-    )
+    return g
+
+
+def _gain_kernel(rule: GainRule, xi, gamma) -> np.ndarray:
+    """gain_for without the MMSE-STSA checks, for a caller that checks once."""
+    if rule is GainRule.MMSE_STSA:
+        return _mmse_stsa(xi, gamma)
+    return gain_wiener(xi) if rule is GainRule.WIENER else gain_srwf(xi)
 
 
 def gain_for(rule: GainRule, xi, gamma=None) -> np.ndarray:
@@ -70,4 +82,3 @@ def gain_for(rule: GainRule, xi, gamma=None) -> np.ndarray:
             raise ValueError("mmse-stsa requires gamma")
         return gain_mmse_stsa(xi, gamma)
     raise ValueError(f"unknown gain rule {rule!r}")
-

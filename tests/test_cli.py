@@ -661,6 +661,43 @@ def test_config_unknown_key_is_usage_error(noisy_file, tmp_path):
                "--out", tmp_path / "x.wav") == 1
 
 
+def test_config_key_is_the_option_name(noisy_file, tmp_path):
+    # --in stores to infile; the config key is the option's own name
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"in={p}\ngain=wiener\n")
+    a, b = tmp_path / "a.wav", tmp_path / "b.wav"
+    assert run("--config", cfg, "enhance", "--out", a) == 0
+    assert run("enhance", "--in", p, "--out", b, "--gain", "wiener") == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["out-dir", "out_dir"])
+def test_config_key_takes_dashes_or_underscores(wav_corpus, tmp_path, key):
+    clean_dir, noise_dir = wav_corpus
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={tmp_path / 'preset'}\nper-noise=1\nsnr_grid=0\n")
+    assert run("--config", cfg, "mix", "--clean", clean_dir, "--noise", noise_dir) == 0
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir, "--per-noise", 1,
+               "--snr-grid", 0, "--out-dir", tmp_path / "flags") == 0
+    preset = sorted(p.name for p in (tmp_path / "preset").iterdir())
+    assert preset == sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert len(preset) == 1 + 4  # the manifest and one mixture per noise
+    assert not (tmp_path / "noisy").exists()
+
+
+@pytest.mark.parametrize("line", ["infile=x.wav", "func=x", "h=true", "help=true"])
+def test_config_key_that_names_no_option_is_usage_error(noisy_file, tmp_path, capsys,
+                                                        line):
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run("--config", cfg, "enhance", "--in", p, "--out", tmp_path / "x.wav") == 1
+    key = line.split("=")[0]
+    assert capsys.readouterr().err == f"usage error: config key {key!r} unknown for enhance\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.wav", "run.cfg"]
+
+
 @pytest.mark.parametrize("command, line", [
     ("enhance", "unity-gain=no"),
     ("enhance", "unity-gain=1"),

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SR, toy_voice, white_noise
 from sefront.dd import DdState, dd_xi, enhance, tracked_noise_power
-from sefront.dsp import stft, synthesis_length
-from sefront import gain as gain_module
-from sefront.gain import GainRule, gain_for
+from sefront.dsp import SpectroGram, stft, synthesis_length
+from sefront import dd as dd_module, gain as gain_module
+from sefront.gain import GainRule, gain_for, gain_mmse_stsa
 from sefront.snr import oracle_xi
 
 
@@ -206,16 +207,24 @@ def test_dd_xi_keeps_the_frame_gain():
 
 
 def test_enhance_computes_one_gain_per_frame(monkeypatch):
+    # one unchecked kernel call per frame, and no per-frame call of the
+    # checked gain_mmse_stsa: the call's inputs are checked once
     rng = np.random.default_rng(6)
     x = white_noise(rng, 8000, rms=0.05)
     calls = []
-    real = gain_module.gain_mmse_stsa
+    real = gain_module._mmse_stsa
 
     def counting(xi, gamma):
         calls.append(1)
         return real(xi, gamma)
 
-    monkeypatch.setattr(gain_module, "gain_mmse_stsa", counting)
+    def refuse(*args):
+        raise AssertionError("the DD loop called a checked gain")
+
+    monkeypatch.setattr(gain_module, "_mmse_stsa", counting)
+    for module in (gain_module, dd_module):
+        monkeypatch.setattr(module, "gain_mmse_stsa", refuse)
+        monkeypatch.setattr(module, "gain_for", refuse)
     enhance(x, GainRule.MMSE_STSA)
     assert len(calls) == stft(x).n_frames
 
@@ -274,3 +283,59 @@ def test_enhance_rejects_wrong_shape_xi(n, rule, seed, use_oracle):
     wrong = xi[:, :-1] if use_oracle else np.ones((xi.shape[0] + 1, xi.shape[1]))
     with pytest.raises(ValueError, match="xi shape"):
         enhance(noisy, rule, wrong)
+
+
+@enhance_cases
+def test_enhance_leaves_its_inputs_unchanged(n, rule, seed, use_oracle):
+    noisy, xi = _oracle_case(seed, n)
+    spec = stft(noisy)
+    arrays = (spec.magnitude, spec.phase, xi)
+    before = [a.tobytes() for a in arrays]
+    enhance(spec, rule, xi if use_oracle else None)
+    assert [a.tobytes() for a in arrays] == before
+
+
+def _spectrogram_with(cells):
+    """30 frames of moderate random spectra with the given (frame, bin) ->
+    magnitude cells, all past the tracker's initial frames."""
+    rng = np.random.default_rng(8)
+    magnitude = rng.uniform(0.05, 1.0, (30, 257))
+    for (frame, k), value in cells.items():
+        magnitude[frame, k] = value
+    return SpectroGram(magnitude, rng.uniform(-np.pi, np.pi, (30, 257)))
+
+
+def reference_mmse_stsa_error(spec):
+    """The error of the per-frame checked loop: gain_mmse_stsa on each
+    frame's decision-directed xi and gamma, in frame order."""
+    power = spec.magnitude**2
+    lam = np.maximum(tracked_noise_power(power), 1e-12)
+    prev = np.zeros(power.shape[1])
+    for l in range(power.shape[0]):
+        gamma = power[l] / lam[l]
+        xi = 0.98 * prev / lam[l] + 0.02 * np.maximum(gamma - 1.0, 0.0)
+        try:
+            g = gain_mmse_stsa(xi, np.maximum(gamma, 1e-12))
+        except ValueError as exc:
+            return str(exc)
+        prev = (g * g) * power[l]
+    return None
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({(15, 7): np.inf}, "xi and gamma must be finite"),
+    ({(15, 7): 1e140}, "xi * gamma overflows"),
+    ({(12, 3): 1e140, (20, 9): np.inf}, "xi * gamma overflows"),
+    ({(12, 3): np.inf, (20, 9): 1e140}, "xi and gamma must be finite"),
+    ({(29, 256): np.inf}, "xi and gamma must be finite"),
+])
+def test_enhance_dd_mmse_stsa_raises_the_first_bad_frames_error(cells, message):
+    # an inf or huge magnitude: the check once per call raises the error the
+    # per-frame check raised at the first bad frame, and no RuntimeWarning
+    spec = _spectrogram_with(cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reference_mmse_stsa_error(spec) == message
+        with pytest.raises(ValueError) as raised:
+            enhance(spec, GainRule.MMSE_STSA)
+    assert str(raised.value) == message

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sefront.dsp import (
     AnalysisConfig,
@@ -104,6 +104,88 @@ def test_istft_inverts_stft(case):
     y = istft(stft(x, config), len(x))
     assert len(y) == len(x)
     assert np.max(np.abs(y.samples - x)) <= 1e-12
+
+
+def cos_sin_spectrum(magnitude, phase):
+    """magnitude * exp(i phase) the way istft builds it: cos and sin of the
+    phase straight into the parts of one complex array, then scaled."""
+    z = np.empty(magnitude.shape, dtype=np.complex128)
+    for part, f in ((z.real, np.cos), (z.imag, np.sin)):
+        f(phase, out=part)
+        part *= magnitude
+    return z
+
+
+EDGE_PHASES = [-np.pi, np.pi, 0.0, -0.0, np.pi / 2, -np.pi / 2, np.nextafter(np.pi, 0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1e300),
+                          st.floats(-np.pi, np.pi) | st.sampled_from(EDGE_PHASES)),
+                min_size=1, max_size=64))
+def test_cos_sin_spectrum_equals_the_complex_exponential(cells):
+    magnitude, phase = (np.array(v, dtype=np.float64) for v in zip(*cells))
+    got = cos_sin_spectrum(magnitude, phase)
+    want = magnitude * np.exp(1j * phase)
+    # equal in value everywhere; in bytes wherever no part is zero, since a
+    # zero product may take the other sign, which istft's overlap-add onto
+    # +0.0 erases (test_istft_equals_the_frame_by_frame_overlap_add)
+    assert np.array_equal(got, want)
+    nonzero = (want.real != 0) & (want.imag != 0)
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+def reference_istft(spec, out_len):
+    """Synthesis as first written: magnitude * exp(i phase), then the frames
+    overlap-added one at a time."""
+    cfg = spec.config
+    window = hamming_window(cfg.frame_len)
+    frames = np.fft.irfft(spec.magnitude * np.exp(1j * spec.phase), n=cfg.fft_size,
+                          axis=1)[:, : cfg.frame_len]
+    frames *= window
+    total = synthesis_length(spec.n_frames, cfg)
+    out = np.zeros(total)
+    norm = np.zeros(total)
+    for l in range(spec.n_frames):
+        start = l * cfg.frame_shift
+        out[start : start + cfg.frame_len] += frames[l]
+        norm[start : start + cfg.frame_len] += window * window
+    out /= norm
+    return out[:out_len]
+
+
+@st.composite
+def synthesis_cases(draw):
+    """A spectrogram on a random geometry whose shift divides frame_len or
+    not; from stft of a random signal, or random magnitudes with zeros and
+    phases with edge values; and an output length up to the full span."""
+    frame_len = draw(st.integers(2, 600))
+    divisors = [d for d in range(1, frame_len + 1) if frame_len % d == 0]
+    others = [d for d in range(1, frame_len + 1) if frame_len % d] or divisors
+    frame_shift = draw(st.sampled_from(draw(st.sampled_from([divisors, others]))))
+    config = AnalysisConfig(frame_len, frame_shift, frame_len + draw(st.integers(0, 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        spec = stft(rng.normal(0, 0.3, draw(st.integers(1, 3000))), config)
+    else:
+        shape = (draw(st.integers(1, 12)), config.n_bins)
+        magnitude = rng.exponential(1.0, shape) * (rng.random(shape) < 0.8)
+        phase = rng.uniform(-np.pi, np.pi, shape)
+        edges = rng.random(shape) < 0.2
+        phase[edges] = rng.choice(EDGE_PHASES, edges.sum())
+        spec = SpectroGram(magnitude, phase, config)
+    total = synthesis_length(spec.n_frames, config)
+    return spec, draw(st.integers(0, total))
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthesis_cases())
+@example((stft(np.linspace(-1, 1, 4000)), 4000))  # the paper's 512/256/512
+@example((stft(np.linspace(-1, 1, 999), AnalysisConfig(400, 150, 420)), 999))
+def test_istft_equals_the_frame_by_frame_overlap_add(case):
+    spec, out_len = case
+    got = istft(spec, out_len).samples
+    assert got.tobytes() == reference_istft(spec, out_len).tobytes()
 
 
 def test_frame_signal_rejects_empty():
