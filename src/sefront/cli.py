@@ -7,13 +7,16 @@ later failure, so a failed invocation leaves nothing behind.  A config
 file of key=value lines can preset any long option, a required one too:
 a key is the option's name without the dashes (in, out-dir or out_dir),
 a flag takes true or false, an option with choices one of them, and
-explicit flags win.
+explicit flags win.  main builds its parser once per process; a config
+file's presets hold for its own call only, and concurrent calls each see
+their own.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -162,9 +165,25 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _oracle_xi(args, n: int):
+    """oracle_xi of the --clean and --noise references of an n-sample input;
+    each reference waveform is dropped once its magnitude is taken."""
+    paths = (_require_file(args.clean, "clean reference"),
+             _require_file(args.noise, "noise reference"))
+    magnitudes = []
+    for path in paths:
+        reference = corpus.load_wav(path)
+        if len(reference) != n:
+            raise ValueError("oracle references must match the input length")
+        magnitudes.append(stft(reference).magnitude)
+        del reference
+    return snr.oracle_xi(*magnitudes)
+
+
 def cmd_enhance(args) -> int:
     rule = _GAIN_NAMES[args.gain]
     in_path = _require_file(args.infile, "input")
+    _require_dir(Path(args.out).parent, "output")
     if args.estimator == "neural" and (not args.model or not args.stats):
         raise UsageError("estimator neural requires --model and --stats")
     if args.estimator == "oracle" and (not args.clean or not args.noise):
@@ -181,11 +200,7 @@ def cmd_enhance(args) -> int:
             stats = snr.load_stats(_require_file(args.stats, "stats file"))
             xi = infer_xi(params, spec, stats)
         elif args.estimator == "oracle":
-            clean = corpus.load_wav(_require_file(args.clean, "clean reference"))
-            noise = corpus.load_wav(_require_file(args.noise, "noise reference"))
-            if len(clean) != len(noisy) or len(noise) != len(noisy):
-                raise ValueError("oracle references must match the input length")
-            xi = snr.oracle_xi(stft(clean), stft(noise))
+            xi = _oracle_xi(args, len(noisy))
         out = dd.enhance(spec, rule, xi, out_len=len(noisy))
     np.clip(out.samples, -1.0, 1.0, out=out.samples)  # finite, as istft checks
     corpus.save_wav(out, args.out)
@@ -326,45 +341,78 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    try:
-        # config values become defaults; the full parse checks required options
-        subparsers = next(a for a in parser._actions
+def _config_presets(sub_parser: _Parser, command: str,
+                    config: dict[str, str]) -> dict[argparse.Action, object]:
+    """The option each config key names, with the value it presets."""
+    options = {s[2:].replace("-", "_"): a for a in sub_parser._actions
+               for s in a.option_strings if s.startswith("--") and a.dest != "help"}
+    presets = {}
+    for key, value in config.items():
+        action = options.get(key)
+        if action is None:
+            raise UsageError(f"config key {key!r} unknown for {command}")
+        # a string default gets the option's type but not its choices
+        if isinstance(action, argparse._StoreTrueAction):
+            if value.lower() not in ("true", "false"):
+                raise UsageError(f"config key {key!r} takes true or false, got {value!r}")
+            value = value.lower() == "true"
+        elif action.choices is not None and value not in action.choices:
+            raise UsageError(f"config key {key!r} takes one of "
+                             f"{', '.join(action.choices)}, got {value!r}")
+        presets[action] = value
+    return presets
+
+
+_PARSER: _Parser | None = None
+_PARSER_LOCK = threading.Lock()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the process's one parser, built on first use.
+
+    A config file's values stand in as the defaults of the options they
+    preset, and those options stop being required, for this parse only:
+    the lock keeps concurrent calls apart, and every default and required
+    flag is put back however the parse ends.
+    """
+    global _PARSER
+    with _PARSER_LOCK:
+        if _PARSER is None:
+            _PARSER = build_parser()
+        subparsers = next(a for a in _PARSER._actions
                           if isinstance(a, argparse._SubParsersAction))
         required = [a for p in subparsers.choices.values() for a in p._actions
                     if a.required]
-        for a in required:
-            a.required = False
-        ns, _ = parser.parse_known_args(argv)
-        overrides = {}
-        if ns.config is not None:
-            config = _read_config(Path(ns.config))
-            if ns.command is None:
-                raise UsageError("missing command")
-            sub_parser = subparsers.choices[ns.command]
-            # a key names a long option; its value presets the option's dest
-            options = {s[2:].replace("-", "_"): a for a in sub_parser._actions
-                       for s in a.option_strings if s.startswith("--") and a.dest != "help"}
-            for key, value in config.items():
-                action = options.get(key)
-                if action is None:
-                    raise UsageError(f"config key {key!r} unknown for {ns.command}")
-                # a string default gets the option's type but not its choices
-                if isinstance(action, argparse._StoreTrueAction):
-                    if value.lower() not in ("true", "false"):
-                        raise UsageError(f"config key {key!r} takes true or false, "
-                                         f"got {value!r}")
-                    value = value.lower() == "true"
-                elif action.choices is not None and value not in action.choices:
-                    raise UsageError(f"config key {key!r} takes one of "
-                                     f"{', '.join(action.choices)}, got {value!r}")
-                overrides[action.dest] = value
-            sub_parser.set_defaults(**overrides)
-        for a in required:
-            a.required = a.dest not in overrides
-        args = parser.parse_args(argv)
+        defaults = {}
+        try:
+            # a first pass finds the command and the config file
+            for a in required:
+                a.required = False
+            ns, _ = _PARSER.parse_known_args(argv)
+            presets = {}
+            if ns.config is not None:
+                config = _read_config(Path(ns.config))
+                if ns.command is None:
+                    raise UsageError("missing command")
+                presets = _config_presets(subparsers.choices[ns.command], ns.command,
+                                          config)
+            for a in required:
+                a.required = a not in presets
+            defaults = {a: a.default for a in presets}
+            for a, value in presets.items():
+                a.default = value
+            return _PARSER.parse_args(argv)
+        finally:
+            for a in required:
+                a.required = True
+            for a, default in defaults.items():
+                a.default = default
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        args = _parse(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("missing command (stats, train, enhance, mix, wer)")
         return args.func(args)

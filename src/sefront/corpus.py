@@ -38,9 +38,11 @@ def _open_checked(path: Path) -> wave.Wave_read:
     """An open WAV reader, its format checked property by property."""
     try:
         wf = wave.open(str(path), "rb")
-    except (wave.Error, EOFError) as exc:
-        # wave raises a bare EOFError on a file that ends inside a chunk header
-        reason = str(exc) or "file ends inside a chunk header"
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # wave raises a bare EOFError on a file that ends inside a chunk
+        # header, and a bare RuntimeError on a chunk that outruns the RIFF chunk
+        reason = str(exc) or ("file ends inside a chunk header" if isinstance(exc, EOFError)
+                              else "a chunk runs past the end of the RIFF chunk")
         raise WavFormatError(f"{path.name}: {reason}") from exc
     for name, got, want in (("channels", wf.getnchannels(), 1),
                             ("sample_width", wf.getsampwidth(), 2),

@@ -7,9 +7,10 @@ enhance() is the one front-end every xi estimator runs through (stft,
 tracked noise, gamma, gain, resynthesis with the noisy phase); it runs
 the recursion itself unless given xi, and takes a spectrogram in place of
 the waveform.  The recursion runs an unchecked gain kernel per frame and
-enhance checks the MMSE-STSA inputs once per call; past the phase, power
-and noise track it allocates only the gains, and frees power and track
-before resynthesis.
+enhance checks the MMSE-STSA inputs once per call.  Given xi, only
+MMSE-STSA reads gamma, so only it tracks the noise; Wiener and SRWF gains
+come from xi alone.  Past the phase, power and noise track, enhance
+allocates only the gains, and frees power and track before resynthesis.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def tracked_noise_power(power: np.ndarray) -> np.ndarray:
     1e-12.  After them a gated recursion runs: cells with
     |X|^2 < BETA_ABSENCE * lambda_d update as
     lambda_d <- ALPHA_NOISE * lambda_d + (1 - ALPHA_NOISE) * |X|^2; the
-    rest keep their value, so the estimate stays strictly positive.
+    rest keep their value, so the estimate stays strictly positive.  A
+    NaN power cell is not screened: it makes its track NaN.
     """
     power = np.asarray(power, dtype=np.float64)
     n_init = min(INIT_FRAMES, power.shape[0])
@@ -71,11 +73,16 @@ def tracked_noise_power(power: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one frame to initialize")
     lam = np.empty_like(power)
     lam[:n_init] = np.maximum(power[:n_init].mean(axis=0), _POWER_FLOOR)
+    update = (1.0 - ALPHA_NOISE) * power
+    threshold = np.empty(power.shape[1])
+    present = np.empty(power.shape[1], dtype=bool)
     for l in range(n_init, power.shape[0]):
-        prev, p = lam[l - 1], power[l]
-        lam[l] = np.where(
-            p < BETA_ABSENCE * prev, ALPHA_NOISE * prev + (1.0 - ALPHA_NOISE) * p, prev
-        )
+        prev, cur = lam[l - 1], lam[l]
+        np.multiply(prev, ALPHA_NOISE, out=cur)
+        cur += update[l]
+        np.multiply(prev, BETA_ABSENCE, out=threshold)
+        np.greater_equal(power[l], threshold, out=present)
+        np.copyto(cur, prev, where=present)
     return lam
 
 
@@ -120,16 +127,19 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
         if out_len is None:
             out_len = _samples(noisy).size
     phase = spec.phase  # frees stft's complex spectrum before the gains are made
-    power = spec.magnitude**2
-    lam = tracked_noise_power(power)
-    if xi is None:
-        gains = _dd_gains(power, lam, rule)
-    elif np.shape(xi) != power.shape:
+    if xi is not None and np.shape(xi) != spec.magnitude.shape:
         raise ValueError("xi shape must match the spectrogram")
+    if xi is None or rule is GainRule.MMSE_STSA:
+        power = spec.magnitude**2
+        lam = tracked_noise_power(power)
+        if xi is None:
+            gains = _dd_gains(power, lam, rule)
+        else:
+            np.maximum(lam, _POWER_FLOOR, out=lam)
+            np.divide(power, lam, out=power)  # power becomes gamma, floored below
+            gains = gain_for(rule, xi, np.maximum(power, _POWER_FLOOR, out=power))
+        del power, lam  # istft's buffers take their place
     else:
-        np.maximum(lam, _POWER_FLOOR, out=lam)
-        np.divide(power, lam, out=power)  # power becomes gamma, floored below
-        gains = gain_for(rule, xi, np.maximum(power, _POWER_FLOOR, out=power))
-    del power, lam  # istft's buffers take their place
+        gains = gain_for(rule, xi)  # Wiener and SRWF read no gamma
     gains *= spec.magnitude
     return istft(SpectroGram(gains, phase, spec.config), out_len)

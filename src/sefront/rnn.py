@@ -14,8 +14,12 @@ and step t holds only the sequences still active at frame t, which are a
 prefix of that order.  Every layer computes on the frames that exist and
 nothing else.  The backward direction of a bidirectional block walks the
 same steps in reverse, each sequence starting from zero state at its last
-frame.  forward() runs one sequence, whose packed output is already in
-time order.
+frame.  forward() runs one sequence, unpacked and with no cache: a
+bidirectional block runs its forward cell over the frames and its
+backward cell over them reversed as two lanes of one step loop, with the
+weights stacked, which gives the bits of the packed path.  Both paths
+share the dense, layer-norm and output layers and the one cell loop,
+_lstm_run.
 
 The network is a NetworkParams, the ordered mapping of its named
 tensors (params["block0.fwd.w_x"] and so on) in the one layout
@@ -154,30 +158,44 @@ def _previous(a: np.ndarray, steps) -> np.ndarray:
 
 def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
     """Run one cell over packed frames x (N, D), walking steps in the
-    order given.
+    order given; or L cells in lockstep, one per lane of x (N, L, D), with
+    their weights stacked on a leading lane axis (w_x (L, D, 4C), w_h
+    (L, C, 4C), b (L, 4C)).
 
     steps lists the (start, count) of each step's rows in x.  Returns h
-    (N, C) and the cache.
+    (N, C) or (N, L, C), and the cache.  A stacked product runs each
+    lane's own gemv or gemm, so a lane's bits are those of its cell run
+    alone.
     """
-    c_sz = w_h.shape[0]
-    gates = np.empty((x.shape[0], _GATES * c_sz))
-    cells = np.empty((x.shape[0], c_sz))
+    c_sz = w_h.shape[-2]
+    rows = x.shape[:-1]
+    gates = np.empty(rows + (_GATES * c_sz,))
+    cells = np.empty(rows + (c_sz,))
     tanh_c = np.empty_like(cells)
     hs = np.empty_like(cells)
+    # lanes lead in every view below, as the stacked products want them:
+    # (L, n, D) @ (L, D, 4C); without lanes the views are the arrays
+    xt, gt, ct, tct, hst = (a.swapaxes(0, -2) for a in (x, gates, cells, tanh_c, hs))
+    hw = np.empty(gt.shape[:-2] + (max(n for _, n in steps), _GATES * c_sz))  # h @ w_h
+    b = b[..., None, :]
     for s, n, last, m in _walk(steps):
-        h, c = hs[last : last + m], cells[last : last + m]
+        h, c = hst[..., last : last + m, :], ct[..., last : last + m, :]
         if m < n:
-            zero = np.zeros((n - m, c_sz))
-            h, c = np.vstack((h, zero)), np.vstack((c, zero))
-        z = gates[s : s + n]
-        np.add(x[s : s + n] @ w_x + h @ w_h, b, out=z)
-        expit(z[:, : 2 * c_sz], out=z[:, : 2 * c_sz])  # input and forget gates
-        g, o = z[:, 2 * c_sz : 3 * c_sz], z[:, 3 * c_sz :]
+            zero = np.zeros(gt.shape[:-2] + (n - m, c_sz))
+            h, c = np.concatenate((h, zero), -2), np.concatenate((c, zero), -2)
+        z, hwn = gt[..., s : s + n, :], hw[..., :n, :]
+        np.matmul(xt[..., s : s + n, :], w_x, out=z)
+        z += np.matmul(h, w_h, out=hwn)
+        z += b
+        z_if = z[..., : 2 * c_sz]
+        expit(z_if, out=z_if)  # input and forget gates
+        g, o = z[..., 2 * c_sz : 3 * c_sz], z[..., 3 * c_sz :]
         np.tanh(g, out=g)
         expit(o, out=o)
-        c = np.multiply(z[:, c_sz : 2 * c_sz], c, out=cells[s : s + n])
-        c += z[:, :c_sz] * g
-        np.multiply(o, np.tanh(c, out=tanh_c[s : s + n]), out=hs[s : s + n])
+        c_new, tc = ct[..., s : s + n, :], tct[..., s : s + n, :]
+        np.multiply(z[..., c_sz : 2 * c_sz], c, out=c_new)
+        c_new += np.multiply(z[..., :c_sz], g, out=tc)
+        np.multiply(o, np.tanh(c_new, out=tc), out=hst[..., s : s + n, :])
     cache = {"x": x, "steps": steps, "gates": gates, "cells": cells,
              "tanh_c": tanh_c, "hs": hs}
     return hs, cache
@@ -264,8 +282,7 @@ def _gather(seqs: list[np.ndarray], where: np.ndarray, width: int) -> np.ndarray
     return out
 
 
-def _forward(params: NetworkParams, seqs: list[np.ndarray]):
-    """Packed outputs (N, K) of every frame of the sequences, and the cache."""
+def _check_input(params: NetworkParams, seqs: list[np.ndarray]) -> None:
     if not seqs:
         raise ValueError("need at least one sequence")
     for s in seqs:
@@ -273,44 +290,76 @@ def _forward(params: NetworkParams, seqs: list[np.ndarray]):
             raise ValueError(
                 f"input: expected (frames x {params.input_dim}), got {s.shape}"
             )
-    lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    if np.any(lengths < 1):
+    if any(s.shape[0] < 1 for s in seqs):
         raise ValueError("every sequence needs at least one frame")
     if not all(np.isfinite(s).all() for s in seqs):
         raise ValueError("network input must be finite")
+
+
+def _input_layer(params: NetworkParams, x: np.ndarray):
+    """(activations, pre-ReLU y0, layer-norm cache) of the dense input layer."""
+    z0 = x @ params["fc.w"] + params["fc.b"]
+    y0, ln_cache = _layer_norm(z0, params["ln.gain"], params["ln.offset"])
+    return np.maximum(y0, 0.0), y0, ln_cache
+
+
+def _output_layer(params: NetworkParams, act: np.ndarray) -> np.ndarray:
+    pred = act @ params["out.w"]
+    pred += params["out.b"]
+    return expit(pred, out=pred)
+
+
+def _forward(params: NetworkParams, seqs: list[np.ndarray]):
+    """Packed outputs (N, K) of every frame of the sequences, and the cache."""
+    _check_input(params, seqs)
+    lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
     rows, times, steps = _pack(lengths)
     index = (np.cumsum(lengths) - lengths)[rows] + times  # packed -> concatenated
     where = np.empty_like(index)
     where[index] = np.arange(index.size)  # concatenated -> packed
     xp = _gather(seqs, where, params.input_dim)
-
-    z0 = xp @ params["fc.w"] + params["fc.b"]
-    y0, ln_cache = _layer_norm(z0, params["ln.gain"], params["ln.offset"])
-    act = np.maximum(y0, 0.0)
+    act, y0, ln_cache = _input_layer(params, xp)
 
     block_caches = []
+    walks = {"fwd": steps, "bwd": steps[::-1]}
     for i in range(params.n_blocks):
-        h_f, cache_f = _lstm_run(*_cell(params, i, "fwd"), act, steps)
-        nxt = act + h_f
-        caches = {"fwd": cache_f}
-        if params.bidirectional:
-            h_b, caches["bwd"] = _lstm_run(*_cell(params, i, "bwd"), act, steps[::-1])
-            nxt += h_b
+        nxt = act.copy()
+        caches = {}
+        for direction in ("fwd", "bwd") if params.bidirectional else ("fwd",):
+            h, caches[direction] = _lstm_run(*_cell(params, i, direction), act,
+                                             walks[direction])
+            nxt += h
         block_caches.append(caches)
         act = nxt
 
-    pred = act @ params["out.w"]
-    pred += params["out.b"]
-    expit(pred, out=pred)
     cache = {"x": xp, "index": index, "where": where, "ln": ln_cache, "y0": y0,
              "blocks": block_caches, "final_act": act}
-    return pred, cache
+    return _output_layer(params, act), cache
 
 
 def forward(params: NetworkParams, mag) -> np.ndarray:
     """Network output per frame and bin of mag (frames, bins), each value
-    strictly inside (0, 1)."""
-    return _forward(params, [np.asarray(mag, dtype=np.float64)])[0]
+    strictly inside (0, 1).
+
+    The sequence runs unpacked and keeps no cache.  A bidirectional
+    block runs its two cells as two lanes of one step loop, the forward
+    cell over the frames and the backward cell over them reversed; the
+    bits are those of _forward on the one sequence.
+    """
+    x = np.ascontiguousarray(mag, dtype=np.float64)
+    _check_input(params, [x])
+    act = _input_layer(params, x)[0]
+    steps = [(t, 1) for t in range(x.shape[0])]
+    for i in range(params.n_blocks):
+        if params.bidirectional:
+            w_x, w_h, b = (np.stack(w) for w in zip(_cell(params, i, "fwd"),
+                                                     _cell(params, i, "bwd")))
+            h = _lstm_run(w_x, w_h, b, np.stack((act, act[::-1]), axis=1), steps)[0]
+            act = act + h[:, 0]
+            act += h[::-1, 1]
+        else:
+            act = act + _lstm_run(*_cell(params, i, "fwd"), act, steps)[0]
+    return _output_layer(params, act)
 
 
 PRED_CLAMP = 1e-7

@@ -3,7 +3,12 @@
 Run from the repository root with the source tree to be locked on the
 import path:
 
-    PYTHONPATH=src python tests/data/make_behaviour_lock.py
+    PYTHONPATH=src python tests/data/make_behaviour_lock.py [KEY_PREFIX ...]
+
+With no argument every key is written.  With key prefixes, only the
+keys that start with one of them are written again (or added), and every
+other key keeps the array stored in the file; a prefix that names no key
+is an error, and nothing is written.
 
 The fixture holds enhance outputs for every gain rule on one seeded
 noisy input (keys enhance_dd_<rule>, the decision-directed estimator),
@@ -36,6 +41,7 @@ tests/test_behaviour_lock.py compares the current code against it.
 """
 
 import os
+import sys
 import tempfile
 import wave
 from pathlib import Path
@@ -245,7 +251,8 @@ def run_cli(folder: Path, estimator: str, rule: GainRule) -> np.ndarray:
     return read_pcm(out)
 
 
-def main() -> None:
+def fresh_arrays() -> dict:
+    """Every key of the fixture, from the current code."""
     noisy = noisy_input()
     xi, gamma = gain_grid()
     bar, stats = unmap_grid()
@@ -266,9 +273,27 @@ def main() -> None:
     arrays.update(network_arrays())
     arrays.update(stats_arrays())
     arrays.update(mix_arrays())
+    return arrays
+
+
+def merged(stored: dict, fresh: dict, prefixes: list[str]) -> dict:
+    """stored with the keys of fresh that start with one of prefixes
+    written over it or added."""
+    unmatched = [p for p in prefixes if not any(k.startswith(p) for k in fresh)]
+    if unmatched:
+        raise SystemExit(f"no key starts with {', '.join(unmatched)}")
+    chosen = tuple(prefixes)
+    return {**stored, **{k: v for k, v in fresh.items() if k.startswith(chosen)}}
+
+
+def main(prefixes: list[str]) -> None:
+    arrays = fresh_arrays()
+    if prefixes:
+        with np.load(OUT) as stored:
+            arrays = merged(dict(stored), arrays, prefixes)
     np.savez_compressed(OUT, **arrays)
     print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

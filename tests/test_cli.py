@@ -1,11 +1,14 @@
 """End-to-end runs of the command-line pipeline on a tiny corpus."""
 
+import argparse
 import importlib
 import os
 import re
 import subprocess
 import sys
+import time
 import wave
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -922,3 +925,112 @@ def test_wer_keeps_snrs_past_six_digits_apart(wav_corpus, tmp_path, capsys):
                                                 "white_a,5.0000001,1,33.33"]
     assert capsys.readouterr().out.splitlines()[:2] == [
         "white_a @ 5 dB: n=1 wer=0.00%", "white_a @ 5.0000001 dB: n=1 wer=33.33%"]
+
+
+@pytest.mark.parametrize("estimator", ["dd", "oracle", "neural"])
+def test_enhance_checks_the_output_directory_before_reading(noisy_file, tmp_path, capsys,
+                                                            monkeypatch, estimator):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read before checking the output")
+
+    monkeypatch.setattr(cli.corpus, "load_wav", refuse)
+    p, _ = noisy_file
+    refs = {"dd": [], "oracle": ["--clean", p, "--noise", p],
+            "neural": ["--model", p, "--stats", p]}[estimator]
+    assert run("enhance", "--in", p, "--out", tmp_path / "missing" / "o.wav",
+               "--estimator", estimator, *refs) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory not found: {tmp_path / 'missing'}\n"
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["noisy.wav"]
+
+
+def _plain_enhance_namespace():
+    return vars(cli._parse(["enhance", "--in", "x.wav", "--out", "y.wav"]))
+
+
+@pytest.mark.parametrize("config, extra, code", [
+    ("gain=wiener\nunity-gain=true\n", [], 0),
+    ("gain=wiener\nfrobnicate=1\n", [], 1),
+    ("unity-gain=true\ngain=loud\n", [], 1),
+    ("gain=wiener\n", ["--bogus"], 1),
+    ("gain=wiener\nin=missing.wav\n", [], 2),
+], ids=["good", "bad-key", "bad-choice", "bad-flag", "missing-input"])
+def test_config_preset_does_not_reach_a_later_call(noisy_file, tmp_path, capsys, config,
+                                                   extra, code):
+    # the one shared parser gets back its defaults and required options
+    # after every call, a failed one too
+    p, _ = noisy_file
+    plain = _plain_enhance_namespace()
+    assert plain == vars(cli.build_parser().parse_args(
+        ["enhance", "--in", "x.wav", "--out", "y.wav"]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + f"out={tmp_path / 'a.wav'}\n")
+    argv = ["--config", cfg, "enhance", *extra]
+    if not re.search(r"^in=", config, re.M):
+        argv += ["--in", p]
+    assert run(*argv) == code
+    assert _plain_enhance_namespace() == plain
+    b, c = tmp_path / "b.wav", tmp_path / "c.wav"
+    assert run("enhance", "--in", p, "--out", b) == 0
+    assert run("enhance", "--in", p, "--out", c, "--gain", "srwf") == 0
+    assert b.read_bytes() == c.read_bytes()
+    capsys.readouterr()
+    assert run("enhance", "--in", p) == 1
+    assert capsys.readouterr().err == (
+        "usage error: the following arguments are required: --out\n")
+
+
+def test_concurrent_calls_keep_their_own_presets(noisy_file, tmp_path, monkeypatch):
+    p, _ = noisy_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gain=wiener\n")
+    want = {}
+    for gain in ("wiener", "srwf"):
+        want[gain] = tmp_path / f"{gain}.wav"
+        assert run("enhance", "--in", p, "--out", want[gain], "--gain", gain) == 0
+
+    def call(i):
+        out = tmp_path / f"out{i}.wav"
+        preset = ["--config", cfg] if i % 2 else []
+        assert run(*preset, "enhance", "--in", p, "--out", out) == 0
+        return out.read_bytes() == want["wiener" if i % 2 else "srwf"].read_bytes()
+
+    def slow_parse(self, *args, **kwargs):
+        time.sleep(0.005)  # holds a preset in place while other calls start
+        return argparse.ArgumentParser.parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", slow_parse)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert all(pool.map(call, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("estimator", ["dd", "oracle", "neural"])
+@pytest.mark.parametrize("gain", ["wiener", "srwf", "mmse-stsa"])
+def test_enhance_tracks_the_noise_only_where_gamma_is_read(noisy_file, tmp_path,
+                                                           monkeypatch, estimator, gain):
+    # on the xi path only MMSE-STSA reads gamma; the dd recursion always does
+    p, mixed = noisy_file
+    files = {"clean": mixed.clean, "noise": mixed.noise}
+    for name, x in files.items():
+        save_wav(x, tmp_path / f"{name}.wav")
+    save_network(init_network(seed=3, cell_size=8, n_blocks=1), tmp_path / "net.bin")
+    save_stats(XiStats(np.zeros(257), np.ones(257)), tmp_path / "stats.txt")
+    refs = {"dd": [],
+            "oracle": ["--clean", tmp_path / "clean.wav", "--noise", tmp_path / "noise.wav"],
+            "neural": ["--model", tmp_path / "net.bin", "--stats", tmp_path / "stats.txt"]}
+    calls = []
+    real = dd.tracked_noise_power
+
+    def counted(power):
+        calls.append(1)
+        return real(power)
+
+    monkeypatch.setattr(dd, "tracked_noise_power", counted)
+    assert run("enhance", "--in", p, "--out", tmp_path / "o.wav", "--gain", gain,
+               "--estimator", estimator, *refs[estimator]) == 0
+    assert len(calls) == (1 if estimator == "dd" or gain == "mmse-stsa" else 0)

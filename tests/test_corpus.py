@@ -145,6 +145,19 @@ def test_empty_file_is_a_format_error(tmp_path):
         wav_length(p)
 
 
+def test_chunk_past_the_riff_chunk_is_a_format_error(tmp_path):
+    # wave raises a bare RuntimeError when a chunk's size outruns the RIFF chunk
+    p = tmp_path / "long.wav"
+    save_wav(np.zeros(100), p)
+    raw = bytearray(p.read_bytes())
+    raw[36:44] = b"junk" + (1 << 20).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(WavFormatError, match="long.wav: a chunk runs past the end"):
+        load_wav(p)
+    with pytest.raises(WavFormatError, match="a chunk runs past the end"):
+        wav_length(p)
+
+
 def test_recording_length_and_read_recording_for_paths_and_signals(pcm_file):
     x = load_wav(pcm_file).samples
     for rec in (pcm_file, str(pcm_file), x, load_wav(pcm_file), list(x)):

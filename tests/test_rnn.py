@@ -310,6 +310,25 @@ def test_gradient_spot_check(bidirectional):
     assert worst < 1e-4
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    bidirectional=st.booleans(),
+    blocks=st.integers(1, 3),
+    cell=st.integers(1, 16),
+    frames=st.integers(1, 40),
+    dim=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_equals_the_packed_forward_bit_for_bit(bidirectional, blocks, cell,
+                                                        frames, dim, seed):
+    # forward runs the directions in lockstep, _forward packs and walks each
+    # direction alone; both must give the same bits
+    p = tiny(seed=seed % 1000, bidirectional=bidirectional, cell=cell, blocks=blocks,
+             dim=dim)
+    x = np.random.default_rng(seed).uniform(0, 3, (frames, dim))
+    assert forward(p, x).tobytes() == _forward(p, [x])[0].tobytes()
+
+
 def packed_batches(test):
     """Batches of 1-5 rows of 1-12 frames (ties allowed), UNI or BI."""
     cases = given(
