@@ -6,15 +6,16 @@ creates any output file, and mix and train remove what they wrote on a
 later failure, so a failed invocation leaves nothing behind.  A config
 file of key=value lines can preset any long option, a required one too:
 a key is the option's name without the dashes (in, out-dir or out_dir),
-a flag takes true or false, an option with choices one of them, and
-explicit flags win.  main builds its parser once per process; a config
-file's presets hold for its own call only, and concurrent calls each see
-their own.
+a flag takes true or false, an option with choices one of them.  The
+file stands for --option=value tokens placed right after the command,
+so explicit flags, which come later, win.  main builds its parsers once
+per process, and no call writes to them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -244,15 +245,21 @@ def cmd_mix(args) -> int:
             corpus.save_manifest(manifest, path)
             written.append(path)
 
-        def mix(e):
-            written.append(corpus.run_mix_entry(e, out_dir))
+        # once an entry fails, the entries not yet started are skipped;
+        # map still raises the error of the first failing one in order
+        failed = threading.Event()
 
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                list(pool.map(mix, manifest.entries))
-        else:
-            for e in manifest.entries:
-                mix(e)
+        def mix(e):
+            if failed.is_set():
+                return
+            try:
+                written.append(corpus.run_mix_entry(e, out_dir))
+            except BaseException:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            list(pool.map(mix, manifest.entries))
     print(f"mix: {len(manifest.entries)} mixtures -> {out_dir}")
     return EXIT_OK
 
@@ -278,7 +285,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="key=value file presetting long options")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("stats", parents=[], help="estimate xi_dB map statistics")
+    p = sub.add_parser("stats", help="estimate xi_dB map statistics")
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
     p.add_argument("--out", required=True)
@@ -341,79 +348,63 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_presets(sub_parser: _Parser, command: str,
-                    config: dict[str, str]) -> dict[argparse.Action, object]:
-    """The option each config key names, with the value it presets."""
-    options = {s[2:].replace("-", "_"): a for a in sub_parser._actions
+@functools.cache
+def _parsers() -> tuple[_Parser, _Parser]:
+    """The full parser, and a head parser that takes the config file off
+    argv and keeps the rest from the command on; built once, never changed."""
+    head = _Parser(add_help=False)
+    head.add_argument("--config")
+    head.add_argument("rest", nargs=argparse.REMAINDER)
+    return build_parser(), head
+
+
+def _config_tokens(sub_parser: _Parser, command: str, config: dict[str, str]) -> list[str]:
+    """The option tokens a config file stands for on the command's line."""
+    options = {s[2:].replace("-", "_"): (s, a) for a in sub_parser._actions
                for s in a.option_strings if s.startswith("--") and a.dest != "help"}
-    presets = {}
+    tokens = []
     for key, value in config.items():
-        action = options.get(key)
-        if action is None:
+        if key not in options:
             raise UsageError(f"config key {key!r} unknown for {command}")
-        # a string default gets the option's type but not its choices
+        flag, action = options[key]
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() not in ("true", "false"):
                 raise UsageError(f"config key {key!r} takes true or false, got {value!r}")
-            value = value.lower() == "true"
+            if value.lower() == "true":
+                tokens.append(flag)
         elif action.choices is not None and value not in action.choices:
             raise UsageError(f"config key {key!r} takes one of "
                              f"{', '.join(action.choices)}, got {value!r}")
-        presets[action] = value
-    return presets
-
-
-_PARSER: _Parser | None = None
-_PARSER_LOCK = threading.Lock()
+        else:
+            # one token with =, so that a value such as -5 is not read as a flag
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the process's one parser, built on first use.
-
-    A config file's values stand in as the defaults of the options they
-    preset, and those options stop being required, for this parse only:
-    the lock keeps concurrent calls apart, and every default and required
-    flag is put back however the parse ends.
-    """
-    global _PARSER
-    with _PARSER_LOCK:
-        if _PARSER is None:
-            _PARSER = build_parser()
-        subparsers = next(a for a in _PARSER._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        required = [a for p in subparsers.choices.values() for a in p._actions
-                    if a.required]
-        defaults = {}
-        try:
-            # a first pass finds the command and the config file
-            for a in required:
-                a.required = False
-            ns, _ = _PARSER.parse_known_args(argv)
-            presets = {}
-            if ns.config is not None:
-                config = _read_config(Path(ns.config))
-                if ns.command is None:
-                    raise UsageError("missing command")
-                presets = _config_presets(subparsers.choices[ns.command], ns.command,
-                                          config)
-            for a in required:
-                a.required = a not in presets
-            defaults = {a: a.default for a in presets}
-            for a, value in presets.items():
-                a.default = value
-            return _PARSER.parse_args(argv)
-        finally:
-            for a in required:
-                a.required = True
-            for a, default in defaults.items():
-                a.default = default
+    """argv parsed, a config file's presets standing as the command's first
+    options.  With no known command no token goes in, and the full parser
+    reports what is wrong, or main that the command is missing."""
+    parser, head = _parsers()
+    split, _ = head.parse_known_args(argv)
+    if split.config is not None:
+        config = _read_config(Path(split.config))
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        command = split.rest[0] if split.rest else None
+        if command in commands:
+            # no subcommand takes positionals, so its options can start here
+            at = len(argv) - len(split.rest) + 1
+            argv = [*argv[:at], *_config_tokens(commands[command], command, config),
+                    *argv[at:]]
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
-        if getattr(args, "command", None) is None:
+        if args.command is None:
             raise UsageError("missing command (stats, train, enhance, mix, wer)")
         return args.func(args)
     except UsageError as exc:

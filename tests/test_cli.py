@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import wave
 from concurrent.futures import ThreadPoolExecutor
@@ -390,6 +391,44 @@ def test_mix_failing_after_some_mixtures_leaves_nothing_behind(
     assert capsys.readouterr().err == "error: clean signal has zero power\n"
     assert out_dir.exists() == out_dir_exists
     assert [p.name for p in keep.parent.iterdir()] == ["keep.wav"]
+
+
+@pytest.mark.parametrize("jobs, most", [(1, 15), (3, 15 + 2)])
+def test_mix_starts_no_entry_after_the_first_failure(wav_corpus, tmp_path, capsys,
+                                                     monkeypatch, jobs, most):
+    # entry 15 of 32 mixes a silent recording; only the entries already
+    # running when it fails, one per other worker, may still be mixed
+    clean_dir, noise_dir = wav_corpus
+    silent = tmp_path / "silent.wav"
+    save_wav(np.zeros(SR), silent)
+    clean = sorted(clean_dir.glob("*.wav"))[0]
+    noise = sorted(noise_dir.glob("*.wav"))[0]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(f"{silent if i == 15 else clean}\t{noise}\t5\t0\tm{i:02d}.wav\n"
+                                for i in range(1, 33)))
+    failed = threading.Event()
+    calls = []
+    run_mix_entry = cli.corpus.run_mix_entry
+
+    def counted(entry, out_dir):
+        calls.append(entry.output_path)
+        if entry.output_path == "m15.wav":
+            try:
+                return run_mix_entry(entry, out_dir)
+            finally:
+                failed.set()
+        if entry.output_path > "m15.wav":
+            # a later entry ends only after the failure, so that no worker
+            # is free to take a further entry before it
+            failed.wait(10)
+        return run_mix_entry(entry, out_dir)
+
+    monkeypatch.setattr(cli.corpus, "run_mix_entry", counted)
+    out_dir = tmp_path / "out"
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir, "--jobs", jobs) == 2
+    assert capsys.readouterr().err == "error: clean signal has zero power\n"
+    assert 15 <= len(calls) <= most
+    assert not out_dir.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -816,6 +855,55 @@ def test_config_value_satisfies_a_required_option(noisy_file, tmp_path, capsys):
     assert run("--config", cfg, "enhance", "--in", p) == 1
     assert capsys.readouterr().err == (
         "usage error: the following arguments are required: --out\n")
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_missing_command_is_one_message(tmp_path, capsys, with_config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gain=wiener\n")
+    assert run(*(["--config", cfg] if with_config else [])) == 1
+    assert capsys.readouterr().err == (
+        "usage error: missing command (stats, train, enhance, mix, wer)\n")
+
+
+def test_config_missing_file_is_reported_before_the_missing_command(tmp_path, capsys):
+    assert run("--config", tmp_path / "nope.cfg") == 1
+    assert capsys.readouterr().err == (
+        f"usage error: config file not found: {tmp_path / 'nope.cfg'}\n")
+
+
+def test_config_presets_a_negative_value(wav_corpus, tmp_path):
+    # a preset is one --option=value token, so -5 is not read as a flag
+    clean_dir, noise_dir = wav_corpus
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snr-grid=-5,10\nper-noise=1\n")
+    assert run("--config", cfg, "mix", "--clean", clean_dir, "--noise", noise_dir,
+               "--out-dir", tmp_path / "preset") == 0
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir, "--snr-grid=-5,10",
+               "--per-noise", 1, "--out-dir", tmp_path / "flags") == 0
+    preset = sorted((tmp_path / "preset").iterdir())
+    assert [p.name for p in preset] == sorted(p.name for p in (tmp_path / "flags").iterdir())
+    for p in preset:
+        assert p.read_bytes() == (tmp_path / "flags" / p.name).read_bytes()
+    cfg.write_text("snr-min=-5\n")
+    stats = {"preset": tmp_path / "preset.txt", "flags": tmp_path / "flags.txt"}
+    common = ("--clean", clean_dir, "--noise", noise_dir, "--snr-max", 5)
+    assert run("--config", cfg, "stats", *common, "--out", stats["preset"]) == 0
+    assert run("stats", *common, "--snr-min=-5", "--out", stats["flags"]) == 0
+    assert stats["preset"].read_bytes() == stats["flags"].read_bytes()
+
+
+def test_config_value_its_type_refuses_is_usage_error_under_a_flag(wav_corpus, tmp_path,
+                                                                    capsys):
+    # like a value outside the choices, it fails whether or not a flag wins
+    clean_dir, noise_dir = wav_corpus
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("per-noise=x\n")
+    assert run("--config", cfg, "mix", "--clean", clean_dir, "--noise", noise_dir,
+               "--per-noise", 1, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument --per-noise: invalid int value: 'x'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_enhance_non_finite_model_is_data_error(noisy_file, tmp_path, capsys):
