@@ -191,6 +191,7 @@ def cmd_enhance(args) -> int:
         raise UsageError("estimator oracle requires --clean and --noise references")
     noisy = corpus.load_wav(in_path)
     spec = stft(noisy)
+    spec.phase  # frees the complex spectrum before the references' stfts or the network
 
     if args.unity_gain:
         out = istft(spec, len(noisy))
@@ -258,8 +259,9 @@ def cmd_mix(args) -> int:
                 failed.set()
                 raise
 
+        # --jobs 1 mixes on this thread: a pool worker gets its own malloc arena
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(mix, manifest.entries))
+            list((pool.map if args.jobs > 1 else map)(mix, manifest.entries))
     print(f"mix: {len(manifest.entries)} mixtures -> {out_dir}")
     return EXIT_OK
 

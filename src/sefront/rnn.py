@@ -14,12 +14,13 @@ and step t holds only the sequences still active at frame t, which are a
 prefix of that order.  Every layer computes on the frames that exist and
 nothing else.  The backward direction of a bidirectional block walks the
 same steps in reverse, each sequence starting from zero state at its last
-frame.  forward() runs one sequence, unpacked and with no cache: a
-bidirectional block runs its forward cell over the frames and its
-backward cell over them reversed as two lanes of one step loop, with the
-weights stacked, which gives the bits of the packed path.  Both paths
-share the dense, layer-norm and output layers and the one cell loop,
-_lstm_run.
+frame.  Each cell projects all its frames, x @ w_x + b, in one product
+before its step loop.  forward() runs one sequence unpacked, a row per
+step, with no cache (_lstm_rows): a bidirectional block runs its forward
+cell over the frames and its backward cell over them reversed as two
+lanes of one step loop, with the weights stacked, which gives the bits
+of the packed path (_lstm_run).  Both paths share the dense, layer-norm
+and output layers and the one gate step, _gate_step.
 
 The network is a NetworkParams, the ordered mapping of its named
 tensors (params["block0.fwd.w_x"] and so on) in the one layout
@@ -156,49 +157,60 @@ def _previous(a: np.ndarray, steps) -> np.ndarray:
     return out
 
 
-def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
-    """Run one cell over packed frames x (N, D), walking steps in the
-    order given; or L cells in lockstep, one per lane of x (N, L, D), with
-    their weights stacked on a leading lane axis (w_x (L, D, 4C), w_h
-    (L, C, 4C), b (L, 4C)).
+def _gate_step(z, c, c_new, tc, h_out) -> None:
+    """One LSTM step on pre-activations z (..., 4C), in place: the gates
+    into z, the state after c into c_new (may be c), tanh into tc, h into h_out."""
+    c_sz = c.shape[-1]
+    z_if = z[..., : 2 * c_sz]
+    expit(z_if, out=z_if)  # input and forget gates
+    g, o = z[..., 2 * c_sz : 3 * c_sz], z[..., 3 * c_sz :]
+    np.tanh(g, out=g)
+    expit(o, out=o)
+    np.multiply(z[..., c_sz : 2 * c_sz], c, out=c_new)
+    c_new += np.multiply(z[..., :c_sz], g, out=tc)
+    np.multiply(o, np.tanh(c_new, out=tc), out=h_out)
 
-    steps lists the (start, count) of each step's rows in x.  Returns h
-    (N, C) or (N, L, C), and the cache.  A stacked product runs each
-    lane's own gemv or gemm, so a lane's bits are those of its cell run
-    alone.
-    """
-    c_sz = w_h.shape[-2]
-    rows = x.shape[:-1]
-    gates = np.empty(rows + (_GATES * c_sz,))
-    cells = np.empty(rows + (c_sz,))
-    tanh_c = np.empty_like(cells)
-    hs = np.empty_like(cells)
-    # lanes lead in every view below, as the stacked products want them:
-    # (L, n, D) @ (L, D, 4C); without lanes the views are the arrays
-    xt, gt, ct, tct, hst = (a.swapaxes(0, -2) for a in (x, gates, cells, tanh_c, hs))
-    hw = np.empty(gt.shape[:-2] + (max(n for _, n in steps), _GATES * c_sz))  # h @ w_h
-    b = b[..., None, :]
+
+def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
+    """Run one cell over packed frames x (N, D), walking steps, the (start,
+    count) of each step's rows in x, in the order given; a step adds h @ w_h
+    to the projection made before the walk.  Returns h (N, C) and the cache."""
+    c_sz = w_h.shape[0]
+    gates = x @ w_x
+    gates += b
+    cells, tanh_c, hs = (np.empty((len(x), c_sz)) for _ in range(3))
+    hw = np.empty((max(n for _, n in steps), _GATES * c_sz))  # h @ w_h
     for s, n, last, m in _walk(steps):
-        h, c = hst[..., last : last + m, :], ct[..., last : last + m, :]
+        h, c = hs[last : last + m], cells[last : last + m]
         if m < n:
-            zero = np.zeros(gt.shape[:-2] + (n - m, c_sz))
-            h, c = np.concatenate((h, zero), -2), np.concatenate((c, zero), -2)
-        z, hwn = gt[..., s : s + n, :], hw[..., :n, :]
-        np.matmul(xt[..., s : s + n, :], w_x, out=z)
-        z += np.matmul(h, w_h, out=hwn)
-        z += b
-        z_if = z[..., : 2 * c_sz]
-        expit(z_if, out=z_if)  # input and forget gates
-        g, o = z[..., 2 * c_sz : 3 * c_sz], z[..., 3 * c_sz :]
-        np.tanh(g, out=g)
-        expit(o, out=o)
-        c_new, tc = ct[..., s : s + n, :], tct[..., s : s + n, :]
-        np.multiply(z[..., c_sz : 2 * c_sz], c, out=c_new)
-        c_new += np.multiply(z[..., :c_sz], g, out=tc)
-        np.multiply(o, np.tanh(c_new, out=tc), out=hst[..., s : s + n, :])
-    cache = {"x": x, "steps": steps, "gates": gates, "cells": cells,
-             "tanh_c": tanh_c, "hs": hs}
-    return hs, cache
+            zero = np.zeros((n - m, c_sz))
+            h, c = np.concatenate((h, zero)), np.concatenate((c, zero))
+        z = gates[s : s + n]
+        z += np.matmul(h, w_h, out=hw[:n])
+        _gate_step(z, c, cells[s : s + n], tanh_c[s : s + n], hs[s : s + n])
+    return hs, {"x": x, "steps": steps, "gates": gates, "cells": cells,
+                "tanh_c": tanh_c, "hs": hs}
+
+
+def _lstm_rows(w_x, w_h, b, x: np.ndarray) -> np.ndarray:
+    """Run one cell over the rows of x (T, D), one row per step, with no
+    cache; or L cells in lockstep, one per lane of x (L, T, D), with their
+    weights stacked on a leading lane axis (w_x (L, D, 4C), w_h (L, C, 4C),
+    b (L, 4C)).  Returns h (T, C) or (L, T, C).  Each lane runs its own
+    gemm and gemv, so its bits are those of _lstm_run on one-row steps."""
+    c_sz = w_h.shape[-2]
+    gates = np.matmul(x, w_x)
+    gates += b[..., None, :]
+    hs = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, c_sz))  # row 0: zero state
+    # time leads; a lane's row keeps a unit axis, for its own gemv
+    gt, hst = (np.moveaxis(a[..., None, :], 1, 0) if x.ndim == 3 else a
+               for a in (gates, hs))
+    c = np.zeros(hst.shape[1:])
+    tc, hw = np.empty_like(c), np.empty(gt.shape[1:])
+    for z, h, h_out in zip(gt, hst, hst[1:]):
+        z += np.matmul(h, w_h, out=hw)
+        _gate_step(z, c, c, tc, h_out)
+    return hs[..., 1:, :]
 
 
 def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
@@ -341,24 +353,23 @@ def forward(params: NetworkParams, mag) -> np.ndarray:
     """Network output per frame and bin of mag (frames, bins), each value
     strictly inside (0, 1).
 
-    The sequence runs unpacked and keeps no cache.  A bidirectional
-    block runs its two cells as two lanes of one step loop, the forward
-    cell over the frames and the backward cell over them reversed; the
-    bits are those of _forward on the one sequence.
+    The sequence runs unpacked, one row per step, and keeps no cache.  A
+    bidirectional block runs its two cells as two lanes of one step loop,
+    the forward cell over the frames and the backward cell over them
+    reversed; the bits are those of _forward on the one sequence.
     """
     x = np.ascontiguousarray(mag, dtype=np.float64)
     _check_input(params, [x])
     act = _input_layer(params, x)[0]
-    steps = [(t, 1) for t in range(x.shape[0])]
     for i in range(params.n_blocks):
         if params.bidirectional:
             w_x, w_h, b = (np.stack(w) for w in zip(_cell(params, i, "fwd"),
                                                      _cell(params, i, "bwd")))
-            h = _lstm_run(w_x, w_h, b, np.stack((act, act[::-1]), axis=1), steps)[0]
-            act = act + h[:, 0]
-            act += h[::-1, 1]
+            h = _lstm_rows(w_x, w_h, b, np.stack((act, act[::-1])))
+            act = act + h[0]
+            act += h[1, ::-1]
         else:
-            act = act + _lstm_run(*_cell(params, i, "fwd"), act, steps)[0]
+            act = act + _lstm_rows(*_cell(params, i, "fwd"), act)
     return _output_layer(params, act)
 
 

@@ -30,7 +30,11 @@ The network keys were written from the code as it stood before the
 LSTM ran on packed sequences.  The float64 forward output at batch 1 must
 match bit for bit; the loss and gradients on a batch of three sequences
 (stored zero-padded, with their lengths), whose sums now run in another
-order, to 1e-12 of each tensor's largest magnitude.
+order, to 1e-12 of each tensor's largest magnitude.  The rnn_forward_uni
+and rnn_forward_bi keys alone were written again once each LSTM cell
+computed x w_x + b for all its frames before its step loop, which
+regroups the sum x w_x + h w_h + b: 26.1% of the UNI cells and 33.8% of
+the BI cells moved, by up to 8.1e-16 relative.
 """
 
 import wave

@@ -431,6 +431,23 @@ def test_mix_starts_no_entry_after_the_first_failure(wav_corpus, tmp_path, capsy
     assert not out_dir.exists()
 
 
+def test_mix_at_one_job_runs_on_the_calling_thread(wav_corpus, tmp_path, monkeypatch):
+    # a pool worker would get a malloc arena of its own, and keep its blocks
+    clean_dir, noise_dir = wav_corpus
+    threads = []
+    run_mix_entry = cli.corpus.run_mix_entry
+
+    def recorded(entry, out_dir):
+        threads.append(threading.current_thread())
+        return run_mix_entry(entry, out_dir)
+
+    monkeypatch.setattr(cli.corpus, "run_mix_entry", recorded)
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir, "--per-noise", 1,
+               "--snr-grid", "0,5", "--out-dir", tmp_path / "out", "--jobs", 1) == 0
+    assert len(threads) == 4 * 2
+    assert set(threads) == {threading.current_thread()}
+
+
 @pytest.mark.filterwarnings("error")
 def test_train_failing_at_the_loss_csv_leaves_no_model(wav_corpus, tmp_path, capsys):
     clean_dir, noise_dir = wav_corpus
@@ -624,6 +641,38 @@ def test_enhance_neural_transforms_the_input_once(wav_corpus, noisy_file, tmp_pa
     assert run("enhance", "--in", p, "--out", tmp_path / "enh.wav", "--estimator",
                "neural", "--model", model, "--stats", stats) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("estimator", ["oracle", "neural"])
+def test_enhance_estimator_gets_a_spectrogram_without_its_complex_spectrum(
+        noisy_file, tmp_path, monkeypatch, estimator):
+    # the phase is read right after the stft, so the complex spectrum is
+    # gone before the references' stfts or the network run
+    p, mixed = noisy_file
+    save_wav(mixed.clean, tmp_path / "clean.wav")
+    save_wav(mixed.noise, tmp_path / "noise.wav")
+    save_network(init_network(seed=3, cell_size=8, n_blocks=1), tmp_path / "net.bin")
+    save_stats(XiStats(np.zeros(257), np.ones(257)), tmp_path / "stats.txt")
+    refs = {"oracle": ["--clean", tmp_path / "clean.wav", "--noise", tmp_path / "noise.wav"],
+            "neural": ["--model", tmp_path / "net.bin", "--stats", tmp_path / "stats.txt"]}
+    specs, left = [], []
+
+    def recorded_stft(*args, **kwargs):
+        specs.append(dsp.stft(*args, **kwargs))
+        return specs[-1]
+
+    def checked(real):
+        def estimator_call(*args, **kwargs):
+            left.append(specs[0]._spectrum is not None)
+            return real(*args, **kwargs)
+        return estimator_call
+
+    monkeypatch.setattr(cli, "stft", recorded_stft)
+    monkeypatch.setattr(cli, "infer_xi", checked(cli.infer_xi))
+    monkeypatch.setattr(cli, "_oracle_xi", checked(cli._oracle_xi))
+    assert run("enhance", "--in", p, "--out", tmp_path / "o.wav",
+               "--estimator", estimator, *refs[estimator]) == 0
+    assert left == [False]
 
 
 @pytest.mark.parametrize("flag", ["--lr", "--clip"])

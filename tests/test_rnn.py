@@ -13,7 +13,7 @@ from sefront.rnn import (
     loss_cross_entropy,
     save_network,
 )
-from sefront.rnn import _forward, _lstm_run, _tensor_shapes
+from sefront.rnn import _forward, _lstm_rows, _lstm_run, _tensor_shapes
 
 
 def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
@@ -50,6 +50,40 @@ def test_lstm_run_two_steps_against_straight_line():
         np.testing.assert_allclose(cache["cells"][t], c_ref, rtol=1e-12)
         np.testing.assert_allclose(hs[t], h_ref, rtol=1e-12)
     assert np.all(np.abs(cache["cells"][0]) > 0)
+
+
+def textbook_cell(w_x, w_h, b, x):
+    """h of every row of x (T, D), one row per step from zero state."""
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    c_sz = w_h.shape[0]
+    h, c, hs = np.zeros(c_sz), np.zeros(c_sz), []
+    for row in x:
+        i, f, g, o = np.split(row @ w_x + h @ w_h + b, 4)
+        c = sig(f) * c + sig(i) * np.tanh(g)
+        h = sig(o) * np.tanh(c)
+        hs.append(h)
+    return np.array(hs)
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 2])
+def test_lstm_rows_against_straight_line(lanes):
+    # one cell on (T, D) rows, or cells stacked as lanes of (L, T, D), each
+    # lane with its own weights and rows
+    rng = np.random.default_rng(1)
+    d, c_sz, frames = 4, 3, 5
+    cells = [(rng.normal(0, 0.3, (d, 4 * c_sz)), rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
+              rng.normal(0, 0.3, 4 * c_sz), rng.normal(0, 1, (frames, d)))
+             for _ in range(lanes or 1)]
+    if lanes is None:
+        hs = _lstm_rows(*cells[0])[None]
+    else:
+        hs = _lstm_rows(*(np.stack(a) for a in zip(*cells)))
+    assert hs.shape == (len(cells), frames, c_sz)
+    for lane, cell in zip(hs, cells):
+        np.testing.assert_allclose(lane, textbook_cell(*cell), rtol=1e-12)
+    assert np.all(np.abs(hs[:, 1:]) > 0)
 
 
 def test_lstm_run_zero_weights_keep_zero_state():
@@ -326,6 +360,17 @@ def test_forward_equals_the_packed_forward_bit_for_bit(bidirectional, blocks, ce
     p = tiny(seed=seed % 1000, bidirectional=bidirectional, cell=cell, blocks=blocks,
              dim=dim)
     x = np.random.default_rng(seed).uniform(0, 3, (frames, dim))
+    assert forward(p, x).tobytes() == _forward(p, [x])[0].tobytes()
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("frames", [1, 2, 301])
+def test_forward_equals_the_packed_forward_at_the_cli_dims(bidirectional, frames):
+    # the CLI's network (cell 64, 2 blocks, 257 bins) reaches BLAS kernel
+    # sizes the property test above does not, and the backward lane's
+    # product over the reversed rows
+    p = init_network(seed=5, bidirectional=bidirectional)
+    x = np.random.default_rng(frames).uniform(0, 3, (frames, 257))
     assert forward(p, x).tobytes() == _forward(p, [x])[0].tobytes()
 
 
