@@ -267,6 +267,7 @@ def cmd_mix(args) -> int:
 
 
 def cmd_wer(args) -> int:
+    _require_dir(Path(args.out).parent, "output")
     manifest = corpus.load_manifest(_require_file(args.manifest, "manifest"))
     if not manifest.entries:
         raise ValueError(f"manifest {args.manifest} has no entries")

@@ -180,6 +180,8 @@ def check_section(noise_name: str, n_noise: int, clean_name: str, n_clean: int,
 
 def mixing_gain(clean, noise_section, snr_db: float) -> float:
     """Noise scale g with mean-square powers giving exactly snr_db."""
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     x = _samples(clean)
     d = _samples(noise_section)
     p_clean = float(np.mean(x * x))
@@ -326,9 +328,10 @@ def load_manifest(path) -> Manifest:
         if len(parts) != 5:
             raise ValueError(f"manifest line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            entries.append(
-                MixSpec(parts[0], parts[1], float(parts[2]), int(parts[3]), parts[4])
-            )
+            snr_db = float(parts[2])
+            if not np.isfinite(snr_db):
+                raise ValueError(f"SNR must be finite, got {parts[2]!r}")
+            entries.append(MixSpec(parts[0], parts[1], snr_db, int(parts[3]), parts[4]))
         except ValueError as exc:
             raise ValueError(f"manifest line {lineno}: {exc}") from exc
     return Manifest(entries)

@@ -73,12 +73,10 @@ def _gain_kernel(rule: GainRule, xi, gamma) -> np.ndarray:
 
 
 def gain_for(rule: GainRule, xi, gamma=None) -> np.ndarray:
-    if rule is GainRule.WIENER:
-        return gain_wiener(xi)
-    if rule is GainRule.SRWF:
-        return gain_srwf(xi)
+    if not isinstance(rule, GainRule):
+        raise ValueError(f"unknown gain rule {rule!r}")
     if rule is GainRule.MMSE_STSA:
         if gamma is None:
             raise ValueError("mmse-stsa requires gamma")
         return gain_mmse_stsa(xi, gamma)
-    raise ValueError(f"unknown gain rule {rule!r}")
+    return _gain_kernel(rule, xi, gamma)

@@ -16,11 +16,10 @@ nothing else.  The backward direction of a bidirectional block walks the
 same steps in reverse, each sequence starting from zero state at its last
 frame.  Each cell projects all its frames, x @ w_x + b, in one product
 before its step loop.  forward() runs one sequence unpacked, a row per
-step, with no cache (_lstm_rows): a bidirectional block runs its forward
-cell over the frames and its backward cell over them reversed as two
-lanes of one step loop, with the weights stacked, which gives the bits
-of the packed path (_lstm_run).  Both paths share the dense, layer-norm
-and output layers and the one gate step, _gate_step.
+step, with no cache (_lstm_rows): a bidirectional block runs its
+backward cell over the frames reversed, after its forward cell, which
+gives the bits of the packed path (_lstm_run).  Both paths share the
+dense, layer-norm and output layers and the one gate step, _gate_step.
 
 The network is a NetworkParams, the ordered mapping of its named
 tensors (params["block0.fwd.w_x"] and so on) in the one layout
@@ -194,23 +193,16 @@ def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
 
 def _lstm_rows(w_x, w_h, b, x: np.ndarray) -> np.ndarray:
     """Run one cell over the rows of x (T, D), one row per step, with no
-    cache; or L cells in lockstep, one per lane of x (L, T, D), with their
-    weights stacked on a leading lane axis (w_x (L, D, 4C), w_h (L, C, 4C),
-    b (L, 4C)).  Returns h (T, C) or (L, T, C).  Each lane runs its own
-    gemm and gemv, so its bits are those of _lstm_run on one-row steps."""
-    c_sz = w_h.shape[-2]
-    gates = np.matmul(x, w_x)
-    gates += b[..., None, :]
-    hs = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, c_sz))  # row 0: zero state
-    # time leads; a lane's row keeps a unit axis, for its own gemv
-    gt, hst = (np.moveaxis(a[..., None, :], 1, 0) if x.ndim == 3 else a
-               for a in (gates, hs))
-    c = np.zeros(hst.shape[1:])
-    tc, hw = np.empty_like(c), np.empty(gt.shape[1:])
-    for z, h, h_out in zip(gt, hst, hst[1:]):
+    cache.  Returns h (T, C), the bits of _lstm_run on one-row steps."""
+    c_sz = w_h.shape[0]
+    gates = x @ w_x
+    gates += b
+    hs = np.zeros((len(x) + 1, c_sz))  # row 0: zero state
+    c, tc, hw = np.zeros(c_sz), np.empty(c_sz), np.empty(_GATES * c_sz)
+    for z, h, h_out in zip(gates, hs, hs[1:]):
         z += np.matmul(h, w_h, out=hw)
         _gate_step(z, c, c, tc, h_out)
-    return hs[..., 1:, :]
+    return hs[1:]
 
 
 def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
@@ -354,22 +346,18 @@ def forward(params: NetworkParams, mag) -> np.ndarray:
     strictly inside (0, 1).
 
     The sequence runs unpacked, one row per step, and keeps no cache.  A
-    bidirectional block runs its two cells as two lanes of one step loop,
-    the forward cell over the frames and the backward cell over them
-    reversed; the bits are those of _forward on the one sequence.
+    bidirectional block adds its backward cell's run over the reversed
+    frames after its forward cell's, the order _forward adds them in, so
+    the bits are those of _forward on the one sequence.
     """
     x = np.ascontiguousarray(mag, dtype=np.float64)
     _check_input(params, [x])
     act = _input_layer(params, x)[0]
     for i in range(params.n_blocks):
+        nxt = act + _lstm_rows(*_cell(params, i, "fwd"), act)
         if params.bidirectional:
-            w_x, w_h, b = (np.stack(w) for w in zip(_cell(params, i, "fwd"),
-                                                     _cell(params, i, "bwd")))
-            h = _lstm_rows(w_x, w_h, b, np.stack((act, act[::-1])))
-            act = act + h[0]
-            act += h[1, ::-1]
-        else:
-            act = act + _lstm_rows(*_cell(params, i, "fwd"), act)
+            nxt += _lstm_rows(*_cell(params, i, "bwd"), act[::-1])[::-1]
+        act = nxt
     return _output_layer(params, act)
 
 

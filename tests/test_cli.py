@@ -266,6 +266,19 @@ def test_mix_replay_checks_every_entry_before_writing(wav_corpus, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("snr", ["inf", "1e400", "-inf"])
+def test_mix_replay_rejects_a_non_finite_snr(wav_corpus, tmp_path, capsys, snr):
+    clean = sorted(wav_corpus[0].glob("*.wav"))[0]
+    noise = sorted(wav_corpus[1].glob("*.wav"))[0]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{clean}\t{noise}\t{snr}\t0\tout.wav\n")
+    out_dir = tmp_path / "replay"
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest line 1: SNR must be finite, got {snr!r}\n")
+    assert not out_dir.exists()
+
+
 def test_mix_replay_rejects_a_truncated_noise_before_writing(wav_corpus, tmp_path):
     clean_dir, noise_dir = wav_corpus
     clean = sorted(clean_dir.glob("*.wav"))[0]
@@ -1062,6 +1075,22 @@ def test_wer_keeps_snrs_past_six_digits_apart(wav_corpus, tmp_path, capsys):
                                                 "white_a,5.0000001,1,33.33"]
     assert capsys.readouterr().out.splitlines()[:2] == [
         "white_a @ 5 dB: n=1 wer=0.00%", "white_a @ 5.0000001 dB: n=1 wer=33.33%"]
+
+
+def test_wer_checks_the_output_directory_before_reading(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read before checking the output")
+
+    monkeypatch.setattr(cli.corpus, "load_manifest", refuse)
+    monkeypatch.setattr(cli.features, "score_manifest", refuse)
+    manifest, ref, hyp = tmp_path / "m.tsv", tmp_path / "ref", tmp_path / "hyp"
+    manifest.write_text("a.wav\tb.wav\t5\t0\tout.wav\n")
+    ref.mkdir()
+    hyp.mkdir()
+    assert run("wer", "--manifest", manifest, "--ref", ref, "--hyp", hyp,
+               "--out", tmp_path / "missing" / "s.csv") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory not found: {tmp_path / 'missing'}\n"
 
 
 @pytest.mark.parametrize("estimator", ["dd", "oracle", "neural"])

@@ -207,6 +207,17 @@ def test_mixing_gain_zero_power_errors():
         mixing_gain(np.ones(10), np.zeros(10), 0.0)
 
 
+@pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan])
+def test_mixing_rejects_a_non_finite_snr(snr_db):
+    # at +inf the noise gain is 0 and the "mixture" would be the clean signal
+    rng = np.random.default_rng(2)
+    clean, noise = tone_bursts(rng, SR), white_noise(rng, SR)
+    with pytest.raises(ValueError, match="finite"):
+        mixing_gain(clean, noise, snr_db)
+    with pytest.raises(ValueError, match="finite"):
+        mix_at_snr(clean, noise, snr_db)
+
+
 def test_mix_exact_snr_and_identity():
     rng = np.random.default_rng(2)
     clean = tone_bursts(rng, SR)
@@ -405,6 +416,10 @@ def test_manifest_load_errors(tmp_path):
     p.write_text("a\tb\tnot-a-number\t0\tout.wav\n")
     with pytest.raises(ValueError, match="line 1"):
         load_manifest(p)
+    for snr in ("inf", "-inf", "nan", "1e400"):
+        p.write_text(f"a\tb\t5\t0\tok.wav\na\tb\t{snr}\t0\tout.wav\n")
+        with pytest.raises(ValueError, match="line 2: SNR must be finite"):
+            load_manifest(p)
 
 
 def test_manifest_blank_lines_skipped(tmp_path):

@@ -162,4 +162,6 @@ def test_gain_for_dispatch():
     )
     with pytest.raises(ValueError):
         gain_for(GainRule.MMSE_STSA, xi)  # needs gamma
+    with pytest.raises(ValueError, match="unknown gain rule"):
+        gain_for("wiener", xi)  # a rule name, not a GainRule
 

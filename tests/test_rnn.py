@@ -67,23 +67,15 @@ def textbook_cell(w_x, w_h, b, x):
     return np.array(hs)
 
 
-@pytest.mark.parametrize("lanes", [None, 1, 2])
-def test_lstm_rows_against_straight_line(lanes):
-    # one cell on (T, D) rows, or cells stacked as lanes of (L, T, D), each
-    # lane with its own weights and rows
+def test_lstm_rows_against_straight_line():
     rng = np.random.default_rng(1)
     d, c_sz, frames = 4, 3, 5
-    cells = [(rng.normal(0, 0.3, (d, 4 * c_sz)), rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
-              rng.normal(0, 0.3, 4 * c_sz), rng.normal(0, 1, (frames, d)))
-             for _ in range(lanes or 1)]
-    if lanes is None:
-        hs = _lstm_rows(*cells[0])[None]
-    else:
-        hs = _lstm_rows(*(np.stack(a) for a in zip(*cells)))
-    assert hs.shape == (len(cells), frames, c_sz)
-    for lane, cell in zip(hs, cells):
-        np.testing.assert_allclose(lane, textbook_cell(*cell), rtol=1e-12)
-    assert np.all(np.abs(hs[:, 1:]) > 0)
+    cell = (rng.normal(0, 0.3, (d, 4 * c_sz)), rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
+            rng.normal(0, 0.3, 4 * c_sz), rng.normal(0, 1, (frames, d)))
+    hs = _lstm_rows(*cell)
+    assert hs.shape == (frames, c_sz)
+    np.testing.assert_allclose(hs, textbook_cell(*cell), rtol=1e-12)
+    assert np.all(np.abs(hs[1:]) > 0)
 
 
 def test_lstm_run_zero_weights_keep_zero_state():
