@@ -190,11 +190,12 @@ def cmd_enhance(args) -> int:
     if args.estimator == "oracle" and (not args.clean or not args.noise):
         raise UsageError("estimator oracle requires --clean and --noise references")
     noisy = corpus.load_wav(in_path)
+    n = len(noisy)
     spec = stft(noisy)
-    spec.phase  # frees the complex spectrum before the references' stfts or the network
+    del noisy  # the spectrogram is all that is read from here on
 
     if args.unity_gain:
-        out = istft(spec, len(noisy))
+        out = istft(spec, n)
     else:
         xi = None
         if args.estimator == "neural":
@@ -202,8 +203,8 @@ def cmd_enhance(args) -> int:
             stats = snr.load_stats(_require_file(args.stats, "stats file"))
             xi = infer_xi(params, spec, stats)
         elif args.estimator == "oracle":
-            xi = _oracle_xi(args, len(noisy))
-        out = dd.enhance(spec, rule, xi, out_len=len(noisy))
+            xi = _oracle_xi(args, n)
+        out = dd.enhance(spec, rule, xi, out_len=n)
     np.clip(out.samples, -1.0, 1.0, out=out.samples)  # finite, as istft checks
     corpus.save_wav(out, args.out)
     print(f"enhance[{args.estimator}/{args.gain}]: {in_path} -> {args.out}")
@@ -416,7 +417,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, corpus.WavFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FloatingPointError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:  # FloatingPointError, OverflowError, ZeroDivisionError
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -76,7 +76,8 @@ def load_wav(path, start: int = 0, n: int | None = None) -> AudioSignal:
         if n is None:
             n = wf.getnframes() - start
         raw = _read_frames(wf, path.name, start, n)
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
+    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    data /= PCM_SCALE
     return AudioSignal(data)
 
 
@@ -94,14 +95,15 @@ def wav_length(path) -> int:
 def save_wav(signal, path) -> None:
     """Write 16-bit mono PCM; amplitudes clip to the representable range."""
     x = _samples(signal)
-    q = np.clip(np.rint(x * PCM_SCALE), -32768, 32767).astype("<i2")
+    q = np.multiply(x, PCM_SCALE)
+    pcm = np.clip(np.rint(q, out=q), -32768, 32767, out=q).astype("<i2")
     # opened here, not by wave.open: a Wave_write whose own open fails
     # reports an AttributeError from its __del__ on top of the OSError
     with open(path, "wb") as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(SAMPLE_RATE)
-        wf.writeframes(q.tobytes())
+        wf.writeframes(pcm)
 
 
 def recording_length(rec) -> int:
@@ -179,7 +181,8 @@ def check_section(noise_name: str, n_noise: int, clean_name: str, n_clean: int,
 
 
 def mixing_gain(clean, noise_section, snr_db: float) -> float:
-    """Noise scale g with mean-square powers giving exactly snr_db."""
+    """Noise scale g with mean-square powers giving exactly snr_db; an SNR
+    whose g is not finite and positive in float64 is a ValueError."""
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     x = _samples(clean)
@@ -190,7 +193,13 @@ def mixing_gain(clean, noise_section, snr_db: float) -> float:
         raise ValueError("clean signal has zero power")
     if p_noise <= 0.0:
         raise ValueError("noise section has zero power")
-    return float(np.sqrt(p_clean / p_noise * 10.0 ** (-snr_db / 10.0)))
+    try:
+        g = float(np.sqrt(p_clean / p_noise * 10.0 ** (-snr_db / 10.0)))
+    except OverflowError:  # float ** raises where * gives inf
+        g = np.inf
+    if not 0.0 < g < np.inf:
+        raise ValueError(f"SNR {_fmt_snr(snr_db)} dB is out of range: noise gain {g}")
+    return g
 
 
 class MixResult(NamedTuple):

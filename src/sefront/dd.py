@@ -4,13 +4,14 @@ Noise power is tracked by a gated first-order recursion (updates only
 where the cell looks speech-absent).  The decision-directed xi blends the
 previous frame's post-gain amplitude estimate with max(gamma - 1, 0).
 enhance() is the one front-end every xi estimator runs through (stft,
-tracked noise, gamma, gain, resynthesis with the noisy phase); it runs
-the recursion itself unless given xi, and takes a spectrogram in place of
-the waveform.  The recursion runs an unchecked gain kernel per frame and
-enhance checks the MMSE-STSA inputs once per call.  Given xi, only
-MMSE-STSA reads gamma, so only it tracks the noise; Wiener and SRWF gains
-come from xi alone.  Past the phase, power and noise track, enhance
-allocates only the gains, and frees power and track before resynthesis.
+tracked noise, gamma, gain, and istft of the gained noisy spectrum G Z,
+so no phase is taken or rebuilt); it runs the recursion itself unless
+given xi, and takes a spectrogram in place of the waveform.  The
+recursion runs an unchecked gain kernel per frame and enhance checks the
+MMSE-STSA inputs once per call.  Given xi, only MMSE-STSA reads gamma,
+so only it tracks the noise; Wiener and SRWF gains come from xi alone.
+Past the power and noise track, enhance allocates only the gains and
+G Z, and frees power and track before resynthesis.
 """
 
 from __future__ import annotations
@@ -47,14 +48,24 @@ def dd_xi(state: DdState, noisy_power_frame, lambda_d, rule: GainRule = GainRule
     The state advances with (G |X|)^2 where G is the rule's gain for
     this frame, so the recursion sees the enhanced amplitude; G itself
     is kept as next_state.gain.  G is unchecked: an MMSE-STSA input that
-    gain_mmse_stsa rejects gives NaN.
+    gain_mmse_stsa rejects gives NaN.  The frame's power, lambda_d and
+    state.prev_amp_sq are arrays of one shape.
     """
     p = np.asarray(noisy_power_frame, dtype=np.float64)
     lam = np.maximum(np.asarray(lambda_d, dtype=np.float64), _POWER_FLOOR)
     gamma = p / lam
-    xi = ALPHA_DD * state.prev_amp_sq / lam + (1.0 - ALPHA_DD) * np.maximum(gamma - 1.0, 0.0)
-    g = _gain_kernel(rule, xi, np.maximum(gamma, _POWER_FLOOR))
-    return xi, gamma, DdState((g * g) * p, g)
+    xi = ALPHA_DD * state.prev_amp_sq
+    xi /= lam
+    excess = np.subtract(gamma, 1.0, out=lam)  # lam is read no more
+    np.maximum(excess, 0.0, out=excess)
+    excess *= 1.0 - ALPHA_DD
+    xi += excess
+    # only the MMSE-STSA kernel reads gamma
+    g = _gain_kernel(rule, xi, np.maximum(gamma, _POWER_FLOOR)
+                     if rule is GainRule.MMSE_STSA else gamma)
+    amp_sq = g * g
+    amp_sq *= p
+    return xi, gamma, DdState(amp_sq, g)
 
 
 def tracked_noise_power(power: np.ndarray) -> np.ndarray:
@@ -71,17 +82,17 @@ def tracked_noise_power(power: np.ndarray) -> np.ndarray:
     n_init = min(INIT_FRAMES, power.shape[0])
     if n_init == 0:
         raise ValueError("need at least one frame to initialize")
-    lam = np.empty_like(power)
+    # each row past n_init holds (1 - ALPHA_NOISE) |X|^2 until its turn;
+    # adding ALPHA_NOISE lambda_d to it gives the update's sum, as + commutes
+    lam = np.multiply(power, 1.0 - ALPHA_NOISE)
     lam[:n_init] = np.maximum(power[:n_init].mean(axis=0), _POWER_FLOOR)
-    update = (1.0 - ALPHA_NOISE) * power
-    threshold = np.empty(power.shape[1])
+    scaled = np.empty(power.shape[1])
     present = np.empty(power.shape[1], dtype=bool)
     for l in range(n_init, power.shape[0]):
         prev, cur = lam[l - 1], lam[l]
-        np.multiply(prev, ALPHA_NOISE, out=cur)
-        cur += update[l]
-        np.multiply(prev, BETA_ABSENCE, out=threshold)
-        np.greater_equal(power[l], threshold, out=present)
+        cur += np.multiply(prev, ALPHA_NOISE, out=scaled)
+        np.multiply(prev, BETA_ABSENCE, out=scaled)
+        np.greater_equal(power[l], scaled, out=present)
         np.copyto(cur, prev, where=present)
     return lam
 
@@ -117,8 +128,8 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
     (frames, bins), and gamma comes from the tracked noise with the same
     floor the recursion uses.  The output is out_len samples long; that
     defaults to the length of a waveform input and to istft's full span
-    for a SpectroGram.  Resynthesis reuses the noisy phase.  An all-zero
-    input comes back all zero.
+    for a SpectroGram.  Resynthesis is istft of the noisy complex spectrum
+    times the gains.  An all-zero input comes back all zero.
     """
     if isinstance(noisy, SpectroGram):
         spec = noisy
@@ -126,7 +137,6 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
         spec = stft(noisy)
         if out_len is None:
             out_len = _samples(noisy).size
-    phase = spec.phase  # frees stft's complex spectrum before the gains are made
     if xi is not None and np.shape(xi) != spec.magnitude.shape:
         raise ValueError("xi shape must match the spectrogram")
     if xi is None or rule is GainRule.MMSE_STSA:
@@ -141,5 +151,4 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
         del power, lam  # istft's buffers take their place
     else:
         gains = gain_for(rule, xi)  # Wiener and SRWF read no gamma
-    gains *= spec.magnitude
-    return istft(SpectroGram(gains, phase, spec.config), out_len)
+    return istft(SpectroGram.from_spectrum(spec.spectrum * gains, spec.config), out_len)

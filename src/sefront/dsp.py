@@ -2,28 +2,31 @@
 
 Framing uses a 32 ms symmetric Hamming window with a 16 ms shift and a
 512-point DFT, keeping the 257-bin single-sided spectrum (DC and Nyquist
-included).  Frames are strided views of the zero-padded signal, so
-framing copies nothing; the window product makes the one copy.  A
-SpectroGram from stft keeps the complex spectrum and derives the phase
-with np.angle on first read, so analyses that use magnitudes only
-(features, statistics, training targets) never compute it.  Synthesis
-is weighted overlap-add: the analysis window is reused for synthesis and
-each output sample is normalised by the summed squared window, which
-reconstructs unmodified spectra exactly at any frame position, including
-the partially covered edges.  It builds the spectrum as magnitude *
-cos(phase) + i magnitude * sin(phase) in one complex array (magnitude *
-exp(i phase) but for the sign of a zero, which the overlap-add onto +0.0
-erases) and overlap-adds ceil(frame_len / frame_shift) blocks of one
-shift each, last block first, so each sample sums its frames in order.
+included).  Frames are strided views of the zero-padded signal, and
+stft and istft run in blocks of BLOCK_FRAMES frames transformed straight
+into their outputs, so neither builds a (frames x fft_size) array.  A
+SpectroGram from stft keeps its complex spectrum and derives magnitude
+and phase (np.angle) on first read, so magnitude-only analyses never
+compute the phase.  Synthesis is weighted overlap-add of that spectrum
+(or of magnitude * cos(phase) + i magnitude * sin(phase) for a
+SpectroGram built from the two), so a real gain applied to a kept
+spectrum is resynthesized with no phase at all.  Each output sample is
+normalised by the summed squared analysis window, which reconstructs
+unmodified spectra exactly at any frame position, the partially covered
+edges included.  Each block overlap-adds ceil(frame_len / frame_shift)
+slices of one shift each, last slice first, so each sample sums its
+frames in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 SAMPLE_RATE = 16000
+BLOCK_FRAMES = 32  # frames per stft/istft block
 
 
 @dataclass
@@ -71,47 +74,58 @@ class SpectroGram:
     """Single-sided magnitude/phase spectra, one row per frame.
 
     Built from a magnitude and a phase array, or by stft from the complex
-    spectrum, in which case phase is np.angle of it, computed on first
-    read.
+    spectrum, which it then keeps; magnitude and phase are derived from a
+    kept spectrum on first read, and reading them leaves it in place.
     """
 
     def __init__(self, magnitude, phase, config: AnalysisConfig = DEFAULT_CONFIG):
-        self.magnitude = np.asarray(magnitude, dtype=np.float64)
+        self._magnitude = np.asarray(magnitude, dtype=np.float64)
         self._phase = np.asarray(phase, dtype=np.float64)
         self._spectrum = None
         self.config = config
-        if self.magnitude.shape != self._phase.shape:
+        if self._magnitude.shape != self._phase.shape:
             raise ValueError("magnitude and phase shapes differ")
-        if self.magnitude.ndim != 2:
+        if self._magnitude.ndim != 2:
             raise ValueError("spectra must be 2-D (frames x bins)")
-        if self.magnitude.shape[1] != config.n_bins:
+        if self._magnitude.shape[1] != config.n_bins:
             raise ValueError(
-                f"bins: expected {config.n_bins}, got {self.magnitude.shape[1]}"
+                f"bins: expected {config.n_bins}, got {self._magnitude.shape[1]}"
             )
-        if np.any(self.magnitude < 0):
+        if np.any(self._magnitude < 0):
             raise ValueError("magnitude must be non-negative")
 
     @classmethod
     def from_spectrum(cls, spectrum: np.ndarray, config: AnalysisConfig) -> "SpectroGram":
-        """Magnitude now and phase on first read, from a (frames, n_bins)
-        complex spectrum."""
+        """The spectrogram of a (frames, n_bins) complex spectrum, kept as it is."""
         spec = cls.__new__(cls)
-        spec.magnitude = np.abs(spectrum)
-        spec._phase = None
+        spec._magnitude = spec._phase = None
         spec._spectrum = spectrum
         spec.config = config
         return spec
 
     @property
+    def magnitude(self) -> np.ndarray:
+        if self._magnitude is None:
+            self._magnitude = np.abs(self._spectrum)
+        return self._magnitude
+
+    @property
     def phase(self) -> np.ndarray:
         if self._phase is None:
             self._phase = np.angle(self._spectrum)
-            self._spectrum = None
         return self._phase
 
     @property
+    def spectrum(self) -> np.ndarray:
+        """The complex spectrum: the kept one, else built from magnitude and
+        phase on each read (and not kept)."""
+        if self._spectrum is None:
+            return _polar(self._magnitude, self._phase)
+        return self._spectrum
+
+    @property
     def n_frames(self) -> int:
-        return self.magnitude.shape[0]
+        return (self._spectrum if self._magnitude is None else self._magnitude).shape[0]
 
 
 def _samples(signal) -> np.ndarray:
@@ -123,16 +137,20 @@ def _samples(signal) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=8)
 def hamming_window(n: int) -> np.ndarray:
     """Symmetric Hamming window, w[i] = 0.54 - 0.46 cos(2 pi i / (n - 1)).
 
     Every value is strictly positive (edge value 0.08), which keeps the
-    overlap-add normalisation well defined.
+    overlap-add normalisation well defined.  Built once per length and
+    returned read-only.
     """
     if n < 2:
         raise ValueError("window length must be at least 2")
     i = np.arange(n, dtype=np.float64)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * i / (n - 1))
+    w = 0.54 - 0.46 * np.cos(2.0 * np.pi * i / (n - 1))
+    w.flags.writeable = False
+    return w
 
 
 def frame_count(n_samples: int, frame_shift: int) -> int:
@@ -159,8 +177,16 @@ def frame_signal(signal, config: AnalysisConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def stft(signal, config: AnalysisConfig = DEFAULT_CONFIG) -> SpectroGram:
     """Windowed forward transform. Unnormalized DFT, single-sided bins."""
-    frames = frame_signal(signal, config) * hamming_window(config.frame_len)
-    return SpectroGram.from_spectrum(np.fft.rfft(frames, n=config.fft_size, axis=1), config)
+    frames = frame_signal(signal, config)
+    window = hamming_window(config.frame_len)
+    n_frames = frames.shape[0]
+    spectrum = np.empty((n_frames, config.n_bins), dtype=np.complex128)
+    block = np.empty((min(BLOCK_FRAMES, n_frames), config.frame_len))
+    for b in range(0, n_frames, BLOCK_FRAMES):
+        e = min(b + BLOCK_FRAMES, n_frames)
+        windowed = np.multiply(frames[b:e], window, out=block[: e - b])
+        np.fft.rfft(windowed, n=config.fft_size, axis=1, out=spectrum[b:e])
+    return SpectroGram.from_spectrum(spectrum, config)
 
 
 def synthesis_length(n_frames: int, config: AnalysisConfig = DEFAULT_CONFIG) -> int:
@@ -185,17 +211,21 @@ def istft(spec: SpectroGram, out_len: int | None = None) -> AudioSignal:
     hop, n_frames = cfg.frame_shift, spec.n_frames
     k = -(-cfg.frame_len // hop)  # shifts one frame spans
     window = hamming_window(cfg.frame_len)
-    frames = np.fft.irfft(_polar(spec.magnitude, spec.phase), n=cfg.fft_size, axis=1)
-    if frames.shape[1] < k * hop:
-        frames = np.pad(frames, ((0, 0), (0, k * hop - frames.shape[1])))
-    frames = frames[:, : k * hop]
-    frames[:, : cfg.frame_len] *= window
-    frames[:, cfg.frame_len :] = 0.0
-    wsq = np.pad(window * window, (0, k * hop - cfg.frame_len))
+    spectrum = spec.spectrum
+    # a block's frames, zero past frame_len up to k whole shifts
+    block = np.zeros((min(BLOCK_FRAMES, n_frames), max(cfg.fft_size, k * hop)))
     out = np.zeros((n_frames + k - 1, hop))
+    for b in range(0, n_frames, BLOCK_FRAMES):
+        e = min(b + BLOCK_FRAMES, n_frames)
+        frames = block[: e - b]
+        np.fft.irfft(spectrum[b:e], n=cfg.fft_size, axis=1, out=frames[:, : cfg.fft_size])
+        frames[:, : cfg.frame_len] *= window
+        frames[:, cfg.frame_len : k * hop] = 0.0
+        for j in range(k - 1, -1, -1):  # later frames add last to each sample
+            out[b + j : e + j] += frames[:, j * hop : (j + 1) * hop]
+    wsq = np.pad(window * window, (0, k * hop - cfg.frame_len))
     norm = np.zeros_like(out)
-    for j in range(k - 1, -1, -1):  # later frames add last to each sample
-        out[j : j + n_frames] += frames[:, j * hop : (j + 1) * hop]
+    for j in range(k - 1, -1, -1):
         norm[j : j + n_frames] += wsq[j * hop : (j + 1) * hop]
     out = out.reshape(-1)[:out_len]
     out /= norm.reshape(-1)[:out_len]  # window strictly positive, so norm > 0 here

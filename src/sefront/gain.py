@@ -38,8 +38,9 @@ def gain_srwf(xi) -> np.ndarray:
 def _mmse_stsa(xi, gamma) -> np.ndarray:
     """gain_mmse_stsa unchecked: NaN where that rejects the input."""
     nu = xi * gamma / (1.0 + xi)
+    half = 0.5 * nu
     return (0.5 * np.sqrt(np.pi)) * (np.sqrt(nu) / gamma) * (
-        (1.0 + nu) * i0e(0.5 * nu) + nu * i1e(0.5 * nu))
+        (1.0 + nu) * i0e(half) + nu * i1e(half))
 
 
 def gain_mmse_stsa(xi, gamma) -> np.ndarray:

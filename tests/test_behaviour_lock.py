@@ -14,7 +14,11 @@ agree with the hand-written special functions SciPy replaced to about
 4e-11 relative.  The gain_mmse_stsa key alone was written again once
 the gain dropped its Wiener switch above nu = 700 and became the exact
 scaled form at every nu: only its cells above 700 moved, by up to
-3.6e-4 relative.
+3.6e-4 relative.  The enhance_dd_wiener and enhance_dd_srwf keys alone
+were written again once enhance resynthesized the gained noisy spectrum
+G Z in place of G |Z| (cos phi + i sin phi), phi the angle of Z: 69.8%
+of the Wiener samples and 71.0% of the SRWF samples moved, by up to
+1.67e-16 absolute.
 
 The stats keys were written from the code as it stood before
 estimate_stats sorted by snr._content_key and rejected short noise: the

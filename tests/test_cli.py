@@ -279,6 +279,40 @@ def test_mix_replay_rejects_a_non_finite_snr(wav_corpus, tmp_path, capsys, snr):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+@pytest.mark.parametrize("source", ["manifest", "grid", "stats"])
+def test_an_snr_out_of_range_is_one_line_and_writes_nothing(wav_corpus, tmp_path, capsys,
+                                                           source, snr):
+    # the noise gain 10 ** (-snr / 20) is 0 at 4000 dB and overflows at -4000 dB
+    clean_dir, noise_dir = wav_corpus
+    out = tmp_path / "out"
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{sorted(clean_dir.glob('*.wav'))[0]}\t"
+                        f"{sorted(noise_dir.glob('*.wav'))[0]}\t{snr}\t0\tout.wav\n")
+    argv = {"manifest": ["mix", "--manifest", manifest, "--out-dir", out],
+            "grid": ["mix", "--clean", clean_dir, "--noise", noise_dir, "--per-noise", 1,
+                     f"--snr-grid={snr}", "--out-dir", out],
+            "stats": ["stats", "--clean", clean_dir, "--noise", noise_dir, "--out", out,
+                      f"--snr-min={snr}", f"--snr-max={snr}"]}[source]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SNR {snr} dB is out of range") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_main_maps_every_arithmetic_error_to_exit_3(wav_corpus, tmp_path, monkeypatch,
+                                                   capsys):
+    def overflowing(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    clean_dir, noise_dir = wav_corpus
+    monkeypatch.setattr(snr, "estimate_stats", overflowing)
+    assert run("stats", "--clean", clean_dir, "--noise", noise_dir,
+               "--out", tmp_path / "stats.txt") == 3
+    assert capsys.readouterr().err == (
+        "numerical error: (34, 'Numerical result out of range')\n")
+
+
 def test_mix_replay_rejects_a_truncated_noise_before_writing(wav_corpus, tmp_path):
     clean_dir, noise_dir = wav_corpus
     clean = sorted(clean_dir.glob("*.wav"))[0]
@@ -656,36 +690,36 @@ def test_enhance_neural_transforms_the_input_once(wav_corpus, noisy_file, tmp_pa
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("estimator", ["oracle", "neural"])
-def test_enhance_estimator_gets_a_spectrogram_without_its_complex_spectrum(
-        noisy_file, tmp_path, monkeypatch, estimator):
-    # the phase is read right after the stft, so the complex spectrum is
-    # gone before the references' stfts or the network run
+@pytest.mark.parametrize("estimator", ["dd", "oracle", "neural"])
+def test_enhance_takes_no_phase_and_builds_no_polar_spectrum(noisy_file, tmp_path,
+                                                            monkeypatch, estimator):
+    # resynthesis scales the kept noisy spectrum by the gains, so no enhance
+    # op calls np.angle (SpectroGram.phase) or cos and sin (dsp._polar)
     p, mixed = noisy_file
     save_wav(mixed.clean, tmp_path / "clean.wav")
     save_wav(mixed.noise, tmp_path / "noise.wav")
     save_network(init_network(seed=3, cell_size=8, n_blocks=1), tmp_path / "net.bin")
     save_stats(XiStats(np.zeros(257), np.ones(257)), tmp_path / "stats.txt")
-    refs = {"oracle": ["--clean", tmp_path / "clean.wav", "--noise", tmp_path / "noise.wav"],
+    refs = {"dd": [],
+            "oracle": ["--clean", tmp_path / "clean.wav", "--noise", tmp_path / "noise.wav"],
             "neural": ["--model", tmp_path / "net.bin", "--stats", tmp_path / "stats.txt"]}
-    specs, left = [], []
+    reached = []
+    polar, phase = dsp._polar, dsp.SpectroGram.phase
 
-    def recorded_stft(*args, **kwargs):
-        specs.append(dsp.stft(*args, **kwargs))
-        return specs[-1]
+    def recorded_polar(*args):
+        reached.append("_polar")
+        return polar(*args)
 
-    def checked(real):
-        def estimator_call(*args, **kwargs):
-            left.append(specs[0]._spectrum is not None)
-            return real(*args, **kwargs)
-        return estimator_call
+    def recorded_phase(spec):
+        reached.append("phase")
+        return phase.fget(spec)
 
-    monkeypatch.setattr(cli, "stft", recorded_stft)
-    monkeypatch.setattr(cli, "infer_xi", checked(cli.infer_xi))
-    monkeypatch.setattr(cli, "_oracle_xi", checked(cli._oracle_xi))
-    assert run("enhance", "--in", p, "--out", tmp_path / "o.wav",
-               "--estimator", estimator, *refs[estimator]) == 0
-    assert left == [False]
+    monkeypatch.setattr(dsp, "_polar", recorded_polar)
+    monkeypatch.setattr(dsp.SpectroGram, "phase", property(recorded_phase))
+    for gain in ("wiener", "srwf", "mmse-stsa"):
+        assert run("enhance", "--in", p, "--out", tmp_path / "o.wav", "--gain", gain,
+                   "--estimator", estimator, *refs[estimator]) == 0
+    assert reached == []
 
 
 @pytest.mark.parametrize("flag", ["--lr", "--clip"])

@@ -56,8 +56,14 @@ COMMANDS = {
             ["mixed/manifest.tsv", "ref", "hyp"]),
 }
 
+# numbers at the edges of float64 and of the SNR range: 10 ** (-snr / 10)
+# underflows to 0 above about 3233 dB and overflows below about -3083 dB
+EDGE_NUMBERS = ["4000", "-4000", "1e308", "-1e308", "5e-324", "-0.0"]
+# 4000 is left out of the flag tokens: as --cell it asks for two 512 MB
+# weight matrices, and as --epochs or --blocks for a run past the deadline
 TOKENS = ["", "0", "-1", "2", "1e400", "nan", "-inf", "x", "wiener", "true", "FALSE",
-          "0,nan", "out/o.wav", "noisy.wav", "clean", "--gain", "--bogus", "-q", "\t"]
+          "0,nan", "out/o.wav", "noisy.wav", "clean", "--gain", "--bogus", "-q", "\t",
+          *(n for n in EDGE_NUMBERS if n != "4000")]
 KEYS = ["in", "infile", "out", "out-dir", "out_dir", "gain", "estimator", "unity-gain",
         "unity_gain", "epochs", "batch", "cell", "per-noise", "snr-grid", "seed",
         "manifest", "stats", "model", "bogus", ""]
@@ -103,10 +109,18 @@ def _tree(root: Path) -> set:
 
 
 @st.composite
-def corruptions(draw, size: int) -> tuple:
-    """An edit of a file of size bytes: emptied, cut, overwritten in place,
-    extended, or replaced; small enough to print."""
-    kind = draw(st.sampled_from(["empty", "cut", "overwrite", "append", "replace"]))
+def corruptions(draw, path: str, data: bytes) -> tuple:
+    """An edit of a file: emptied, cut, overwritten in place, extended, or
+    replaced, or for a manifest one line's SNR field set to an edge number;
+    small enough to print."""
+    size = len(data)
+    kinds = ["empty", "cut", "overwrite", "append", "replace"]
+    if path.endswith("manifest.tsv"):
+        kinds.append("snr")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "snr":
+        line = draw(st.integers(0, data.count(b"\n") - 1))
+        return kind, line, draw(st.sampled_from(EDGE_NUMBERS))
     junk = draw(st.binary(min_size=1, max_size=48))
     if kind == "cut":
         return kind, draw(st.integers(0, max(size - 1, 0)))
@@ -117,6 +131,13 @@ def corruptions(draw, size: int) -> tuple:
 
 def corrupted(data: bytes, edit: tuple) -> bytes:
     kind, *args = edit
+    if kind == "snr":
+        at, snr = args
+        lines = data.decode().split("\n")
+        fields = lines[at].split("\t")
+        fields[2] = snr
+        lines[at] = "\t".join(fields)
+        return "\n".join(lines).encode()
     if kind == "cut":
         return data[: args[0]]
     if kind == "overwrite":
@@ -139,7 +160,7 @@ def fuzz_cases(draw, originals: dict):
     if how == "file":
         path = draw(st.sampled_from(sorted(
             p for p in originals if any(p == r or p.startswith(r + "/") for r in reads))))
-        files[path] = draw(corruptions(len(originals[path])))
+        files[path] = draw(corruptions(path, originals[path]))
     elif how == "flag":
         at = draw(st.integers(1, len(argv) - 1))
         edit = draw(st.sampled_from(["replace", "drop", "insert"]))

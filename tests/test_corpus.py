@@ -218,6 +218,25 @@ def test_mixing_rejects_a_non_finite_snr(snr_db):
         mix_at_snr(clean, noise, snr_db)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 1e308, -1e308])
+def test_mixing_rejects_an_snr_whose_noise_gain_is_zero_or_infinite(snr_db):
+    # 10 ** (-snr / 10) underflows to 0 above about 3233 dB and overflows
+    # below about -3083 dB
+    rng = np.random.default_rng(2)
+    clean, noise = tone_bursts(rng, SR), white_noise(rng, SR)
+    with pytest.raises(ValueError, match="out of range"):
+        mixing_gain(clean, noise, snr_db)
+    with pytest.raises(ValueError, match="out of range"):
+        mix_at_snr(clean, noise, snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [3000.0, -3000.0, 5e-324, -0.0])
+def test_mixing_gain_is_finite_and_positive_up_to_the_edges(snr_db):
+    rng = np.random.default_rng(2)
+    clean, noise = tone_bursts(rng, SR), white_noise(rng, SR)
+    assert 0.0 < mixing_gain(clean, noise, snr_db) < np.inf
+
+
 def test_mix_exact_snr_and_identity():
     rng = np.random.default_rng(2)
     clean = tone_bursts(rng, SR)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from sefront.dsp import (
     AnalysisConfig,
     AudioSignal,
+    BLOCK_FRAMES,
     DEFAULT_CONFIG,
     SpectroGram,
     frame_count,
@@ -33,6 +36,12 @@ def test_hamming_symmetric_and_positive():
 def test_hamming_rejects_short():
     with pytest.raises(ValueError):
         hamming_window(1)
+
+
+def test_hamming_is_built_once_per_length_and_read_only():
+    w = hamming_window(400)
+    assert hamming_window(400) is w
+    assert not w.flags.writeable
 
 
 def test_frame_count_ceil():
@@ -95,6 +104,9 @@ def test_stft_phase_is_the_angle_of_the_transform(case):
     np.testing.assert_array_equal(spec.magnitude, np.abs(ref))
     np.testing.assert_array_equal(spec.phase, np.angle(ref))
     assert spec.phase is spec.phase  # computed once, then kept
+    assert spec.magnitude is spec.magnitude
+    # reading them leaves the spectrum in place, the one istft synthesizes
+    assert spec.spectrum.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,12 +148,15 @@ def test_cos_sin_spectrum_equals_the_complex_exponential(cells):
 
 
 def reference_istft(spec, out_len):
-    """Synthesis as first written: magnitude * exp(i phase), then the frames
+    """Synthesis as first written, from the spectrum istft synthesizes: the
+    one stft kept, else magnitude * exp(i phase); then the frames
     overlap-added one at a time."""
     cfg = spec.config
     window = hamming_window(cfg.frame_len)
-    frames = np.fft.irfft(spec.magnitude * np.exp(1j * spec.phase), n=cfg.fft_size,
-                          axis=1)[:, : cfg.frame_len]
+    z = spec._spectrum
+    if z is None:
+        z = spec.magnitude * np.exp(1j * spec.phase)
+    frames = np.fft.irfft(z, n=cfg.fft_size, axis=1)[:, : cfg.frame_len]
     frames *= window
     total = synthesis_length(spec.n_frames, cfg)
     out = np.zeros(total)
@@ -186,6 +201,66 @@ def test_istft_equals_the_frame_by_frame_overlap_add(case):
     spec, out_len = case
     got = istft(spec, out_len).samples
     assert got.tobytes() == reference_istft(spec, out_len).tobytes()
+
+
+@st.composite
+def block_edge_cases(draw):
+    """A config, a signal whose frame count sits at or next to a multiple of
+    BLOCK_FRAMES, and an output length up to the full span."""
+    config, _ = draw(configs_and_signals())
+    n_frames = draw(st.sampled_from([1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
+                                     2 * BLOCK_FRAMES + 1]))
+    n = (n_frames - 1) * config.frame_shift + draw(st.integers(1, config.frame_shift))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0, 0.3, n)
+    return config, x, draw(st.integers(0, synthesis_length(n_frames, config)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_edge_cases())
+def test_blocked_stft_and_istft_equal_the_whole_array_transforms(case):
+    config, x, out_len = case
+    spec = stft(x, config)
+    want = np.fft.rfft(gathered_frames(x, config) * hamming_window(config.frame_len),
+                       n=config.fft_size, axis=1)
+    assert spec.spectrum.tobytes() == want.tobytes()
+    got = istft(spec, out_len).samples
+    assert got.tobytes() == reference_istft(spec, out_len).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8000), st.integers(0, 2**32 - 1), st.booleans())
+def test_synthesis_from_the_spectrum_matches_synthesis_from_its_polar_form(n, seed, gained):
+    # on the paper's geometry, with or without gains in [0, 1]; the
+    # normalisation by the summed squared window scales a rounding error by
+    # up to 1 / sqrt of that sum, so the bound is taken against it
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 0.3, n) * rng.uniform(0.01, 1.0)
+    z = stft(x).spectrum
+    if gained:
+        z = z * rng.uniform(0.0, 1.0, z.shape)
+    a = istft(SpectroGram.from_spectrum(z, DEFAULT_CONFIG), n).samples
+    b = istft(SpectroGram(np.abs(z), np.angle(z)), n).samples
+    hop, frame_len = DEFAULT_CONFIG.frame_shift, DEFAULT_CONFIG.frame_len
+    norm = np.zeros(synthesis_length(z.shape[0]))
+    for l in range(z.shape[0]):
+        norm[l * hop : l * hop + frame_len] += hamming_window(frame_len) ** 2
+    bound = 8 * np.finfo(np.float64).eps * np.max(np.abs(x))
+    assert np.all(np.abs(a - b) * np.sqrt(norm[:n]) <= bound)
+
+
+def test_stft_builds_no_full_size_temporary():
+    # 10 s at 16 kHz: the spectrum and its magnitude are 24 bytes a cell;
+    # a (frames x frame_len) windowed copy alone would add two thirds of that
+    x = np.random.default_rng(4).normal(0, 0.3, 160000)
+    stft(x)  # FFT plans and the window made outside the measurement
+    tracemalloc.start()
+    try:
+        spec = stft(x)
+        magnitude = spec.magnitude
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * (spec.spectrum.nbytes + magnitude.nbytes)
 
 
 def test_frame_signal_rejects_empty():
