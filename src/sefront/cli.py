@@ -414,7 +414,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, corpus.WavFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # WavFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:  # FloatingPointError, OverflowError, ZeroDivisionError

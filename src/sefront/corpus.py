@@ -34,16 +34,25 @@ class WavFormatError(ValueError):
     """A WAV file that is not 16-bit mono PCM at 16 kHz."""
 
 
+# what wave raises on a malformed file, on opening it or reading frames
+_WAVE_ERRORS = (wave.Error, EOFError, RuntimeError)
+
+
+def _format_error(name: str, exc: Exception) -> WavFormatError:
+    """One of _WAVE_ERRORS as a WavFormatError naming the file.  wave raises
+    a bare EOFError on a file that ends inside a chunk header, and a bare
+    RuntimeError on a chunk that outruns the RIFF chunk."""
+    reason = str(exc) or ("file ends inside a chunk header" if isinstance(exc, EOFError)
+                          else "a chunk runs past the end of the RIFF chunk")
+    return WavFormatError(f"{name}: {reason}")
+
+
 def _open_checked(path: Path) -> wave.Wave_read:
     """An open WAV reader, its format checked property by property."""
     try:
         wf = wave.open(str(path), "rb")
-    except (wave.Error, EOFError, RuntimeError) as exc:
-        # wave raises a bare EOFError on a file that ends inside a chunk
-        # header, and a bare RuntimeError on a chunk that outruns the RIFF chunk
-        reason = str(exc) or ("file ends inside a chunk header" if isinstance(exc, EOFError)
-                              else "a chunk runs past the end of the RIFF chunk")
-        raise WavFormatError(f"{path.name}: {reason}") from exc
+    except _WAVE_ERRORS as exc:
+        raise _format_error(path.name, exc) from exc
     for name, got, want in (("channels", wf.getnchannels(), 1),
                             ("sample_width", wf.getsampwidth(), 2),
                             ("sample_rate", wf.getframerate(), SAMPLE_RATE)):
@@ -58,8 +67,11 @@ def _read_frames(wf: wave.Wave_read, name: str, start: int, n: int) -> bytes:
     total = wf.getnframes()
     if start < 0 or n < 0 or start + n > total:
         raise ValueError(f"{name}: frames [{start}, {start + n}) outside its {total} frames")
-    wf.setpos(start)
-    raw = wf.readframes(n)
+    try:
+        wf.setpos(start)
+        raw = wf.readframes(n)
+    except _WAVE_ERRORS as exc:
+        raise _format_error(name, exc) from exc
     if len(raw) != 2 * n:
         raise WavFormatError(
             f"{name}: data chunk ends before frame {start + n} of the {total} "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import AudioSignal, SpectroGram, istft, stft, _samples
-from .gain import GainRule, _gain_kernel, gain_for, gain_mmse_stsa
+from .gain import GainRule, _gain_kernel, gain_mmse_stsa
 
 ALPHA_DD = 0.98
 ALPHA_NOISE = 0.98
@@ -137,7 +137,7 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
         spec = stft(noisy)
         if out_len is None:
             out_len = _samples(noisy).size
-    if xi is not None and np.shape(xi) != spec.magnitude.shape:
+    if xi is not None and np.shape(xi) != spec.spectrum.shape:
         raise ValueError("xi shape must match the spectrogram")
     if xi is None or rule is GainRule.MMSE_STSA:
         power = spec.magnitude**2
@@ -147,8 +147,8 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
         else:
             np.maximum(lam, _POWER_FLOOR, out=lam)
             np.divide(power, lam, out=power)  # power becomes gamma, floored below
-            gains = gain_for(rule, xi, np.maximum(power, _POWER_FLOOR, out=power))
+            gains = gain_mmse_stsa(xi, np.maximum(power, _POWER_FLOOR, out=power))
         del power, lam  # istft's buffers take their place
     else:
-        gains = gain_for(rule, xi)  # Wiener and SRWF read no gamma
+        gains = _gain_kernel(rule, xi, None)  # Wiener and SRWF read no gamma
     return istft(SpectroGram.from_spectrum(spec.spectrum * gains, spec.config), out_len)

@@ -5,23 +5,21 @@ Framing uses a 32 ms symmetric Hamming window with a 16 ms shift and a
 included).  Frames are strided views of the zero-padded signal, and
 stft and istft run in blocks of BLOCK_FRAMES frames transformed straight
 into their outputs, so neither builds a (frames x fft_size) array.  A
-SpectroGram from stft keeps its complex spectrum and derives magnitude
-and phase (np.angle) on first read, so magnitude-only analyses never
-compute the phase.  Synthesis is weighted overlap-add of that spectrum
-(or of magnitude * cos(phase) + i magnitude * sin(phase) for a
-SpectroGram built from the two), so a real gain applied to a kept
-spectrum is resynthesized with no phase at all.  Each output sample is
-normalised by the summed squared analysis window, which reconstructs
-unmodified spectra exactly at any frame position, the partially covered
-edges included.  Each block overlap-adds ceil(frame_len / frame_shift)
-slices of one shift each, last slice first, so each sample sums its
-frames in order.
+SpectroGram is its complex spectrum; magnitude (np.abs) and phase
+(np.angle) are derived on first read and kept, so magnitude-only
+analyses never compute the phase.  Synthesis is weighted overlap-add of
+the spectrum, so a real gain applied to it is resynthesized with no
+phase at all.  Each output sample is normalised by the summed squared
+analysis window, which reconstructs unmodified spectra exactly at any
+frame position, the partially covered edges included.  Each block
+overlap-adds ceil(frame_len / frame_shift) slices of one shift each,
+last slice first, so each sample sums its frames in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,61 +69,49 @@ DEFAULT_CONFIG = AnalysisConfig()
 
 
 class SpectroGram:
-    """Single-sided magnitude/phase spectra, one row per frame.
+    """Single-sided complex spectra, one row per frame, and the config
+    they were made with.
 
-    Built from a magnitude and a phase array, or by stft from the complex
-    spectrum, which it then keeps; magnitude and phase are derived from a
-    kept spectrum on first read, and reading them leaves it in place.
+    stft builds one from its complex spectrum, which it keeps as it is.
+    Built from a magnitude and a phase array, it keeps the two as its
+    magnitude and phase and their polar form as its spectrum.  Otherwise
+    magnitude and phase are derived from the spectrum on first read and
+    kept.
     """
 
     def __init__(self, magnitude, phase, config: AnalysisConfig = DEFAULT_CONFIG):
-        self._magnitude = np.asarray(magnitude, dtype=np.float64)
-        self._phase = np.asarray(phase, dtype=np.float64)
-        self._spectrum = None
-        self.config = config
-        if self._magnitude.shape != self._phase.shape:
+        magnitude = np.asarray(magnitude, dtype=np.float64)
+        phase = np.asarray(phase, dtype=np.float64)
+        if magnitude.shape != phase.shape:
             raise ValueError("magnitude and phase shapes differ")
-        if self._magnitude.ndim != 2:
+        if magnitude.ndim != 2:
             raise ValueError("spectra must be 2-D (frames x bins)")
-        if self._magnitude.shape[1] != config.n_bins:
-            raise ValueError(
-                f"bins: expected {config.n_bins}, got {self._magnitude.shape[1]}"
-            )
-        if np.any(self._magnitude < 0):
+        if magnitude.shape[1] != config.n_bins:
+            raise ValueError(f"bins: expected {config.n_bins}, got {magnitude.shape[1]}")
+        if np.any(magnitude < 0):
             raise ValueError("magnitude must be non-negative")
+        self.magnitude, self.phase = magnitude, phase
+        self.spectrum = _polar(magnitude, phase)
+        self.config = config
 
     @classmethod
     def from_spectrum(cls, spectrum: np.ndarray, config: AnalysisConfig) -> "SpectroGram":
         """The spectrogram of a (frames, n_bins) complex spectrum, kept as it is."""
         spec = cls.__new__(cls)
-        spec._magnitude = spec._phase = None
-        spec._spectrum = spectrum
-        spec.config = config
+        spec.spectrum, spec.config = spectrum, config
         return spec
 
-    @property
+    @cached_property
     def magnitude(self) -> np.ndarray:
-        if self._magnitude is None:
-            self._magnitude = np.abs(self._spectrum)
-        return self._magnitude
+        return np.abs(self.spectrum)
 
-    @property
+    @cached_property
     def phase(self) -> np.ndarray:
-        if self._phase is None:
-            self._phase = np.angle(self._spectrum)
-        return self._phase
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """The complex spectrum: the kept one, else built from magnitude and
-        phase on each read (and not kept)."""
-        if self._spectrum is None:
-            return _polar(self._magnitude, self._phase)
-        return self._spectrum
+        return np.angle(self.spectrum)
 
     @property
     def n_frames(self) -> int:
-        return (self._spectrum if self._magnitude is None else self._magnitude).shape[0]
+        return self.spectrum.shape[0]
 
 
 def _samples(signal) -> np.ndarray:

@@ -67,17 +67,12 @@ def gain_mmse_stsa(xi, gamma) -> np.ndarray:
 
 
 def _gain_kernel(rule: GainRule, xi, gamma) -> np.ndarray:
-    """gain_for without the MMSE-STSA checks, for a caller that checks once."""
+    """The rule's gain, MMSE-STSA unchecked, for a caller that checks once;
+    anything but a GainRule is a ValueError."""
+    if rule is GainRule.WIENER:
+        return gain_wiener(xi)
+    if rule is GainRule.SRWF:
+        return gain_srwf(xi)
     if rule is GainRule.MMSE_STSA:
         return _mmse_stsa(xi, gamma)
-    return gain_wiener(xi) if rule is GainRule.WIENER else gain_srwf(xi)
-
-
-def gain_for(rule: GainRule, xi, gamma=None) -> np.ndarray:
-    if not isinstance(rule, GainRule):
-        raise ValueError(f"unknown gain rule {rule!r}")
-    if rule is GainRule.MMSE_STSA:
-        if gamma is None:
-            raise ValueError("mmse-stsa requires gamma")
-        return gain_mmse_stsa(xi, gamma)
-    return _gain_kernel(rule, xi, gamma)
+    raise ValueError(f"unknown gain rule {rule!r}")

@@ -443,7 +443,11 @@ def backward(params: NetworkParams, x, target):
 
 
 def save_network(params: NetworkParams, path) -> None:
-    """Text header naming every tensor and its shape, then raw float32 data."""
+    """Text header naming every tensor and its shape, then raw float32 data.
+    A tensor that is not finite in float32 is a FloatingPointError, and
+    nothing is written."""
+    with np.errstate(over="ignore"):
+        data = {name: np.ascontiguousarray(arr, dtype="<f4") for name, arr in params.items()}
     lines = [
         _MODEL_MAGIC,
         f"mode {params.mode}",
@@ -452,13 +456,12 @@ def save_network(params: NetworkParams, path) -> None:
         f"input_dim {params.input_dim}",
         f"output_dim {params.output_dim}",
     ]
-    for name, arr in params.items():
+    for name, arr in data.items():
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError(f"tensor {name} is not finite in float32")
         lines.append("tensor " + name + " " + " ".join(str(d) for d in arr.shape))
     header = ("\n".join(lines) + "\ndata\n").encode("utf-8")
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in params.values()
-    )
-    Path(path).write_bytes(header + blob)
+    Path(path).write_bytes(header + b"".join(arr.tobytes() for arr in data.values()))
 
 
 def load_network(path) -> NetworkParams:

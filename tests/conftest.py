@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings
 
 from sefront.corpus import save_wav
+from sefront.rnn import save_network
 
 SR = 16000
 
@@ -92,6 +93,19 @@ def pink_noise(rng, n_samples, rms=0.1):
 def quantize(x):
     """Snap samples onto the 16-bit PCM grid, like a save/load round trip."""
     return np.clip(np.rint(np.asarray(x) * 32768.0), -32768, 32767) / 32768.0
+
+
+def save_network_with(params, path, name, index, value):
+    """save_network, then params[name][index] set to value in the file;
+    save_network itself refuses a tensor that is not finite in float32."""
+    save_network(params, path)
+    blob = bytearray(path.read_bytes())
+    names = list(params)
+    at = sum(params[n].size for n in names[: names.index(name)])
+    at += np.ravel_multi_index(index, params[name].shape)
+    at = 4 * at + blob.index(b"\ndata\n") + len(b"\ndata\n")
+    blob[at : at + 4] = np.array(value, dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
 
 
 @pytest.fixture(scope="session")

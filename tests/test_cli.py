@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SR, quantize, tone_bursts, white_noise
+from conftest import SR, quantize, save_network_with, tone_bursts, white_noise
 from sefront import cli, dd, dsp, snr
 from sefront.cli import main
 from sefront.corpus import load_manifest, load_wav, mix_at_snr, save_wav
@@ -347,6 +347,26 @@ def _empty_wav_bytes(tmp_path):
 def _truncated_wav_bytes(clean_dir):
     # a 1 s recording cut to 0.5 s of data, its header still giving 1 s
     return sorted(clean_dir.glob("*.wav"))[0].read_bytes()[: 44 + SR]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["stats", "mix"])
+def test_a_data_chunk_past_the_riff_chunk_is_one_line_and_writes_nothing(
+        wav_corpus, tmp_path, capsys, command):
+    # the header reads, but reading back the last frame seeks past the RIFF
+    # chunk, where wave raises a bare RuntimeError
+    clean_dir, noise_dir = wav_corpus
+    raw = bytearray(sorted(clean_dir.glob("*.wav"))[0].read_bytes())
+    raw[40:44] = (len(raw) - 44 + 4).to_bytes(4, "little")
+    clean = _clean_dir_with(tmp_path, clean_dir, bytes(raw))
+    out = tmp_path / "out"
+    argv = {"stats": ["--out", out / "stats.txt"],
+            "mix": ["--per-noise", 1, "--snr-grid", "0", "--out-dir", out / "mix"]}
+    out.mkdir()
+    assert run(command, "--clean", clean, "--noise", noise_dir, *argv[command]) == 2
+    assert (capsys.readouterr().err
+            == "error: utt06.wav: a chunk runs past the end of the RIFF chunk\n")
+    assert list(out.iterdir()) == []
 
 
 def _count_batches(monkeypatch):
@@ -712,7 +732,7 @@ def test_enhance_takes_no_phase_and_builds_no_polar_spectrum(noisy_file, tmp_pat
 
     def recorded_phase(spec):
         reached.append("phase")
-        return phase.fget(spec)
+        return phase.func(spec)
 
     monkeypatch.setattr(dsp, "_polar", recorded_polar)
     monkeypatch.setattr(dsp.SpectroGram, "phase", property(recorded_phase))
@@ -720,6 +740,23 @@ def test_enhance_takes_no_phase_and_builds_no_polar_spectrum(noisy_file, tmp_pat
         assert run("enhance", "--in", p, "--out", tmp_path / "o.wav", "--gain", gain,
                    "--estimator", estimator, *refs[estimator]) == 0
     assert reached == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_refuses_weights_that_overflow_float32(wav_corpus, tmp_path, capsys):
+    # one batch of all six recordings: its huge step leaves finite float64
+    # weights that are infinite as float32, which no model file can hold
+    clean_dir, noise_dir = wav_corpus
+    stats = tmp_path / "stats.txt"
+    run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats)
+    capsys.readouterr()
+    model, losses = tmp_path / "net.bin", tmp_path / "loss.csv"
+    assert run("train", "--clean", clean_dir, "--noise", noise_dir, "--stats", stats,
+               "--out", model, "--loss-csv", losses, "--cell", 8, "--blocks", 1,
+               "--epochs", 1, "--batch", 6, "--lr", "1e308") == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical error: tensor \S+ is not finite in float32\n", err)
+    assert not model.exists() and not losses.exists()
 
 
 @pytest.mark.parametrize("flag", ["--lr", "--clip"])
@@ -1004,10 +1041,8 @@ def test_config_value_its_type_refuses_is_usage_error_under_a_flag(wav_corpus, t
 
 def test_enhance_non_finite_model_is_data_error(noisy_file, tmp_path, capsys):
     p, _ = noisy_file
-    params = init_network(cell_size=4, n_blocks=1)
-    params["fc.w"][0, 0] = np.nan
     model, stats = tmp_path / "net.bin", tmp_path / "stats.txt"
-    save_network(params, model)
+    save_network_with(init_network(cell_size=4, n_blocks=1), model, "fc.w", (0, 0), np.nan)
     save_stats(XiStats(np.zeros(257), np.ones(257)), stats)
     out = tmp_path / "o.wav"
     assert run("enhance", "--in", p, "--out", out, "--estimator", "neural",

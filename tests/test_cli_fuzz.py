@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import SR, tone_bursts, white_noise
 from sefront.cli import main
@@ -187,6 +187,9 @@ def test_cli_fuzz_exits_cleanly_and_leaves_nothing_on_failure(workspace, tmp_pat
     @settings(max_examples=100, deadline=5000,
               suppress_health_check=[HealthCheck.too_slow])
     @given(fuzz_cases(originals))
+    # a clean recording whose data chunk outruns its RIFF chunk
+    @example((list(COMMANDS["stats"][0]), {"clean/c0.wav": ("overwrite", 40, b"\x84")}))
+    @example((list(COMMANDS["mix"][0]), {"clean/c0.wav": ("overwrite", 40, b"\x84")}))
     def run_case(case):
         argv, files = case
         work = runs / "w"

@@ -158,6 +158,22 @@ def test_chunk_past_the_riff_chunk_is_a_format_error(tmp_path):
         wav_length(p)
 
 
+def test_data_chunk_past_the_riff_chunk_is_a_format_error_when_read(tmp_path):
+    # the header reads, but a read past the RIFF chunk's end makes wave raise
+    # a bare RuntimeError: the data chunk claims 2 bytes more than the file has
+    p = tmp_path / "over.wav"
+    save_wav(np.zeros(8000), p)
+    raw = bytearray(p.read_bytes())
+    raw[40] = 0x84
+    p.write_bytes(bytes(raw))
+    message = "over.wav: a chunk runs past the end of the RIFF chunk"
+    with pytest.raises(WavFormatError, match=message):
+        wav_length(p)
+    with pytest.raises(WavFormatError, match=message):
+        load_wav(p, 8001, 1)
+    np.testing.assert_array_equal(load_wav(p, 0, 8000).samples, 0.0)
+
+
 def test_recording_length_and_read_recording_for_paths_and_signals(pcm_file):
     x = load_wav(pcm_file).samples
     for rec in (pcm_file, str(pcm_file), x, load_wav(pcm_file), list(x)):

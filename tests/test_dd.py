@@ -9,7 +9,7 @@ from conftest import SR, toy_voice, white_noise
 from sefront.dd import DdState, dd_xi, enhance, tracked_noise_power
 from sefront.dsp import SpectroGram, stft, synthesis_length
 from sefront import dd as dd_module, gain as gain_module
-from sefront.gain import GainRule, gain_for, gain_mmse_stsa
+from sefront.gain import GainRule, gain_mmse_stsa, gain_srwf, gain_wiener
 from sefront.snr import oracle_xi
 
 
@@ -199,9 +199,12 @@ def test_dd_xi_keeps_the_frame_gain():
     p = rng.uniform(0.1, 4.0, 16)
     lam = np.full(16, 0.5)
     state = DdState(rng.uniform(0.0, 2.0, 16))
+    gains = {GainRule.WIENER: lambda xi, gamma: gain_wiener(xi),
+             GainRule.SRWF: lambda xi, gamma: gain_srwf(xi),
+             GainRule.MMSE_STSA: gain_mmse_stsa}
     for rule in GainRule:
         xi, gamma, nxt = dd_xi(state, p, lam, rule)
-        np.testing.assert_array_equal(nxt.gain, gain_for(rule, xi, gamma))
+        np.testing.assert_array_equal(nxt.gain, gains[rule](xi, gamma))
         np.testing.assert_array_equal(nxt.prev_amp_sq, nxt.gain**2 * p)
     assert state.gain is None
 
@@ -224,7 +227,6 @@ def test_enhance_computes_one_gain_per_frame(monkeypatch):
     monkeypatch.setattr(gain_module, "_mmse_stsa", counting)
     for module in (gain_module, dd_module):
         monkeypatch.setattr(module, "gain_mmse_stsa", refuse)
-        monkeypatch.setattr(module, "gain_for", refuse)
     enhance(x, GainRule.MMSE_STSA)
     assert len(calls) == stft(x).n_frames
 
@@ -235,6 +237,24 @@ def _oracle_case(seed, n):
     clean = rng.normal(0.0, 0.1, n)
     noise = rng.normal(0.0, 0.05, n)
     return clean + noise, oracle_xi(stft(clean), stft(noise))
+
+
+@pytest.mark.parametrize("rule", [GainRule.WIENER, GainRule.SRWF])
+def test_oracle_wiener_and_srwf_take_no_magnitude_of_the_input(monkeypatch, rule):
+    # given xi, these gains read no gamma, so |Z| of the input is never needed
+    noisy, xi = _oracle_case(9, 8000)
+    spec = stft(noisy)
+    reads = []
+    magnitude = SpectroGram.magnitude
+
+    def recorded(s):
+        if s is spec:
+            reads.append(1)
+        return magnitude.func(s)
+
+    monkeypatch.setattr(SpectroGram, "magnitude", property(recorded))
+    enhance(spec, rule, xi, out_len=noisy.size)
+    assert reads == []
 
 
 def enhance_cases(test):

@@ -10,6 +10,7 @@ from sefront.dsp import (
     BLOCK_FRAMES,
     DEFAULT_CONFIG,
     SpectroGram,
+    _polar,
     frame_count,
     frame_signal,
     hamming_window,
@@ -72,6 +73,13 @@ def gathered_frames(x, config):
     return padded[offsets[:, None] + np.arange(config.frame_len)[None, :]]
 
 
+def stft_case(x, config=DEFAULT_CONFIG):
+    """stft of x and its spectrum built apart: the rfft of the gathered frames."""
+    z = np.fft.rfft(gathered_frames(x, config) * hamming_window(config.frame_len),
+                    n=config.fft_size, axis=1)
+    return stft(x, config), z
+
+
 @st.composite
 def configs_and_signals(draw):
     """An AnalysisConfig, and a signal of 1-3000 samples drawn from a seed."""
@@ -98,9 +106,7 @@ def test_frame_signal_equals_the_index_gather(case):
 @given(configs_and_signals())
 def test_stft_phase_is_the_angle_of_the_transform(case):
     config, x = case
-    spec = stft(x, config)
-    ref = np.fft.rfft(gathered_frames(x, config) * hamming_window(config.frame_len),
-                      n=config.fft_size, axis=1)
+    spec, ref = stft_case(x, config)
     np.testing.assert_array_equal(spec.magnitude, np.abs(ref))
     np.testing.assert_array_equal(spec.phase, np.angle(ref))
     assert spec.phase is spec.phase  # computed once, then kept
@@ -147,21 +153,16 @@ def test_cos_sin_spectrum_equals_the_complex_exponential(cells):
     assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
-def reference_istft(spec, out_len):
-    """Synthesis as first written, from the spectrum istft synthesizes: the
-    one stft kept, else magnitude * exp(i phase); then the frames
-    overlap-added one at a time."""
-    cfg = spec.config
+def reference_istft(z, cfg, out_len):
+    """Synthesis as first written, of a complex spectrum built by the
+    caller: the frames overlap-added one at a time."""
     window = hamming_window(cfg.frame_len)
-    z = spec._spectrum
-    if z is None:
-        z = spec.magnitude * np.exp(1j * spec.phase)
     frames = np.fft.irfft(z, n=cfg.fft_size, axis=1)[:, : cfg.frame_len]
     frames *= window
-    total = synthesis_length(spec.n_frames, cfg)
+    total = synthesis_length(z.shape[0], cfg)
     out = np.zeros(total)
     norm = np.zeros(total)
-    for l in range(spec.n_frames):
+    for l in range(z.shape[0]):
         start = l * cfg.frame_shift
         out[start : start + cfg.frame_len] += frames[l]
         norm[start : start + cfg.frame_len] += window * window
@@ -172,8 +173,10 @@ def reference_istft(spec, out_len):
 @st.composite
 def synthesis_cases(draw):
     """A spectrogram on a random geometry whose shift divides frame_len or
-    not; from stft of a random signal, or random magnitudes with zeros and
-    phases with edge values; and an output length up to the full span."""
+    not, with its complex spectrum built apart from it: from stft of a
+    random signal, or from random magnitudes with zeros and phases with
+    edge values as magnitude * exp(i phase); and an output length up to
+    the full span."""
     frame_len = draw(st.integers(2, 600))
     divisors = [d for d in range(1, frame_len + 1) if frame_len % d == 0]
     others = [d for d in range(1, frame_len + 1) if frame_len % d] or divisors
@@ -181,26 +184,26 @@ def synthesis_cases(draw):
     config = AnalysisConfig(frame_len, frame_shift, frame_len + draw(st.integers(0, 100)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        spec = stft(rng.normal(0, 0.3, draw(st.integers(1, 3000))), config)
+        spec, z = stft_case(rng.normal(0, 0.3, draw(st.integers(1, 3000))), config)
     else:
         shape = (draw(st.integers(1, 12)), config.n_bins)
         magnitude = rng.exponential(1.0, shape) * (rng.random(shape) < 0.8)
         phase = rng.uniform(-np.pi, np.pi, shape)
         edges = rng.random(shape) < 0.2
         phase[edges] = rng.choice(EDGE_PHASES, edges.sum())
-        spec = SpectroGram(magnitude, phase, config)
+        spec, z = SpectroGram(magnitude, phase, config), magnitude * np.exp(1j * phase)
     total = synthesis_length(spec.n_frames, config)
-    return spec, draw(st.integers(0, total))
+    return spec, z, draw(st.integers(0, total))
 
 
 @settings(max_examples=200, deadline=None)
 @given(synthesis_cases())
-@example((stft(np.linspace(-1, 1, 4000)), 4000))  # the paper's 512/256/512
-@example((stft(np.linspace(-1, 1, 999), AnalysisConfig(400, 150, 420)), 999))
+@example((*stft_case(np.linspace(-1, 1, 4000)), 4000))  # the paper's 512/256/512
+@example((*stft_case(np.linspace(-1, 1, 999), AnalysisConfig(400, 150, 420)), 999))
 def test_istft_equals_the_frame_by_frame_overlap_add(case):
-    spec, out_len = case
+    spec, z, out_len = case
     got = istft(spec, out_len).samples
-    assert got.tobytes() == reference_istft(spec, out_len).tobytes()
+    assert got.tobytes() == reference_istft(z, spec.config, out_len).tobytes()
 
 
 @st.composite
@@ -219,12 +222,10 @@ def block_edge_cases(draw):
 @given(block_edge_cases())
 def test_blocked_stft_and_istft_equal_the_whole_array_transforms(case):
     config, x, out_len = case
-    spec = stft(x, config)
-    want = np.fft.rfft(gathered_frames(x, config) * hamming_window(config.frame_len),
-                       n=config.fft_size, axis=1)
+    spec, want = stft_case(x, config)
     assert spec.spectrum.tobytes() == want.tobytes()
     got = istft(spec, out_len).samples
-    assert got.tobytes() == reference_istft(spec, out_len).tobytes()
+    assert got.tobytes() == reference_istft(want, config, out_len).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,6 +338,25 @@ def test_analysis_config_validation():
         AnalysisConfig(frame_shift=513)
     with pytest.raises(ValueError):
         AnalysisConfig(fft_size=256)
+
+
+def test_spectrogram_from_magnitude_and_phase_keeps_them_and_their_polar_form():
+    rng = np.random.default_rng(12)
+    magnitude = rng.exponential(1.0, (4, 257))
+    phase = rng.uniform(-np.pi, np.pi, (4, 257))
+    spec = SpectroGram(magnitude, phase)
+    assert spec.magnitude is magnitude and spec.phase is phase
+    assert spec.spectrum is spec.spectrum  # built once, then kept
+    assert spec.spectrum.tobytes() == _polar(magnitude, phase).tobytes()
+    assert set(vars(spec)) == {"magnitude", "phase", "spectrum", "config"}
+
+
+def test_spectrogram_from_a_spectrum_derives_magnitude_and_phase_on_first_read():
+    spec = stft(np.random.default_rng(13).normal(0, 0.3, 3000))
+    assert set(vars(spec)) == {"spectrum", "config"}
+    assert spec.n_frames == spec.spectrum.shape[0]
+    assert spec.magnitude.tobytes() == np.abs(spec.spectrum).tobytes()
+    assert set(vars(spec)) == {"spectrum", "config", "magnitude"}
 
 
 def test_spectrogram_validation():

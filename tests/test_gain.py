@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import i0e, i1e
 
-from sefront.gain import GainRule, gain_for, gain_mmse_stsa, gain_srwf, gain_wiener
+from sefront.dd import DdState, dd_xi, enhance
+from sefront.dsp import stft
+from sefront.gain import GainRule, gain_mmse_stsa, gain_srwf, gain_wiener
 
 
 def test_wiener_values():
@@ -152,16 +154,18 @@ def test_mmse_stsa_validation():
         gain_mmse_stsa(np.array([1.0, 1e300]), np.array([1.0, 1e300]))
 
 
-def test_gain_for_dispatch():
-    xi = np.array([1.0])
-    gamma = np.array([1.0])
-    np.testing.assert_array_equal(gain_for(GainRule.WIENER, xi), gain_wiener(xi))
-    np.testing.assert_array_equal(gain_for(GainRule.SRWF, xi), gain_srwf(xi))
-    np.testing.assert_array_equal(
-        gain_for(GainRule.MMSE_STSA, xi, gamma), gain_mmse_stsa(xi, gamma)
-    )
-    with pytest.raises(ValueError):
-        gain_for(GainRule.MMSE_STSA, xi)  # needs gamma
+@pytest.mark.parametrize("use_xi", [False, True], ids=["dd", "xi"])
+@pytest.mark.parametrize("rule", ["mmse-stsa", "wiener", None])
+def test_enhance_rejects_a_rule_that_is_not_a_gain_rule(rule, use_xi):
+    # a rule name is not a GainRule; the decision-directed path once took
+    # any such value for SRWF
+    x = np.random.default_rng(3).normal(0.0, 0.05, 4000)
+    xi = np.ones(stft(x).spectrum.shape) if use_xi else None
     with pytest.raises(ValueError, match="unknown gain rule"):
-        gain_for("wiener", xi)  # a rule name, not a GainRule
+        enhance(x, rule, xi)
+
+
+def test_dd_xi_rejects_a_rule_that_is_not_a_gain_rule():
+    with pytest.raises(ValueError, match="unknown gain rule 'bogus'"):
+        dd_xi(DdState(np.zeros(4)), np.ones(4), np.ones(4), "bogus")
 

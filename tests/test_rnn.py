@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import save_network_with
 from sefront.rnn import (
     backward,
     forward,
@@ -528,12 +529,21 @@ def test_load_rejects_tensor_shape_mismatch(tmp_path):
         load_network(wrong_cell)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_load_rejects_non_finite_tensors(tmp_path, value):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+def test_save_refuses_tensors_not_finite_in_float32(tmp_path, value):
     p = tiny()
     p["block1.fwd.w_h"][2, 3] = value
+    path = tmp_path / "bad.bin"
+    with pytest.raises(FloatingPointError, match=r"^tensor block1\.fwd\.w_h is not finite "
+                                                 r"in float32$"):
+        save_network(p, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_tensors(tmp_path, value):
     bad = tmp_path / "bad.bin"
-    save_network(p, bad)
+    save_network_with(tiny(), bad, "block1.fwd.w_h", (2, 3), value)
     with pytest.raises(ValueError, match=r"^model file: tensor block1\.fwd\.w_h is not "
                                          r"finite$"):
         load_network(bad)
