@@ -154,8 +154,6 @@ def cmd_train(args) -> int:
     params = rnn.init_network(seed=args.seed, cell_size=args.cell, n_blocks=args.blocks,
                               bidirectional=args.bidirectional)
     params, history = run_training(params, clean, noise, stats, cfg)
-    if not np.all(np.isfinite(history)):
-        raise FloatingPointError("training loss went non-finite")
     with _removed_on_failure() as written:
         rnn.save_network(params, args.out)
         written.append(Path(args.out))

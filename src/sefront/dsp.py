@@ -210,12 +210,17 @@ def istft(spec: SpectroGram, out_len: int | None = None) -> AudioSignal:
         for j in range(k - 1, -1, -1):  # later frames add last to each sample
             out[b + j : e + j] += frames[:, j * hop : (j + 1) * hop]
     wsq = np.pad(window * window, (0, k * hop - cfg.frame_len))
-    norm = np.zeros_like(out)
+    # the window sum of each row, later frames first: a run of m frames
+    # has every distinct one, and rows k-1 .. n_frames-1 share row k-1's
+    m = min(n_frames, k)
+    norm = np.zeros((m + k - 1, hop))
     for j in range(k - 1, -1, -1):
-        norm[j : j + n_frames] += wsq[j * hop : (j + 1) * hop]
-    out = out.reshape(-1)[:out_len]
-    out /= norm.reshape(-1)[:out_len]  # window strictly positive, so norm > 0 here
-    return AudioSignal(out)
+        norm[j : j + m] += wsq[j * hop : (j + 1) * hop]
+    with np.errstate(divide="ignore", invalid="ignore"):  # norm is 0 only past total
+        out[: k - 1] /= norm[: k - 1]
+        out[k - 1 : n_frames] /= norm[k - 1]
+        out[max(n_frames, k - 1) :] /= norm[max(m, k - 1) :]
+    return AudioSignal(out.reshape(-1)[:out_len])
 
 
 def _polar(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:

@@ -6,7 +6,10 @@ blocks, and a sigmoid dense output layer.  Each block adds its cell
 output to the block input; bidirectional blocks add both directions.
 The backward pass is full backpropagation through time, written against
 the same caches the forward pass produces, so finite differences can
-check every parameter.
+check every parameter.  It consumes those caches as it goes, in place
+where it can, so a training step peaks at the forward cache plus the
+predictions and targets: 6.9 packed (frames x 257) float64 arrays for
+the default UNI network on ten sequences of 100-300 frames, 10.3 for BI.
 
 A batch is a list of (frames, bins) sequences of unequal length.  It
 runs packed, time-major: sequences are ordered by length, longest first,
@@ -206,27 +209,29 @@ def _lstm_rows(w_x, w_h, b, x: np.ndarray) -> np.ndarray:
 
 
 def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
-    """BPTT for one cell. dh_out is packed (N, C); returns (dx, grads)."""
+    """BPTT for one cell. dh_out is packed (N, C); returns (dx, grads).
+
+    The cache is consumed: its gates buffer is overwritten, first with
+    the local derivatives and then with the gradient of the pre-activations.
+    """
     steps, gates, tc = cache["steps"], cache["gates"], cache["tanh_c"]
     c_sz = w_h.shape[0]
-    i, f, g, o = np.split(gates, _GATES, axis=1)
+    dz_gates = gates.reshape(-1, _GATES, c_sz)  # the local derivatives, then dz
+    i, f, g, o = (dz_gates[:, k] for k in range(_GATES))
+    f_out, g_out = f.copy(), g.copy()  # read after their slots are overwritten
     # per frame: dh/dc through the output gate, and the local derivative
     # by which dc (input, forget, candidate gates) or dh (output gate)
-    # scales into each gate's pre-activation; each is formed in place
+    # scales into each gate's pre-activation; each is formed in place in
+    # its gate's slot, the candidate's first, while the input gate is there
     dtc = np.multiply(tc, tc)
     np.subtract(1.0, dtc, out=dtc)
     dtc *= o
-    local = np.subtract(1.0, gates)
-    local *= gates
-    local = local.reshape(-1, _GATES, c_sz)
-    local[:, 0] *= g
-    local[:, 1] *= _previous(cache["cells"], steps)
-    np.multiply(g, g, out=local[:, 2])
-    np.subtract(1.0, local[:, 2], out=local[:, 2])
-    local[:, 2] *= i
-    local[:, 3] *= tc
-    dz_all = np.empty_like(gates)
-    dz_gates = dz_all.reshape(-1, _GATES, c_sz)
+    np.multiply(g, g, out=g)
+    np.subtract(1.0, g, out=g)
+    g *= i
+    for gate, scale in ((i, g_out), (f, _previous(cache["cells"], steps)), (o, tc)):
+        gate *= 1.0 - gate  # (1 - x) x: IEEE products commute
+        gate *= scale
     # rows a step does not write stay zero: they carry nothing back
     dh_next = np.zeros((max(n for _, n in steps), c_sz))
     dc_next = np.zeros_like(dh_next)
@@ -234,14 +239,14 @@ def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
         e = s + n
         dh = dh_out[s:e] + dh_next[:n]
         dc = dh * dtc[s:e] + dc_next[:n]
-        np.multiply(local[s:e, :3], dc[:, None], out=dz_gates[s:e, :3])
-        np.multiply(local[s:e, 3], dh, out=dz_gates[s:e, 3])
-        np.matmul(dz_all[s:e], w_h.T, out=dh_next[:n])
-        np.multiply(dc, f[s:e], out=dc_next[:n])
-    grads = {"w_x": cache["x"].T @ dz_all,
-             "w_h": _previous(cache["hs"], steps).T @ dz_all,
-             "b": dz_all.sum(axis=0)}
-    return dz_all @ w_x.T, grads
+        dz_gates[s:e, :3] *= dc[:, None]
+        dz_gates[s:e, 3] *= dh
+        np.matmul(gates[s:e], w_h.T, out=dh_next[:n])
+        np.multiply(dc, f_out[s:e], out=dc_next[:n])
+    grads = {"w_x": cache["x"].T @ gates,
+             "w_h": _previous(cache["hs"], steps).T @ gates,
+             "b": gates.sum(axis=0)}
+    return gates @ w_x.T, grads
 
 
 def _layer_norm(z: np.ndarray, gain, offset):
@@ -301,10 +306,11 @@ def _check_input(params: NetworkParams, seqs: list[np.ndarray]) -> None:
 
 
 def _input_layer(params: NetworkParams, x: np.ndarray):
-    """(activations, pre-ReLU y0, layer-norm cache) of the dense input layer."""
+    """(activations, layer-norm cache) of the dense input layer; the ReLU
+    runs in place, and act > 0 exactly where its input was."""
     z0 = x @ params["fc.w"] + params["fc.b"]
     y0, ln_cache = _layer_norm(z0, params["ln.gain"], params["ln.offset"])
-    return np.maximum(y0, 0.0), y0, ln_cache
+    return np.maximum(y0, 0.0, out=y0), ln_cache
 
 
 def _output_layer(params: NetworkParams, act: np.ndarray) -> np.ndarray:
@@ -321,8 +327,8 @@ def _forward(params: NetworkParams, seqs: list[np.ndarray]):
     index = (np.cumsum(lengths) - lengths)[rows] + times  # packed -> concatenated
     where = np.empty_like(index)
     where[index] = np.arange(index.size)  # concatenated -> packed
-    xp = _gather(seqs, where, params.input_dim)
-    act, y0, ln_cache = _input_layer(params, xp)
+    act, ln_cache = _input_layer(params, _gather(seqs, where, params.input_dim))
+    act0 = act
 
     block_caches = []
     walks = {"fwd": steps, "bwd": steps[::-1]}
@@ -336,7 +342,7 @@ def _forward(params: NetworkParams, seqs: list[np.ndarray]):
         block_caches.append(caches)
         act = nxt
 
-    cache = {"x": xp, "index": index, "where": where, "ln": ln_cache, "y0": y0,
+    cache = {"index": index, "where": where, "ln": ln_cache, "act0": act0,
              "blocks": block_caches, "final_act": act}
     return _output_layer(params, act), cache
 
@@ -362,31 +368,59 @@ def forward(params: NetworkParams, mag) -> np.ndarray:
 
 
 PRED_CLAMP = 1e-7
+LOSS_ROWS = 64  # rows of pred per block of the loss pass
+
+
+def _check_targets(t: np.ndarray) -> None:
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # written so that NaN fails too
+        raise ValueError("targets must lie in [0, 1]")
+
+
+def _cross_entropy(pred: np.ndarray, t: np.ndarray, terms: np.ndarray,
+                   grad: np.ndarray | None = None) -> None:
+    """-(t log p + (1 - t) log1p(-p)) of every cell into terms, p being
+    pred clamped to [1e-7, 1 - 1e-7], one block of LOSS_ROWS rows at a time.
+
+    With grad, each block first writes the gradient of the mean loss with
+    respect to the output layer's logits, (pred - t) / pred.size and 0
+    where p is clamped, into grad.  terms may be pred and grad may be t:
+    a block reads its rows of both before it writes either.
+    """
+    for r in range(0, len(pred), LOSS_ROWS):
+        rows = slice(r, r + LOSS_ROWS)
+        # the second term first, so the clamped p it consumes can be made
+        # again from pred for the first
+        second = np.subtract(1.0, t[rows])
+        p = np.clip(pred[rows], PRED_CLAMP, 1.0 - PRED_CLAMP)
+        np.negative(p, out=p)
+        second *= np.log1p(p, out=p)
+        first = np.clip(pred[rows], PRED_CLAMP, 1.0 - PRED_CLAMP, out=p)
+        np.log(first, out=first)
+        first *= t[rows]
+        first += second
+        if grad is not None:
+            clamped = ~((pred[rows] > PRED_CLAMP) & (pred[rows] < 1.0 - PRED_CLAMP))
+            g = np.subtract(pred[rows], t[rows], out=grad[rows])
+            g[clamped] = 0.0
+            g /= pred.size
+        np.negative(first, out=terms[rows])
 
 
 def loss_cross_entropy(pred, target) -> float:
     """Mean binary cross-entropy with predictions clamped to [1e-7, 1 - 1e-7].
 
-    The mean of -(t log p + (1 - t) log1p(-p)), evaluated in two scratch
-    arrays.  Targets must lie in [0, 1]; NaN is rejected too.
+    The mean of -(t log p + (1 - t) log1p(-p)), evaluated block by block
+    into one scratch array, the loss pass backward runs.  Targets must lie
+    in [0, 1]; NaN is rejected too.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
+    pred = np.atleast_1d(np.asarray(pred, dtype=np.float64))
+    t = np.atleast_1d(np.asarray(target, dtype=np.float64))
     if pred.shape != t.shape:
         raise ValueError("prediction and target shapes differ")
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValueError("targets must lie in [0, 1]")
-    # the second term first, so the clamped p it consumes can be made
-    # again from pred for the first
-    second = np.subtract(1.0, t)
-    p = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    np.negative(p, out=p)
-    second *= np.log1p(p, out=p)
-    first = np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP, out=p)
-    np.log(first, out=first)
-    first *= t
-    first += second
-    return float(np.mean(np.negative(first, out=first)))
+    _check_targets(t)
+    terms = np.empty(pred.shape)
+    _cross_entropy(pred, t, terms)
+    return float(np.mean(terms))
 
 
 def backward(params: NetworkParams, x, target):
@@ -396,32 +430,38 @@ def backward(params: NetworkParams, x, target):
     list of (frames_i, output bins) targets; one 2-D array each is a
     single sequence.  Returns (loss, grads) where grads has exactly the
     keys of params.  The loss is the mean cross-entropy over
-    every frame of every sequence.  The target count and shapes are
-    checked before the forward pass runs.
+    every frame of every sequence.  The target count, shapes and range
+    are checked before the forward pass runs.
 
-    Neither x nor target is written to.  The step holds one packed copy
-    of the inputs, the predictions and the targets, whose buffer then
-    carries the output-layer gradient; each block's forward cache is
-    dropped once its backpropagation through time has run.
+    Neither x nor target is written to.  The step holds the predictions
+    and one packed copy of the targets; one pass over row blocks writes
+    the loss terms into the first and the output-layer gradient into the
+    second.  Each array is dropped at its last read: the predictions once
+    the loss is taken, that gradient once it reaches the last block, and
+    each block's forward cache once its backpropagation through time has
+    consumed it, writing each cell's gradient over its cached gates.  The
+    packed inputs are not held: they are gathered for the input layer and
+    again for the fc.w gradient.
     """
     seqs, targets = _sequences(x), _sequences(target)
     if len(targets) != len(seqs):
         raise ValueError(f"{len(seqs)} sequences but {len(targets)} targets")
     if any(t.shape != s.shape[:1] + (params.output_dim,) for s, t in zip(seqs, targets)):
         raise ValueError("target shape must match the prediction")
+    for t in targets:
+        _check_targets(t)
     pred, cache = _forward(params, seqs)
-    target = _gather(targets, cache["where"], params.output_dim)
-    loss = loss_cross_entropy(pred, target)
-    clamped = ~((pred > PRED_CLAMP) & (pred < 1.0 - PRED_CLAMP))
-    dlogits = np.subtract(pred, target, out=target)
-    dlogits[clamped] = 0.0
-    dlogits /= pred.size
-    del pred  # nothing below reads it; free it before backpropagation
+    # the targets' buffer takes the logits' gradient, and pred's the loss terms
+    dlogits = _gather(targets, cache["where"], params.output_dim)
+    _cross_entropy(pred, dlogits, pred, grad=dlogits)
+    loss = float(np.mean(pred))
+    del pred
     grads: dict[str, np.ndarray] = {}
 
-    grads["out.w"] = cache["final_act"].T @ dlogits
+    grads["out.w"] = cache.pop("final_act").T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
     da = dlogits @ params["out.w"].T
+    del dlogits
 
     for i in range(params.n_blocks - 1, -1, -1):
         da_next = da.copy()
@@ -433,11 +473,12 @@ def backward(params: NetworkParams, x, target):
             grads.update({f"block{i}.{direction}.{k}": v for k, v in g.items()})
         da = da_next
 
-    dy0 = da * (cache["y0"] > 0.0)
+    dy0 = da * (cache.pop("act0") > 0.0)
     dz0, dgain, doffset = _layer_norm_backprop(dy0, params["ln.gain"], cache["ln"])
     grads["ln.gain"] = dgain
     grads["ln.offset"] = doffset
-    grads["fc.w"] = cache["x"].T @ dz0
+    # the packed inputs, gathered again rather than held through the step
+    grads["fc.w"] = _gather(seqs, cache["where"], params.input_dim).T @ dz0
     grads["fc.b"] = dz0.sum(axis=0)
     return loss, grads
 

@@ -108,7 +108,10 @@ def train(
     that permutation through corpus.draw_mixtures, which reads only what
     it draws, so only the batch is held in memory.  The trailing
     remainder that does not fill a batch is dropped, so the history
-    length is epochs * (len(clean) // batch_size).
+    length is epochs * (len(clean) // batch_size).  A batch whose loss is
+    not finite stops training with a FloatingPointError naming it (its
+    index in the history); NumPy's overflow and invalid-value warnings
+    are silenced inside a step.
     """
     clean = list(clean_signals)
     noise = list(noise_signals)
@@ -136,9 +139,14 @@ def train(
                 m, t = make_example(x, section, snr_db, stats)
                 mags.append(m)
                 targets.append(t)
-            loss, grads = backward(params, mags, targets)
-            clip_gradients(grads, cfg.grad_clip_norm)
-            opt.step(tensors, grads)
+            # a diverging step is reported once, below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = backward(params, mags, targets)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(
+                        f"training loss went non-finite at batch {len(history)}")
+                clip_gradients(grads, cfg.grad_clip_norm)
+                opt.step(tensors, grads)
             history.append(loss)
     return params, history
 

@@ -759,6 +759,29 @@ def test_train_refuses_weights_that_overflow_float32(wav_corpus, tmp_path, capsy
     assert not model.exists() and not losses.exists()
 
 
+def test_diverging_training_stops_at_its_batch_with_one_line(wav_corpus, tmp_path,
+                                                             capsys):
+    # two batches: the first step leaves weights near 1e308, so the second
+    # batch's forward pass overflows; a fresh interpreter, so any NumPy
+    # warning would reach stderr as it does at the command line
+    clean_dir, noise_dir = wav_corpus
+    stats = tmp_path / "stats.txt"
+    run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats)
+    capsys.readouterr()
+    model, losses = tmp_path / "net.bin", tmp_path / "loss.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["train", "--clean", clean_dir, "--noise", noise_dir, "--stats", stats,
+            "--out", model, "--loss-csv", losses, "--cell", 8, "--blocks", 1,
+            "--epochs", 1, "--batch", 3, "--lr", "1e308"]
+    proc = subprocess.run([sys.executable, "-m", "sefront", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical error: training loss went non-finite at batch 1\n"
+    assert not model.exists() and not losses.exists()
+
+
 @pytest.mark.parametrize("flag", ["--lr", "--clip"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_train_rejects_bad_step_flags_before_training(wav_corpus, tmp_path, capsys,

@@ -264,6 +264,21 @@ def test_stft_builds_no_full_size_temporary():
     assert peak < 1.2 * (spec.spectrum.nbytes + magnitude.nbytes)
 
 
+def test_istft_builds_no_output_sized_window_sum():
+    # 10 s at 16 kHz: the output plus one block's frames measured 1.23
+    # outputs; an output-sized array of window sums beside it measured 2.24
+    x = np.random.default_rng(4).normal(0, 0.3, 160000)
+    spec = stft(x)
+    istft(spec, x.size)  # FFT plans and the window made outside the measurement
+    tracemalloc.start()
+    try:
+        y = istft(spec, x.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * y.samples.nbytes
+
+
 def test_frame_signal_rejects_empty():
     with pytest.raises(ValueError):
         frame_signal(np.array([]))
