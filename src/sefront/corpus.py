@@ -352,6 +352,8 @@ def load_manifest(path) -> Manifest:
             snr_db = float(parts[2])
             if not np.isfinite(snr_db):
                 raise ValueError(f"SNR must be finite, got {parts[2]!r}")
+            if len(out := Path(parts[4]).parts) != 1 or out[0] == "..":
+                raise ValueError(f"output must be a bare file name, got {parts[4]!r}")
             entries.append(MixSpec(parts[0], parts[1], snr_db, int(parts[3]), parts[4]))
         except ValueError as exc:
             raise ValueError(f"manifest line {lineno}: {exc}") from exc

@@ -202,6 +202,8 @@ def score_manifest(entries, ref_dir, hyp_dir) -> list[ConditionScore]:
     for e in entries:
         name = transcript_name(e.output_path)
         ref = _read_transcript(ref_dir / name, e.output_path)
+        if not ref.words:
+            raise ValueError(f"{e.output_path}: empty reference transcript {ref_dir / name}")
         hyp = _read_transcript(hyp_dir / name, e.output_path)
         rec = wer(ref, hyp)
         groups.setdefault((Path(e.noise_path).stem, e.snr_db), []).append(

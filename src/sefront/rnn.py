@@ -8,8 +8,8 @@ The backward pass is full backpropagation through time, written against
 the same caches the forward pass produces, so finite differences can
 check every parameter.  It consumes those caches as it goes, in place
 where it can, so a training step peaks at the forward cache plus the
-predictions and targets: 6.9 packed (frames x 257) float64 arrays for
-the default UNI network on ten sequences of 100-300 frames, 10.3 for BI.
+predictions and targets: 5.9 packed (frames x 257) float64 arrays for
+the default UNI network on ten sequences of 100-300 frames, 8.3 for BI.
 
 A batch is a list of (frames, bins) sequences of unequal length.  It
 runs packed, time-major: sequences are ordered by length, longest first,
@@ -17,8 +17,10 @@ and step t holds only the sequences still active at frame t, which are a
 prefix of that order.  Every layer computes on the frames that exist and
 nothing else.  The backward direction of a bidirectional block walks the
 same steps in reverse, each sequence starting from zero state at its last
-frame.  Each cell projects all its frames, x @ w_x + b, in one product
-before its step loop.  forward() runs one sequence unpacked, a row per
+frame.  Both walks, and BPTT back along them, carry the state in zeroed
+buffers of a row per sequence; a cell caches its input, gates and cells.
+Each cell projects all its frames, x @ w_x + b, in one product before
+its step loop.  forward() runs one sequence unpacked, a row per
 step, with no cache (_lstm_rows): a bidirectional block runs its
 backward cell over the frames reversed, after its forward cell, which
 gives the bits of the packed path (_lstm_run).  Both paths share the
@@ -139,23 +141,12 @@ def _pack(lengths: np.ndarray):
     return order[rank], times, list(zip(starts.tolist(), counts.tolist()))
 
 
-def _walk(steps):
-    """(start, count, previous start, carried count) of each step in turn.
-
-    The first carried rows of a step continue the rows of the step before
-    it; the rows after them start there, from zero state.
-    """
-    last, n_last = 0, 0
-    for s, n in steps:
-        yield s, n, last, min(n, n_last)
-        last, n_last = s, n
-
-
 def _previous(a: np.ndarray, steps) -> np.ndarray:
     """Each packed frame's row at the step before in the walk; 0 where a row starts."""
-    out = np.zeros_like(a)
-    for s, _, last, m in _walk(steps):
-        out[s : s + m] = a[last : last + m]
+    out, carry = np.empty_like(a), np.zeros((max(n for _, n in steps), a.shape[1]))
+    for s, n in steps:
+        out[s : s + n] = carry[:n]
+        carry[:n] = a[s : s + n]
     return out
 
 
@@ -176,22 +167,24 @@ def _gate_step(z, c, c_new, tc, h_out) -> None:
 def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
     """Run one cell over packed frames x (N, D), walking steps, the (start,
     count) of each step's rows in x, in the order given; a step adds h @ w_h
-    to the projection made before the walk.  Returns h (N, C) and the cache."""
+    to the projection made before the walk.  h and c are carried in zeroed
+    buffers, row j for sequence j of the packing order: a shrinking walk
+    never reads its finished rows again, a growing one finds zeros where it
+    starts.  Returns h (N, C) and the cache: x, steps, the gates and cells.
+    """
     c_sz = w_h.shape[0]
     gates = x @ w_x
     gates += b
-    cells, tanh_c, hs = (np.empty((len(x), c_sz)) for _ in range(3))
-    hw = np.empty((max(n for _, n in steps), _GATES * c_sz))  # h @ w_h
-    for s, n, last, m in _walk(steps):
-        h, c = hs[last : last + m], cells[last : last + m]
-        if m < n:
-            zero = np.zeros((n - m, c_sz))
-            h, c = np.concatenate((h, zero)), np.concatenate((c, zero))
+    cells, hs = np.empty((len(x), c_sz)), np.empty((len(x), c_sz))
+    h, c, tc = (np.zeros((max(n for _, n in steps), c_sz)) for _ in range(3))
+    hw = np.empty((len(h), _GATES * c_sz))  # h @ w_h
+    for s, n in steps:
         z = gates[s : s + n]
-        z += np.matmul(h, w_h, out=hw[:n])
-        _gate_step(z, c, cells[s : s + n], tanh_c[s : s + n], hs[s : s + n])
-    return hs, {"x": x, "steps": steps, "gates": gates, "cells": cells,
-                "tanh_c": tanh_c, "hs": hs}
+        z += np.matmul(h[:n], w_h, out=hw[:n])
+        _gate_step(z, c[:n], c[:n], tc[:n], h[:n])
+        cells[s : s + n] = c[:n]
+        hs[s : s + n] = h[:n]
+    return hs, {"x": x, "steps": steps, "gates": gates, "cells": cells}
 
 
 def _lstm_rows(w_x, w_h, b, x: np.ndarray) -> np.ndarray:
@@ -211,14 +204,18 @@ def _lstm_rows(w_x, w_h, b, x: np.ndarray) -> np.ndarray:
 def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
     """BPTT for one cell. dh_out is packed (N, C); returns (dx, grads).
 
-    The cache is consumed: its gates buffer is overwritten, first with
-    the local derivatives and then with the gradient of the pre-activations.
+    tanh of the cells, and h as the output gate times it, are made again
+    elementwise, so they hold the bits of the walk.  The cache is consumed:
+    its gates buffer is overwritten, first with the local derivatives and
+    then with dz.  dh and dc are carried back as _lstm_run carries h and c.
     """
-    steps, gates, tc = cache["steps"], cache["gates"], cache["tanh_c"]
+    steps, gates = cache["steps"], cache["gates"]
     c_sz = w_h.shape[0]
     dz_gates = gates.reshape(-1, _GATES, c_sz)  # the local derivatives, then dz
     i, f, g, o = (dz_gates[:, k] for k in range(_GATES))
     f_out, g_out = f.copy(), g.copy()  # read after their slots are overwritten
+    tc = np.tanh(cache["cells"])
+    h_prev = _previous(np.multiply(o, tc), steps)  # while o is the output gate
     # per frame: dh/dc through the output gate, and the local derivative
     # by which dc (input, forget, candidate gates) or dh (output gate)
     # scales into each gate's pre-activation; each is formed in place in
@@ -233,8 +230,7 @@ def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
         gate *= 1.0 - gate  # (1 - x) x: IEEE products commute
         gate *= scale
     # rows a step does not write stay zero: they carry nothing back
-    dh_next = np.zeros((max(n for _, n in steps), c_sz))
-    dc_next = np.zeros_like(dh_next)
+    dh_next, dc_next = (np.zeros((max(n for _, n in steps), c_sz)) for _ in range(2))
     for s, n in reversed(steps):
         e = s + n
         dh = dh_out[s:e] + dh_next[:n]
@@ -243,8 +239,7 @@ def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
         dz_gates[s:e, 3] *= dh
         np.matmul(gates[s:e], w_h.T, out=dh_next[:n])
         np.multiply(dc, f_out[s:e], out=dc_next[:n])
-    grads = {"w_x": cache["x"].T @ gates,
-             "w_h": _previous(cache["hs"], steps).T @ gates,
+    grads = {"w_x": cache["x"].T @ gates, "w_h": h_prev.T @ gates,
              "b": gates.sum(axis=0)}
     return gates @ w_x.T, grads
 

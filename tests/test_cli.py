@@ -279,6 +279,22 @@ def test_mix_replay_rejects_a_non_finite_snr(wav_corpus, tmp_path, capsys, snr):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("output", ["../escaped.wav", "ABS", "sub/x.wav"])
+def test_mix_replay_writes_only_into_the_out_dir(wav_corpus, tmp_path, capsys, output):
+    clean = sorted(wav_corpus[0].glob("*.wav"))[0]
+    noise = sorted(wav_corpus[1].glob("*.wav"))[0]
+    output = str(tmp_path / "abs.wav") if output == "ABS" else output
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{clean}\t{noise}\t5\t0\tok.wav\n"
+                        f"{clean}\t{noise}\t5\t0\t{output}\n")
+    out_dir = tmp_path / "replay"
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest line 2: output must be a bare file name, got {output!r}\n")
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.tsv"]
+
+
 @pytest.mark.parametrize("snr", ["4000", "-4000"])
 @pytest.mark.parametrize("source", ["manifest", "grid", "stats"])
 def test_an_snr_out_of_range_is_one_line_and_writes_nothing(wav_corpus, tmp_path, capsys,

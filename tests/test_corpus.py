@@ -411,6 +411,10 @@ def test_manifest_file_round_trip(tmp_path, manifest_dirs):
 # any text a TSV field can hold: no tab, no line break, no surrogate
 tsv_fields = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
                      min_size=1, max_size=12)
+# an output field names one file in the output directory
+file_names = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                                   blacklist_characters="/"),
+                     min_size=1, max_size=12).filter(lambda s: s not in (".", ".."))
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +425,7 @@ def scratch_dir(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(entries=st.lists(st.builds(MixSpec, tsv_fields, tsv_fields,
                                   st.floats(allow_nan=False, allow_infinity=False),
-                                  st.integers(0, 2**62), tsv_fields), max_size=8))
+                                  st.integers(0, 2**62), file_names), max_size=8))
 @example(entries=[MixSpec("c.wav", "n.wav", snr, 0, f"{i}.wav")
                   for i, snr in enumerate([0.1234567, 5.0, 5.0000001, -7.5, 1e-7])])
 def test_manifest_file_round_trips_exactly(scratch_dir, entries):
@@ -455,6 +459,18 @@ def test_manifest_load_errors(tmp_path):
         p.write_text(f"a\tb\t5\t0\tok.wav\na\tb\t{snr}\t0\tout.wav\n")
         with pytest.raises(ValueError, match="line 2: SNR must be finite"):
             load_manifest(p)
+
+
+def test_manifest_output_must_be_a_file_name(tmp_path):
+    # any other output would be written outside the output directory, or
+    # over one of the inputs
+    p = tmp_path / "bad.tsv"
+    for out in ("../escaped.wav", "/tmp/abs.wav", "sub/x.wav", "", ".", ".."):
+        p.write_text(f"a\tb\t5\t0\tok.wav\na\tb\t5\t0\t{out}\n")
+        with pytest.raises(ValueError, match="line 2: output must be a bare file name"):
+            load_manifest(p)
+    p.write_text("a\tb\t5\t0\t./ok.wav\n")
+    assert load_manifest(p).entries[0].output_path == "./ok.wav"
 
 
 def test_manifest_blank_lines_skipped(tmp_path):

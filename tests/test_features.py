@@ -215,6 +215,16 @@ def test_score_manifest_missing_transcript(scored_layout):
         score_manifest(entries, ref, hyp)
 
 
+def test_score_manifest_names_an_empty_reference(scored_layout):
+    entries, ref, hyp = scored_layout
+    name = transcript_name(entries[2].output_path)
+    (ref / name).write_text("...")  # no words once punctuation is dropped
+    with pytest.raises(ValueError) as err:
+        score_manifest(entries, ref, hyp)
+    assert str(err.value) == (
+        f"{entries[2].output_path}: empty reference transcript {ref / name}")
+
+
 def test_score_csv_format(tmp_path, scored_layout):
     entries, ref, hyp = scored_layout
     scores = score_manifest(entries, ref, hyp)
