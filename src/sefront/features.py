@@ -124,21 +124,23 @@ def wer(reference: Transcript, hypothesis: Transcript) -> EvalRecord:
     if m == 0:
         raise ValueError("reference transcript is empty")
 
-    d = np.zeros((m + 1, n + 1), dtype=np.int64)
-    d[:, 0] = np.arange(m + 1)
-    d[0, :] = np.arange(n + 1)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            sub = d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            d[i, j] = min(sub, d[i, j - 1] + 1, d[i - 1, j] + 1)
+    # the table as rows of Python ints: d[i][j] is the distance between
+    # the first i reference words and the first j hypothesis words
+    d = [list(range(n + 1))]
+    for i, word in enumerate(ref, 1):
+        left, row = i, [i]
+        for h, diag, up in zip(hyp, d[-1], d[-1][1:]):
+            left = min(diag + (word != h), left + 1, up + 1)
+            row.append(left)
+        d.append(row)
 
     subs = dels = ins = 0
     i, j = m, n
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
             subs += ref[i - 1] != hyp[j - 1]
             i, j = i - 1, j - 1
-        elif j > 0 and d[i, j] == d[i, j - 1] + 1:
+        elif j > 0 and d[i][j] == d[i][j - 1] + 1:
             ins += 1
             j -= 1
         else:
@@ -195,8 +197,17 @@ def score_manifest(entries, ref_dir, hyp_dir) -> list[ConditionScore]:
     """Mean per-entry WER grouped by (noise source, SNR level).
 
     Transcripts are one file per entry, named after the entry's output
-    file with a .txt suffix, in ref_dir and hyp_dir.
+    file with a .txt suffix, in ref_dir and hyp_dir.  Two entries whose
+    outputs share that name (such as x and x.wav) are refused before any
+    transcript is read.
     """
+    first: dict[str, tuple[int, str]] = {}  # transcript -> its first entry
+    for k, e in enumerate(entries, 1):
+        name = transcript_name(e.output_path)
+        if name in first:
+            raise ValueError(f"manifest entries {first[name][0]} ({first[name][1]}) and {k} "
+                             f"({e.output_path}) both score against transcript {name}")
+        first[name] = k, e.output_path
     ref_dir, hyp_dir = Path(ref_dir), Path(hyp_dir)
     groups: dict[tuple[str, float], list[float]] = {}
     for e in entries:

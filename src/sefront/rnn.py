@@ -7,14 +7,18 @@ output to the block input; bidirectional blocks add both directions.
 The backward pass is full backpropagation through time, written against
 the same caches the forward pass produces, so finite differences can
 check every parameter.  It consumes those caches as it goes, in place
-where it can, so a training step peaks at the forward cache plus the
-predictions and targets: 5.9 packed (frames x 257) float64 arrays for
-the default UNI network on ten sequences of 100-300 frames, 8.3 for BI.
+where it can, so a step on lists peaks at the forward cache plus the
+predictions and targets: 5.6 packed (frames x 257) float64 arrays for
+the default UNI network on ten sequences of 100-300 frames, 8.1 for BI.
 
 A batch is a list of (frames, bins) sequences of unequal length.  It
 runs packed, time-major: sequences are ordered by length, longest first,
 and step t holds only the sequences still active at frame t, which are a
-prefix of that order.  Every layer computes on the frames that exist and
+prefix of that order.  Training builds its batch in that order once, as
+a PackedBatch whose inputs backward reads in place and whose targets it
+takes over for the output-layer gradient, so the batch is held once: a
+whole training batch, made and stepped, peaks at 6.6 such arrays (UNI)
+and 9.1 (BI).  Every layer computes on the frames that exist and
 nothing else.  The backward direction of a bidirectional block walks the
 same steps in reverse, each sequence starting from zero state at its last
 frame.  Both walks, and BPTT back along them, carry the state in zeroed
@@ -141,6 +145,53 @@ def _pack(lengths: np.ndarray):
     return order[rank], times, list(zip(starts.tolist(), counts.tolist()))
 
 
+def _layout(lengths: np.ndarray):
+    """(steps, index, where) of the packed layout of sequences of these
+    lengths: _pack's steps, and the maps between packed frames and the
+    frames of the sequences laid end to end, packed frame k being frame
+    index[k] of that concatenation and its frame j packed frame where[j]."""
+    rows, times, steps = _pack(lengths)
+    index = (np.cumsum(lengths) - lengths)[rows] + times
+    where = np.empty_like(index)
+    where[index] = np.arange(index.size)
+    return steps, index, where
+
+
+class PackedBatch:
+    """A training batch laid out once in packed order, for backward.
+
+    x (N, input bins) and target (N, output bins) hold every frame of
+    every sequence at its packed row; put(j, x_j, target_j) writes the
+    frames of sequence j there, and every sequence must be put before
+    backward runs.  backward reads x in place and takes target over: it
+    sets target to None, writes the logits' gradient over that buffer and
+    drops it, so the caller must keep no other reference to it.
+    """
+
+    def __init__(self, lengths, input_dim: int, output_dim: int):
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        if self.lengths.size == 0:
+            raise ValueError("need at least one sequence")
+        if self.lengths.min() < 1:
+            raise ValueError("every sequence needs at least one frame")
+        self.steps, _, self.where = _layout(self.lengths)
+        self._starts = np.cumsum(self.lengths) - self.lengths
+        self._missing = set(range(self.lengths.size))
+        self.x = np.empty((self.where.size, input_dim))
+        self.target = np.empty((self.where.size, output_dim))
+
+    def put(self, j: int, x, target) -> None:
+        if not 0 <= j < self.lengths.size:
+            raise IndexError(f"sequence {j} of a batch of {self.lengths.size}")
+        rows = self.where[self._starts[j] : self._starts[j] + self.lengths[j]]
+        for name, buf, a in (("input", self.x, x), ("target", self.target, target)):
+            if np.shape(a) != (rows.size, buf.shape[1]):
+                raise ValueError(f"{name} {j}: expected ({rows.size} x {buf.shape[1]}), "
+                                 f"got {np.shape(a)}")
+            buf[rows] = a
+        self._missing.discard(j)
+
+
 def _previous(a: np.ndarray, steps) -> np.ndarray:
     """Each packed frame's row at the step before in the walk; 0 where a row starts."""
     out, carry = np.empty_like(a), np.zeros((max(n for _, n in steps), a.shape[1]))
@@ -249,12 +300,12 @@ def _layer_norm(z: np.ndarray, gain, offset):
     centered = z - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
-    return gain * xhat + offset, (centered, inv, xhat)
+    return gain * (centered * inv) + offset, (centered, inv)
 
 
 def _layer_norm_backprop(dy, gain, ln_cache):
-    centered, inv, xhat = ln_cache
+    centered, inv = ln_cache
+    xhat = centered * inv  # the product the forward pass normalised with
     n = xhat.shape[-1]
     dxhat = dy * gain
     dvar = np.sum(dxhat * centered, axis=-1, keepdims=True) * (-0.5) * inv**3
@@ -317,12 +368,16 @@ def _output_layer(params: NetworkParams, act: np.ndarray) -> np.ndarray:
 def _forward(params: NetworkParams, seqs: list[np.ndarray]):
     """Packed outputs (N, K) of every frame of the sequences, and the cache."""
     _check_input(params, seqs)
-    lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    rows, times, steps = _pack(lengths)
-    index = (np.cumsum(lengths) - lengths)[rows] + times  # packed -> concatenated
-    where = np.empty_like(index)
-    where[index] = np.arange(index.size)  # concatenated -> packed
-    act, ln_cache = _input_layer(params, _gather(seqs, where, params.input_dim))
+    steps, index, where = _layout(np.array([len(s) for s in seqs], dtype=np.int64))
+    pred, cache = _run(params, _gather(seqs, where, params.input_dim), steps)
+    cache.update(index=index, where=where)
+    return pred, cache
+
+
+def _run(params: NetworkParams, x: np.ndarray, steps):
+    """Outputs (N, K) of packed frames x (N, D) walked by steps, and the cache."""
+    act, ln_cache = _input_layer(params, x)
+    del x  # inputs gathered for this call are freed here
     act0 = act
 
     block_caches = []
@@ -334,11 +389,11 @@ def _forward(params: NetworkParams, seqs: list[np.ndarray]):
             h, caches[direction] = _lstm_run(*_cell(params, i, direction), act,
                                              walks[direction])
             nxt += h
+            del h  # not held through the next cell or the output layer
         block_caches.append(caches)
         act = nxt
 
-    cache = {"index": index, "where": where, "ln": ln_cache, "act0": act0,
-             "blocks": block_caches, "final_act": act}
+    cache = {"ln": ln_cache, "act0": act0, "blocks": block_caches, "final_act": act}
     return _output_layer(params, act), cache
 
 
@@ -418,36 +473,58 @@ def loss_cross_entropy(pred, target) -> float:
     return float(np.mean(terms))
 
 
-def backward(params: NetworkParams, x, target):
+def backward(params: NetworkParams, x, target=None):
     """Loss and gradients for every parameter tensor.
 
     x is a list of (frames_i, bins) sequences and target the matching
     list of (frames_i, output bins) targets; one 2-D array each is a
-    single sequence.  Returns (loss, grads) where grads has exactly the
+    single sequence.  Or x is a PackedBatch, which holds its targets, and
+    target is left out.  Returns (loss, grads) where grads has exactly the
     keys of params.  The loss is the mean cross-entropy over
-    every frame of every sequence.  The target count, shapes and range
-    are checked before the forward pass runs.
+    every frame of every sequence.  The target count, shapes and range,
+    and that the inputs are finite, are checked before the forward pass
+    runs.
 
-    Neither x nor target is written to.  The step holds the predictions
-    and one packed copy of the targets; one pass over row blocks writes
-    the loss terms into the first and the output-layer gradient into the
-    second.  Each array is dropped at its last read: the predictions once
+    Given lists, neither x nor target is written to: the step holds the
+    predictions and one packed copy of the targets, and the packed inputs
+    are not held but gathered for the input layer and again for the fc.w
+    gradient.  A PackedBatch is read in place instead, and its targets
+    are taken over (batch.target becomes None) to be written over, so the
+    batch is held once.  One pass over row blocks writes the loss terms
+    into the predictions and the output-layer gradient into the targets'
+    buffer.  Each array is dropped at its last read: the predictions once
     the loss is taken, that gradient once it reaches the last block, and
     each block's forward cache once its backpropagation through time has
-    consumed it, writing each cell's gradient over its cached gates.  The
-    packed inputs are not held: they are gathered for the input layer and
-    again for the fc.w gradient.
+    consumed it, writing each cell's gradient over its cached gates.
     """
-    seqs, targets = _sequences(x), _sequences(target)
-    if len(targets) != len(seqs):
-        raise ValueError(f"{len(seqs)} sequences but {len(targets)} targets")
-    if any(t.shape != s.shape[:1] + (params.output_dim,) for s, t in zip(seqs, targets)):
-        raise ValueError("target shape must match the prediction")
-    for t in targets:
-        _check_targets(t)
-    pred, cache = _forward(params, seqs)
+    batch = x if isinstance(x, PackedBatch) else None
+    if batch is not None:
+        if target is not None:
+            raise TypeError("a PackedBatch holds its own targets")
+        if batch.target is None:
+            raise ValueError("the batch's targets were taken by an earlier backward")
+        if batch._missing:
+            raise ValueError(f"sequence {min(batch._missing)} of the batch was never put")
+        if batch.target.shape[1] != params.output_dim:
+            raise ValueError("target shape must match the prediction")
+        _check_input(params, [batch.x])
+        _check_targets(batch.target)
+        pred, cache = _run(params, batch.x, batch.steps)
+        # the batch's targets are taken over: the only reference is dlogits
+        dlogits, batch.target = batch.target, None
+    else:
+        if target is None:
+            raise TypeError("backward needs targets beside a list of sequences")
+        seqs, targets = _sequences(x), _sequences(target)
+        if len(targets) != len(seqs):
+            raise ValueError(f"{len(seqs)} sequences but {len(targets)} targets")
+        if any(t.shape != s.shape[:1] + (params.output_dim,) for s, t in zip(seqs, targets)):
+            raise ValueError("target shape must match the prediction")
+        for t in targets:
+            _check_targets(t)
+        pred, cache = _forward(params, seqs)
+        dlogits = _gather(targets, cache["where"], params.output_dim)
     # the targets' buffer takes the logits' gradient, and pred's the loss terms
-    dlogits = _gather(targets, cache["where"], params.output_dim)
     _cross_entropy(pred, dlogits, pred, grad=dlogits)
     loss = float(np.mean(pred))
     del pred
@@ -472,8 +549,9 @@ def backward(params: NetworkParams, x, target):
     dz0, dgain, doffset = _layer_norm_backprop(dy0, params["ln.gain"], cache["ln"])
     grads["ln.gain"] = dgain
     grads["ln.offset"] = doffset
-    # the packed inputs, gathered again rather than held through the step
-    grads["fc.w"] = _gather(seqs, cache["where"], params.input_dim).T @ dz0
+    # list inputs are gathered again rather than held through the step
+    inputs = batch.x if batch is not None else _gather(seqs, cache["where"], params.input_dim)
+    grads["fc.w"] = inputs.T @ dz0
     grads["fc.b"] = dz0.sum(axis=0)
     return loss, grads
 

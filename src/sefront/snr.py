@@ -129,7 +129,9 @@ def _pool_stats(pool: np.ndarray) -> XiStats:
 
 
 def _content_key(samples: np.ndarray) -> str:
-    return hashlib.blake2b(samples.tobytes(), digest_size=16).hexdigest()
+    """Digest of the samples' bytes, hashed from their buffer: a strided
+    signal alone is copied to a contiguous one."""
+    return hashlib.blake2b(np.ascontiguousarray(samples), digest_size=16).hexdigest()
 
 
 def _by_content(recordings, lengths) -> tuple[list, list[int]]:

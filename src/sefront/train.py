@@ -5,8 +5,11 @@ a random section of a random noise recording at a random SNR from the
 config's range (corpus.draw_mixtures, the schedule estimate_stats also
 draws), and regresses the noisy magnitudes onto the bounded mapped
 targets computed from the oracle a priori SNR of that very mixture.  One
-Adam step per batch on globally clipped gradients; a batch is the list
-of its examples, each as long as its own recording.  Every noise
+Adam step per batch on globally clipped gradients.  A batch's examples
+are each as long as their own recording; since the drawn lengths are
+known before mixing, the batch is laid out once in rnn's packed order
+(an rnn.PackedBatch), each example written into its rows as it is made,
+and rnn.backward takes it over, so the batch is held once.  Every noise
 recording must be at least as long as the longest clean one, which
 train() checks before the first batch.  Recordings are WAV paths or
 in-memory signals.
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import check_corpora, draw_mixtures, mix_at_snr
-from .dsp import DEFAULT_CONFIG, SpectroGram, stft
-from .rnn import NetworkParams, backward, forward
+from .dsp import DEFAULT_CONFIG, SpectroGram, frame_count, stft
+from .rnn import NetworkParams, PackedBatch, backward, forward
 from .snr import XiStats, map_xi, oracle_xi, unmap_xi, xi_to_db, STATS_XI_FLOOR
 
 ADAM_BETA1 = 0.9
@@ -133,15 +136,17 @@ def train(
         order = rng.permutation(len(clean))
         for b in range(len(clean) // cfg.batch_size):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            mags, targets = [], []
-            for x, section, snr_db in draw_mixtures(clean, noise, lengths, idx,
-                                                    cfg.snrs, rng):
-                m, t = make_example(x, section, snr_db, stats)
-                mags.append(m)
-                targets.append(t)
+            # every drawn length is known, so each example goes straight
+            # into its packed rows as it is made
+            batch = PackedBatch([frame_count(lengths[0][i], DEFAULT_CONFIG.frame_shift)
+                                 for i in idx], params.input_dim, params.output_dim)
+            for j, (x, section, snr_db) in enumerate(draw_mixtures(clean, noise, lengths, idx,
+                                                                   cfg.snrs, rng)):
+                batch.put(j, *make_example(x, section, snr_db, stats))
             # a diverging step is reported once, below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = backward(params, mags, targets)
+                loss, grads = backward(params, batch)  # takes the batch's targets over
+                del batch
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         f"training loss went non-finite at batch {len(history)}")

@@ -1185,6 +1185,30 @@ def test_wer_keeps_snrs_past_six_digits_apart(wav_corpus, tmp_path, capsys):
         "white_a @ 5 dB: n=1 wer=0.00%", "white_a @ 5.0000001 dB: n=1 wer=33.33%"]
 
 
+def test_wer_refuses_two_entries_scoring_against_one_transcript(wav_corpus, tmp_path,
+                                                                capsys):
+    # mix writes x and x.wav as two files, but both would score against x.txt
+    clean, noise = wav_corpus[0] / "utt00.wav", wav_corpus[1] / "white_a.wav"
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{clean}\t{noise}\t5\t0\tx\n"
+                        f"{clean}\t{noise}\t0\t0\ty.wav\n"
+                        f"{clean}\t{noise}\t10\t0\tx.wav\n")
+    ref, hyp = tmp_path / "ref", tmp_path / "hyp"
+    ref.mkdir()
+    hyp.mkdir()
+    for name in ("x", "y"):
+        (ref / f"{name}.txt").write_text("one two three")
+        (hyp / f"{name}.txt").write_text("one two")
+    out = tmp_path / "scores.csv"
+    assert run("wer", "--manifest", manifest, "--ref", ref, "--hyp", hyp,
+               "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: manifest entries 1 (x) and 3 (x.wav) both score against transcript x.txt\n")
+    assert not out.exists()
+    assert run("mix", "--manifest", manifest, "--out-dir", tmp_path / "noisy") == 0
+    assert sorted(f.name for f in (tmp_path / "noisy").iterdir()) == ["x", "x.wav", "y.wav"]
+
+
 def test_wer_checks_the_output_directory_before_reading(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("read before checking the output")

@@ -119,6 +119,42 @@ def test_wer_counts_are_consistent(ref, hyp):
     assert (same.substitutions, same.deletions, same.insertions) == (0, 0, 0)
 
 
+def table_wer_counts(ref, hyp):
+    """(S, D, I) from the alignment table as numpy int64 scalars, the
+    reference the Python-int table of wer must equal."""
+    m, n = len(ref), len(hyp)
+    d = np.zeros((m + 1, n + 1), dtype=np.int64)
+    d[:, 0] = np.arange(m + 1)
+    d[0, :] = np.arange(n + 1)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            sub = d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
+            d[i, j] = min(sub, d[i, j - 1] + 1, d[i - 1, j] + 1)
+    subs = dels = ins = 0
+    i, j = m, n
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+            subs += ref[i - 1] != hyp[j - 1]
+            i, j = i - 1, j - 1
+        elif j > 0 and d[i, j] == d[i, j - 1] + 1:
+            ins += 1
+            j -= 1
+        else:
+            dels += 1
+            i -= 1
+    return subs, dels, ins
+
+
+@settings(max_examples=300, deadline=None)
+@given(ref=st.lists(st.sampled_from("abcde"), min_size=1, max_size=14),
+       hyp=st.lists(st.sampled_from("abcdef"), max_size=14))
+def test_wer_equals_the_numpy_table(ref, hyp):
+    rec = wer(Transcript(tuple(ref)), Transcript(tuple(hyp)))
+    s, d, i = table_wer_counts(ref, hyp)
+    assert (rec.substitutions, rec.deletions, rec.insertions) == (s, d, i)
+    assert rec.wer_percent == 100.0 * (s + d + i) / len(ref)
+
+
 def test_wer_single_deletion():
     rec = wer(Transcript.from_text("the cat sat"), Transcript.from_text("the cat"))
     assert (rec.substitutions, rec.deletions, rec.insertions) == (0, 1, 0)
@@ -223,6 +259,17 @@ def test_score_manifest_names_an_empty_reference(scored_layout):
         score_manifest(entries, ref, hyp)
     assert str(err.value) == (
         f"{entries[2].output_path}: empty reference transcript {ref / name}")
+
+
+@pytest.mark.parametrize("second", ["u__white__0dB", "u__white__0dB.WAV", "sub/u__white__0dB.wav"])
+def test_score_manifest_refuses_two_entries_on_one_transcript(scored_layout, second):
+    entries, ref, hyp = scored_layout
+    entries.append(MixSpec("c.wav", "white.wav", 5.0, 0, second))
+    with pytest.raises(ValueError) as err:
+        score_manifest(entries, ref, hyp)
+    assert str(err.value) == (
+        f"manifest entries 1 ({entries[0].output_path}) and 5 ({second}) "
+        "both score against transcript u__white__0dB.txt")
 
 
 def test_score_csv_format(tmp_path, scored_layout):

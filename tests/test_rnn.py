@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import save_network_with
 from sefront.rnn import (
+    PackedBatch,
     backward,
     forward,
     init_network,
@@ -166,6 +167,8 @@ def test_backward_rejects_bad_batches():
         backward(p, xs[:2] + [np.ones((0, 9))], ts[:2] + [np.ones((0, 9))])
     with pytest.raises(ValueError, match="3 sequences but 2 targets"):
         backward(p, xs, ts[:2])
+    with pytest.raises(TypeError, match="needs targets"):
+        backward(p, xs)
     with pytest.raises(ValueError, match="target shape"):
         backward(p, xs, ts[:2] + [ts[2][:2]])
     for row in range(3):
@@ -340,8 +343,9 @@ def backward_peak(bidirectional: bool) -> float:
 # UNI measured 13.0 while the step held two copies of such arrays, 10.2
 # with one copy each, 6.9 with the loss and its gradient in one row-block
 # pass, BPTT in place on the gate cache and each array freed at its last
-# read, and 5.9 once a cell cached neither tanh of its cells nor its h;
-# BI measured 13.7, then 10.3, then 8.3.
+# read, 5.9 once a cell cached neither tanh of its cells nor its h, and
+# 5.6 once the layer norm cached no normalised copy of its input;
+# BI measured 13.7, then 10.3, then 8.3, then 8.1.
 def test_backward_peak_memory():
     assert backward_peak(bidirectional=False) < 6.5
 
@@ -487,6 +491,96 @@ def test_backward_leaves_its_inputs_unchanged(lengths, bidirectional, seed):
     backward(p, xs, ts)
     for a, b in zip(xs + ts, before):
         np.testing.assert_array_equal(a, b)
+
+
+def packed(lengths, xs, ts) -> PackedBatch:
+    batch = PackedBatch(lengths, xs[0].shape[1], ts[0].shape[1])
+    for j, (x, t) in enumerate(zip(xs, ts)):
+        batch.put(j, x, t)
+    return batch
+
+
+@packed_batches
+@example(lengths=[1, 1, 1], bidirectional=True, seed=0)
+@example(lengths=[1], bidirectional=False, seed=1)
+@example(lengths=[5, 1, 5, 3, 5], bidirectional=True, seed=2)
+@example(lengths=[4, 4, 1, 1], bidirectional=False, seed=3)
+def test_packed_batch_equals_the_lists_bit_for_bit(lengths, bidirectional, seed):
+    p = tiny(seed=23, bidirectional=bidirectional)
+    xs, ts = sequence_batch(lengths, seed)
+    ts[0][0, :2] = 0.0, 1.0
+    want_loss, want = backward(p, xs, ts)
+    batch = packed(lengths, xs, ts)
+    x_before = batch.x.copy()
+    loss, grads = backward(p, batch)
+    assert loss == want_loss
+    assert list(grads) == list(want)
+    for k in want:
+        assert grads[k].tobytes() == want[k].tobytes(), k
+    # the inputs are read in place and the targets taken over
+    np.testing.assert_array_equal(batch.x, x_before)
+    assert batch.target is None
+    with pytest.raises(ValueError, match="taken by an earlier backward"):
+        backward(p, batch)
+
+
+def test_packed_batch_puts_each_sequence_in_its_packed_rows():
+    rng = np.random.default_rng(5)
+    lengths = [2, 3, 1]
+    xs, ts = sequence_batch(lengths, 6)
+    batch = packed(lengths, xs, ts)
+    pred, cache = _forward(tiny(), xs)
+    np.testing.assert_array_equal(batch.x, np.concatenate(xs)[cache["index"]])
+    np.testing.assert_array_equal(batch.target, np.concatenate(ts)[cache["index"]])
+    with pytest.raises(ValueError, match=r"input 1: expected \(3 x 9\), got \(2, 9\)"):
+        batch.put(1, xs[0], ts[0])
+    with pytest.raises(ValueError, match=r"target 2: expected \(1 x 9\), got \(1, 8\)"):
+        batch.put(2, xs[2], rng.uniform(0, 1, (1, 8)))
+    for j in (-1, 3):
+        with pytest.raises(IndexError, match=f"sequence {j} of a batch of 3"):
+            batch.put(j, xs[2], ts[2])
+    with pytest.raises(ValueError, match="at least one sequence"):
+        PackedBatch([], 9, 9)
+    with pytest.raises(ValueError, match="at least one frame"):
+        PackedBatch([2, 0], 9, 9)
+
+
+def test_packed_batch_is_checked_before_the_forward_pass(monkeypatch):
+    rnn = importlib.import_module("sefront.rnn")
+    calls = []
+    real_run = rnn._run
+
+    def counting_run(*args):
+        calls.append(1)
+        return real_run(*args)
+
+    monkeypatch.setattr(rnn, "_run", counting_run)
+    p = tiny()
+    lengths = [4, 2, 3]
+    xs, ts = sequence_batch(lengths, 4)
+    batch = PackedBatch(lengths, 9, 9)
+    batch.put(0, xs[0], ts[0])
+    batch.put(2, xs[2], ts[2])
+    with pytest.raises(ValueError, match="sequence 1 of the batch was never put"):
+        backward(p, batch)
+    with pytest.raises(TypeError, match="holds its own targets"):
+        backward(p, batch, ts)
+    batch.put(1, xs[1], ts[1])
+    for where, value, match in ((batch.x, np.nan, "finite"),
+                                (batch.target, 1.5, r"targets must lie in \[0, 1\]"),
+                                (batch.target, np.nan, r"targets must lie in \[0, 1\]")):
+        keep = where[3, 4]
+        where[3, 4] = value
+        with pytest.raises(ValueError, match=match):
+            backward(p, batch)
+        where[3, 4] = keep
+    with pytest.raises(ValueError, match=r"input: expected \(frames x 9\), got \(9, 8\)"):
+        backward(p, packed(lengths, [x[:, :8] for x in xs], ts))
+    with pytest.raises(ValueError, match="target shape"):
+        backward(p, packed(lengths, xs, [t[:, :8] for t in ts]))
+    assert calls == []
+    backward(p, batch)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])

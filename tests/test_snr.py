@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from sefront.snr import (
     load_stats,
     map_xi,
     oracle_xi,
+    _content_key,
     _pool_stats,
     save_stats,
     unmap_xi,
@@ -306,3 +308,11 @@ def test_oracle_xi_through_stft_pipeline():
     xi1 = oracle_xi(stft(s), stft(d))
     xi2 = oracle_xi(stft(s), stft(10.0 * d))
     np.testing.assert_allclose(xi_to_db(xi2), xi_to_db(xi1) - 20.0, atol=1e-9)
+
+
+def test_content_key_is_the_digest_of_the_sample_bytes():
+    x = np.random.default_rng(12).normal(0, 0.3, 1001)
+    for samples in (x, x[1:], x[::3], x[::-2]):
+        want = hashlib.blake2b(samples.tobytes(), digest_size=16).hexdigest()
+        assert _content_key(samples) == want
+    assert _content_key(x[::3]) != _content_key(x[1::3])

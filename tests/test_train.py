@@ -6,7 +6,7 @@ import pytest
 
 from conftest import SR, tone_bursts, white_noise
 from sefront.corpus import load_wav, save_wav
-from sefront.dsp import stft
+from sefront.dsp import frame_count, stft
 from sefront.rnn import forward, init_network
 from sefront.snr import XiStats, db_to_xi
 from sefront.train import (
@@ -207,6 +207,38 @@ def test_train_peak_memory_is_flat_in_the_corpus_size(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0]
+
+
+def batch_peak(bidirectional: bool) -> float:
+    """Traced peak of one whole training batch, its examples made and
+    packed and its step taken, on a seeded in-memory corpus of 10
+    recordings (1731 frames) with the CLI's network defaults, in units of
+    one packed (frames x 257) float64 array."""
+    rng = np.random.default_rng(23)
+    lengths = rng.integers(100, 300, 10) * 256
+    clean = [0.3 * rng.standard_normal(n) for n in lengths]
+    noise = [0.1 * rng.standard_normal(lengths.max())]
+    params = init_network(seed=1, bidirectional=bidirectional)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(params, clean, noise, flat_stats(), TrainConfig(epochs=1, batch_size=10, seed=5))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (sum(frame_count(n, 256) for n in lengths) * 257 * 8)
+
+
+# UNI measured 7.9 and BI 10.4 while the batch was held as lists of
+# examples and backward gathered a packed copy of the targets; 6.6 and
+# 9.1 once it was packed as it was made, backward took its targets over
+# and the forward pass freed each cell's output once added
+def test_train_batch_peak_memory():
+    assert batch_peak(bidirectional=False) < 7.5
+
+
+def test_train_batch_peak_memory_bidirectional():
+    assert batch_peak(bidirectional=True) < 10.0
 
 
 def test_infer_xi_constant_half_lands_on_mu():
