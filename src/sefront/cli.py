@@ -216,11 +216,12 @@ def cmd_mix(args) -> int:
         manifest = corpus.load_manifest(_require_file(args.manifest, "manifest"))
         if not manifest.entries:
             raise ValueError(f"manifest {args.manifest} has no entries")
+        length = functools.cache(corpus.wav_length)  # each distinct file read once
         for e in manifest.entries:
             clean = _require_file(e.clean_path, "clean file")
             noise = _require_file(e.noise_path, "noise file")
-            corpus.check_section(noise.name, corpus.wav_length(noise),
-                                 clean.name, corpus.wav_length(clean), e.noise_offset)
+            corpus.check_section(noise.name, length(noise),
+                                 clean.name, length(clean), e.noise_offset)
     else:
         if args.clean is None or args.noise is None:
             raise UsageError("mix needs either --manifest or --clean/--noise dirs")

@@ -10,8 +10,6 @@ given xi, and takes a spectrogram in place of the waveform.  The
 recursion runs an unchecked gain kernel per frame and enhance checks the
 MMSE-STSA inputs once per call.  Given xi, only MMSE-STSA reads gamma,
 so only it tracks the noise; Wiener and SRWF gains come from xi alone.
-Past the power and noise track, enhance allocates only the gains and
-G Z, and frees power and track before resynthesis.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct
 
+from . import _scipy
 from .corpus import _fmt_snr
 from .dsp import SAMPLE_RATE, SpectroGram, _samples
 
@@ -69,7 +69,7 @@ def mfcc(spec: SpectroGram) -> np.ndarray:
     fb = mel_filterbank(spec.config.n_bins)
     energies = (spec.magnitude**2) @ fb.T
     logs = np.log(np.maximum(energies, LOG_FLOOR))
-    return dct(logs, type=2, norm="ortho", axis=1)
+    return _scipy.dct(logs, type=2, norm="ortho", axis=1)
 
 
 _KEEP = "'"

@@ -15,7 +15,8 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy.special import i0e, i1e
+
+from . import _scipy
 
 
 class GainRule(Enum):
@@ -40,7 +41,7 @@ def _mmse_stsa(xi, gamma) -> np.ndarray:
     nu = xi * gamma / (1.0 + xi)
     half = 0.5 * nu
     return (0.5 * np.sqrt(np.pi)) * (np.sqrt(nu) / gamma) * (
-        (1.0 + nu) * i0e(half) + nu * i1e(half))
+        (1.0 + nu) * _scipy.i0e(half) + nu * _scipy.i1e(half))
 
 
 def gain_mmse_stsa(xi, gamma) -> np.ndarray:

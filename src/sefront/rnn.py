@@ -6,19 +6,15 @@ blocks, and a sigmoid dense output layer.  Each block adds its cell
 output to the block input; bidirectional blocks add both directions.
 The backward pass is full backpropagation through time, written against
 the same caches the forward pass produces, so finite differences can
-check every parameter.  It consumes those caches as it goes, in place
-where it can, so a step on lists peaks at the forward cache plus the
-predictions and targets: 5.6 packed (frames x 257) float64 arrays for
-the default UNI network on ten sequences of 100-300 frames, 8.1 for BI.
+check every parameter; it consumes them as it goes, in place where it can.
 
 A batch is a list of (frames, bins) sequences of unequal length.  It
 runs packed, time-major: sequences are ordered by length, longest first,
 and step t holds only the sequences still active at frame t, which are a
 prefix of that order.  Training builds its batch in that order once, as
 a PackedBatch whose inputs backward reads in place and whose targets it
-takes over for the output-layer gradient, so the batch is held once: a
-whole training batch, made and stepped, peaks at 6.6 such arrays (UNI)
-and 9.1 (BI).  Every layer computes on the frames that exist and
+takes over for the output-layer gradient, so the batch is held once.
+Every layer computes on the frames that exist and
 nothing else.  The backward direction of a bidirectional block walks the
 same steps in reverse, each sequence starting from zero state at its last
 frame.  Both walks, and BPTT back along them, carry the state in zeroed
@@ -42,7 +38,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
+
+from . import _scipy
 
 LN_EPS = 1e-6
 FORGET_BIAS = 1.0
@@ -206,10 +203,10 @@ def _gate_step(z, c, c_new, tc, h_out) -> None:
     into z, the state after c into c_new (may be c), tanh into tc, h into h_out."""
     c_sz = c.shape[-1]
     z_if = z[..., : 2 * c_sz]
-    expit(z_if, out=z_if)  # input and forget gates
+    _scipy.expit(z_if, out=z_if)  # input and forget gates
     g, o = z[..., 2 * c_sz : 3 * c_sz], z[..., 3 * c_sz :]
     np.tanh(g, out=g)
-    expit(o, out=o)
+    _scipy.expit(o, out=o)
     np.multiply(z[..., c_sz : 2 * c_sz], c, out=c_new)
     c_new += np.multiply(z[..., :c_sz], g, out=tc)
     np.multiply(o, np.tanh(c_new, out=tc), out=h_out)
@@ -362,7 +359,7 @@ def _input_layer(params: NetworkParams, x: np.ndarray):
 def _output_layer(params: NetworkParams, act: np.ndarray) -> np.ndarray:
     pred = act @ params["out.w"]
     pred += params["out.b"]
-    return expit(pred, out=pred)
+    return _scipy.expit(pred, out=pred)
 
 
 def _forward(params: NetworkParams, seqs: list[np.ndarray]):
@@ -485,17 +482,12 @@ def backward(params: NetworkParams, x, target=None):
     and that the inputs are finite, are checked before the forward pass
     runs.
 
-    Given lists, neither x nor target is written to: the step holds the
-    predictions and one packed copy of the targets, and the packed inputs
-    are not held but gathered for the input layer and again for the fc.w
-    gradient.  A PackedBatch is read in place instead, and its targets
-    are taken over (batch.target becomes None) to be written over, so the
-    batch is held once.  One pass over row blocks writes the loss terms
-    into the predictions and the output-layer gradient into the targets'
-    buffer.  Each array is dropped at its last read: the predictions once
-    the loss is taken, that gradient once it reaches the last block, and
-    each block's forward cache once its backpropagation through time has
-    consumed it, writing each cell's gradient over its cached gates.
+    Given lists, neither x nor target is written to, and the packed
+    inputs are gathered for the input layer and again for the fc.w
+    gradient, not held.  A PackedBatch is read in place instead, and its
+    targets are taken over (batch.target becomes None) to be written
+    over, so the batch is held once.  Each array is dropped at its last
+    read.
     """
     batch = x if isinstance(x, PackedBatch) else None
     if batch is not None:
@@ -584,14 +576,18 @@ def load_network(path) -> NetworkParams:
     split = raw.find(marker)
     if split < 0:
         raise ValueError("model file: missing data section")
-    head_lines = raw[:split].decode("utf-8").splitlines()
+    try:
+        head_lines = raw[:split].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"model file: header is not UTF-8: {exc.reason}") from exc
     if not head_lines or head_lines[0] != _MODEL_MAGIC:
         raise ValueError("model file: bad magic")
     fields: dict[str, str] = {}
     shapes: dict[str, tuple[int, ...]] = {}
     for lineno, line in enumerate(head_lines[1:], 2):
         parts = line.split()
-        if len(parts) >= 2 and parts[0] == "tensor" and parts[1] not in shapes:
+        if (len(parts) >= 2 and parts[0] == "tensor" and parts[1] not in shapes
+                and all(d.isdecimal() for d in parts[2:])):
             shapes[parts[1]] = tuple(int(d) for d in parts[2:])
         elif len(parts) == 2 and parts[0] != "tensor":
             fields[parts[0]] = parts[1]
@@ -599,12 +595,12 @@ def load_network(path) -> NetworkParams:
             raise ValueError(f"model file: malformed header line {lineno}: {line!r}")
     try:
         mode = fields["mode"]
-        n_blocks = int(fields["blocks"])
-        cell = int(fields["cell"])
-        input_dim = int(fields["input_dim"])
-        output_dim = int(fields["output_dim"])
+        n_blocks, cell, input_dim, output_dim = (
+            int(fields[key]) for key in ("blocks", "cell", "input_dim", "output_dim"))
     except KeyError as exc:
         raise ValueError(f"model file: missing header field {exc}") from exc
+    except ValueError as exc:  # int() names the text it could not read
+        raise ValueError(f"model file: header sizes must be integers: {exc}") from exc
     if mode not in ("UNI", "BI"):
         raise ValueError(f"model file: mode must be UNI or BI, got {mode}")
     if min(n_blocks, cell, input_dim, output_dim) < 1:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, erfinv
 
+from . import _scipy
 from .corpus import check_corpora, draw_mixtures, mixing_gain, read_recording
 from .dsp import DEFAULT_CONFIG, frame_count, stft
 
@@ -71,6 +71,8 @@ class XiStats:
             raise ValueError("stats must be finite")
         if np.any(self.sigma_db <= 0):
             raise ValueError("sigma must be strictly positive")
+        if self.n_frames < 0:
+            raise ValueError(f"frame count must not be negative, got {self.n_frames}")
 
     @property
     def n_bins(self) -> int:
@@ -88,7 +90,7 @@ def map_xi(xi_db, stats: XiStats) -> np.ndarray:
     if xi_db.shape[-1] != stats.n_bins:
         raise ValueError("last axis must match the stats bin count")
     z = (xi_db - stats.mu_db) / (stats.sigma_db * _SQRT2)
-    return 0.5 * (1.0 + erf(z))
+    return 0.5 * (1.0 + _scipy.erf(z))
 
 
 def unmap_xi(bar_xi, stats: XiStats) -> np.ndarray:
@@ -102,7 +104,7 @@ def unmap_xi(bar_xi, stats: XiStats) -> np.ndarray:
     if bar.shape[-1] != stats.n_bins:
         raise ValueError("last axis must match the stats bin count")
     bar = np.clip(bar, MAP_CLAMP, 1.0 - MAP_CLAMP)
-    xi_db = stats.sigma_db * _SQRT2 * erfinv(2.0 * bar - 1.0) + stats.mu_db
+    xi_db = stats.sigma_db * _SQRT2 * _scipy.erfinv(2.0 * bar - 1.0) + stats.mu_db
     return db_to_xi(xi_db)
 
 
@@ -159,13 +161,8 @@ def estimate_stats(
     invariant to the order the recordings are passed in.  Clean cells
     with zero magnitude enter the pool at the -120 dB floor.
 
-    A recording is a WAV path or an in-memory signal.  Every length is
-    checked first; the digests then read one recording at a time, and the
-    schedule reads each clean recording and only the noise section it
-    mixes.  The pool is one (frames x bins) array, sized from the clean
-    lengths; each recording's xi_dB rows are written straight into it and
-    the stats are reduced in place, so the peak is about one pool plus
-    one recording's spectra.
+    A recording is a WAV path or an in-memory signal; every length is
+    checked before any samples are read.
     """
     clean = list(clean_signals)
     noise = list(noise_signals)
@@ -204,16 +201,19 @@ def save_stats(stats: XiStats, path) -> None:
 
 
 def load_stats(path) -> XiStats:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 3:
-        raise ValueError(f"stats file: expected 3 lines, got {len(lines)}")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != _STATS_MAGIC:
-        raise ValueError("stats file: bad header")
-    n_bins, n_frames = int(head[1]), int(head[2])
-    mu = np.array([float(v) for v in lines[1].split()])
-    sigma = np.array([float(v) for v in lines[2].split()])
-    if mu.size != n_bins or sigma.size != n_bins:
-        raise ValueError(f"stats file: expected {n_bins} values per row")
-    return XiStats(mu, sigma, n_frames)
+    raw = Path(path).read_bytes()
+    try:
+        lines = [ln for ln in raw.decode("utf-8").splitlines() if ln.strip()]
+        if len(lines) != 3:
+            raise ValueError(f"expected 3 lines, got {len(lines)}")
+        head = lines[0].split()
+        if len(head) != 3 or head[0] != _STATS_MAGIC:
+            raise ValueError("bad header")
+        n_bins, n_frames = int(head[1]), int(head[2])
+        mu = np.array([float(v) for v in lines[1].split()])
+        sigma = np.array([float(v) for v in lines[2].split()])
+        if mu.size != n_bins or sigma.size != n_bins:
+            raise ValueError(f"expected {n_bins} values per row")
+        return XiStats(mu, sigma, n_frames)
+    except ValueError as exc:  # UnicodeDecodeError too
+        raise ValueError(f"stats file: {exc}") from exc

@@ -1332,3 +1332,56 @@ def test_enhance_tracks_the_noise_only_where_gamma_is_read(noisy_file, tmp_path,
     assert run("enhance", "--in", p, "--out", tmp_path / "o.wav", "--gain", gain,
                "--estimator", estimator, *refs[estimator]) == 0
     assert len(calls) == (1 if estimator == "dd" or gain == "mmse-stsa" else 0)
+
+
+def test_mix_replay_reads_each_file_length_once(wav_corpus, tmp_path, capsys, monkeypatch):
+    clean_dir, noise_dir = wav_corpus
+    clean = sorted(clean_dir.glob("*.wav"))[0]
+    noise = sorted(noise_dir.glob("*.wav"))[0]
+    calls = []
+    wav_length = cli.corpus.wav_length
+
+    def counted(path):
+        calls.append(Path(path))
+        return wav_length(path)
+
+    monkeypatch.setattr(cli.corpus, "wav_length", counted)
+    lines = [f"{clean}\t{noise}\t5\t{i * SR // 3}\tout{i}.wav" for i in range(6)]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    assert run("mix", "--manifest", manifest, "--out-dir", tmp_path / "out") == 0
+    assert sorted(calls) == sorted([clean, noise])
+    # the first entry that overruns its noise is still the one reported
+    calls.clear()
+    lines[4] = f"{clean}\t{noise}\t5\t{2 * SR + 1}\tout4.wav"
+    lines[5] = f"{clean}\t{noise}\t5\t{3 * SR}\tout5.wav"
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("mix", "--manifest", manifest, "--out-dir", tmp_path / "failed") == 2
+    assert capsys.readouterr().err == (
+        f"error: {noise.name}: shorter than {clean.name} from offset {2 * SR + 1} "
+        f"({3 * SR} < {3 * SR + 1} samples)\n")
+    assert sorted(calls) == sorted([clean, noise])
+    assert not (tmp_path / "failed").exists()
+
+
+@pytest.mark.parametrize("kind, old, new, message", [
+    ("stats", b" 257 ", b" x ", "stats file: invalid literal for int() with base 10: 'x'"),
+    ("stats", b" 257 0\n", b" 257 -5\n",
+     "stats file: frame count must not be negative, got -5"),
+    ("model", b"\nblocks 1\n", b"\nblocks x\n", "model file: header sizes must be "
+                                                 "integers: invalid literal for int() with "
+                                                 "base 10: 'x'"),
+])
+def test_a_malformed_stats_or_model_file_is_one_line_naming_it(noisy_file, tmp_path, capsys,
+                                                                kind, old, new, message):
+    p, _ = noisy_file
+    files = {"stats": tmp_path / "stats.txt", "model": tmp_path / "net.bin"}
+    save_stats(XiStats(np.zeros(257), np.ones(257)), files["stats"])
+    save_network(init_network(cell_size=4, n_blocks=1), files["model"])
+    files[kind].write_bytes(files[kind].read_bytes().replace(old, new, 1))
+    out = tmp_path / "o.wav"
+    assert run("enhance", "--in", p, "--out", out, "--estimator", "neural",
+               "--model", files["model"], "--stats", files["stats"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

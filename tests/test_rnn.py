@@ -667,6 +667,26 @@ def test_load_rejects_blank_header_line(tmp_path):
         load_network(bad)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (b"\nblocks 2\n", b"\nblocks x\n",
+     r"^model file: header sizes must be integers: invalid literal for int\(\) with "
+     r"base 10: 'x'$"),
+    (b"tensor fc.w 9 8\n", b"tensor fc.w 9 q\n",
+     r"^model file: malformed header line 7: 'tensor fc\.w 9 q'$"),
+    (b"tensor fc.w 9 8\n", b"tensor fc.w +9 8\n",
+     r"^model file: malformed header line 7: 'tensor fc\.w \+9 8'$"),
+    (b"\nmode UNI\n", b"\nmode \xffUNI\n",
+     r"^model file: header is not UTF-8: invalid start byte$"),
+])
+def test_load_names_the_model_file_in_every_rejection(tmp_path, old, new, message):
+    good = tmp_path / "good.bin"
+    save_network(tiny(), good)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(good.read_bytes().replace(old, new, 1))
+    with pytest.raises(ValueError, match=message):
+        load_network(bad)
+
+
 def test_load_rejects_tensor_shape_mismatch(tmp_path):
     good = tmp_path / "good.bin"
     save_network(tiny(cell=8, dim=9), good)

@@ -300,6 +300,26 @@ def test_stats_file_errors(tmp_path):
         load_stats(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"xistats-v1 x 1\n0\n1\n", r"invalid literal for int\(\) with base 10: 'x'"),
+    (b"xistats-v1 1 1.5\n0\n1\n", r"invalid literal for int\(\) with base 10: '1\.5'"),
+    (b"xistats-v1 1 1\nabc\n1\n", r"could not convert string to float: 'abc'"),
+    (b"xistats-v1 1 -5\n0\n1\n", r"frame count must not be negative, got -5"),
+    (b"xistats-v1 1 1\n0\n1e999\n", r"stats must be finite"),
+    (b"xistats-v1 1 1\n0\n\xff\n", r"'utf-8' codec can't decode byte 0xff .*"),
+])
+def test_load_stats_names_the_stats_file_in_every_rejection(tmp_path, text, message):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(text)
+    with pytest.raises(ValueError, match=f"^stats file: {message}$"):
+        load_stats(p)
+
+
+def test_stats_refuse_a_negative_frame_count():
+    with pytest.raises(ValueError, match="^frame count must not be negative, got -1$"):
+        XiStats(np.zeros(2), np.ones(2), n_frames=-1)
+
+
 def test_oracle_xi_through_stft_pipeline():
     # scaling the noise by 10 shifts xi by -20 dB in every live cell
     rng = np.random.default_rng(13)
