@@ -53,8 +53,12 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file is not UTF-8: {path}: {exc.reason}") from exc
     out = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -339,10 +339,12 @@ def save_manifest(manifest: Manifest, path) -> None:
 
 
 def load_manifest(path) -> Manifest:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"manifest is not UTF-8: {path}: {exc.reason}") from exc
     entries = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -11,10 +11,11 @@ check every parameter; it consumes them as it goes, in place where it can.
 A batch is a list of (frames, bins) sequences of unequal length.  It
 runs packed, time-major: sequences are ordered by length, longest first,
 and step t holds only the sequences still active at frame t, which are a
-prefix of that order.  Training builds its batch in that order once, as
-a PackedBatch whose inputs backward reads in place and whose targets it
-takes over for the output-layer gradient, so the batch is held once.
-Every layer computes on the frames that exist and
+prefix of that order.  backward takes one PackedBatch: training builds
+it in that order once, and backward reads its inputs in place and takes
+its targets over for the output-layer gradient, so the batch is held
+once; lists are laid into one, and their inputs are laid out again for
+the fc.w gradient.  Every layer computes on the frames that exist and
 nothing else.  The backward direction of a bidirectional block walks the
 same steps in reverse, each sequence starting from zero state at its last
 frame.  Both walks, and BPTT back along them, carry the state in zeroed
@@ -142,18 +143,6 @@ def _pack(lengths: np.ndarray):
     return order[rank], times, list(zip(starts.tolist(), counts.tolist()))
 
 
-def _layout(lengths: np.ndarray):
-    """(steps, index, where) of the packed layout of sequences of these
-    lengths: _pack's steps, and the maps between packed frames and the
-    frames of the sequences laid end to end, packed frame k being frame
-    index[k] of that concatenation and its frame j packed frame where[j]."""
-    rows, times, steps = _pack(lengths)
-    index = (np.cumsum(lengths) - lengths)[rows] + times
-    where = np.empty_like(index)
-    where[index] = np.arange(index.size)
-    return steps, index, where
-
-
 class PackedBatch:
     """A training batch laid out once in packed order, for backward.
 
@@ -171,8 +160,11 @@ class PackedBatch:
             raise ValueError("need at least one sequence")
         if self.lengths.min() < 1:
             raise ValueError("every sequence needs at least one frame")
-        self.steps, _, self.where = _layout(self.lengths)
+        rows, times, self.steps = _pack(self.lengths)
         self._starts = np.cumsum(self.lengths) - self.lengths
+        # where[j]: the packed row of frame j of the sequences laid end to end
+        self.where = np.empty_like(times)
+        self.where[self._starts[rows] + times] = np.arange(times.size)
         self._missing = set(range(self.lengths.size))
         self.x = np.empty((self.where.size, input_dim))
         self.target = np.empty((self.where.size, output_dim))
@@ -334,17 +326,13 @@ def _gather(seqs: list[np.ndarray], where: np.ndarray, width: int) -> np.ndarray
     return out
 
 
-def _check_input(params: NetworkParams, seqs: list[np.ndarray]) -> None:
-    if not seqs:
-        raise ValueError("need at least one sequence")
-    for s in seqs:
-        if s.ndim != 2 or s.shape[1] != params.input_dim:
-            raise ValueError(
-                f"input: expected (frames x {params.input_dim}), got {s.shape}"
-            )
-    if any(s.shape[0] < 1 for s in seqs):
+def _check_input(params: NetworkParams, x: np.ndarray) -> None:
+    """forward's input, or a batch's packed x: (frames, input bins), finite."""
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"input: expected (frames x {params.input_dim}), got {x.shape}")
+    if x.shape[0] < 1:
         raise ValueError("every sequence needs at least one frame")
-    if not all(np.isfinite(s).all() for s in seqs):
+    if not np.isfinite(x).all():
         raise ValueError("network input must be finite")
 
 
@@ -362,19 +350,9 @@ def _output_layer(params: NetworkParams, act: np.ndarray) -> np.ndarray:
     return _scipy.expit(pred, out=pred)
 
 
-def _forward(params: NetworkParams, seqs: list[np.ndarray]):
-    """Packed outputs (N, K) of every frame of the sequences, and the cache."""
-    _check_input(params, seqs)
-    steps, index, where = _layout(np.array([len(s) for s in seqs], dtype=np.int64))
-    pred, cache = _run(params, _gather(seqs, where, params.input_dim), steps)
-    cache.update(index=index, where=where)
-    return pred, cache
-
-
-def _run(params: NetworkParams, x: np.ndarray, steps):
-    """Outputs (N, K) of packed frames x (N, D) walked by steps, and the cache."""
-    act, ln_cache = _input_layer(params, x)
-    del x  # inputs gathered for this call are freed here
+def _run(params: NetworkParams, act: np.ndarray, steps):
+    """Outputs (N, K) of the blocks and output layer on the input layer's
+    packed activations act (N, C) walked by steps, and the cache."""
     act0 = act
 
     block_caches = []
@@ -390,7 +368,7 @@ def _run(params: NetworkParams, x: np.ndarray, steps):
         block_caches.append(caches)
         act = nxt
 
-    cache = {"ln": ln_cache, "act0": act0, "blocks": block_caches, "final_act": act}
+    cache = {"act0": act0, "blocks": block_caches, "final_act": act}
     return _output_layer(params, act), cache
 
 
@@ -400,11 +378,11 @@ def forward(params: NetworkParams, mag) -> np.ndarray:
 
     The sequence runs unpacked, one row per step, and keeps no cache.  A
     bidirectional block adds its backward cell's run over the reversed
-    frames after its forward cell's, the order _forward adds them in, so
-    the bits are those of _forward on the one sequence.
+    frames after its forward cell's, the order the packed path adds them
+    in, so the bits are those of backward's forward pass on the one sequence.
     """
     x = np.ascontiguousarray(mag, dtype=np.float64)
-    _check_input(params, [x])
+    _check_input(params, x)
     act = _input_layer(params, x)[0]
     for i in range(params.n_blocks):
         nxt = act + _lstm_rows(*_cell(params, i, "fwd"), act)
@@ -482,28 +460,18 @@ def backward(params: NetworkParams, x, target=None):
     and that the inputs are finite, are checked before the forward pass
     runs.
 
-    Given lists, neither x nor target is written to, and the packed
-    inputs are gathered for the input layer and again for the fc.w
-    gradient, not held.  A PackedBatch is read in place instead, and its
+    Lists are laid into a PackedBatch, a put per sequence and target, so
+    neither x nor target is written to; its packed inputs are dropped
+    after the input layer and laid out again for the fc.w gradient, not
+    held.  A PackedBatch passed in is read in place instead, and its
     targets are taken over (batch.target becomes None) to be written
     over, so the batch is held once.  Each array is dropped at its last
     read.
     """
-    batch = x if isinstance(x, PackedBatch) else None
-    if batch is not None:
+    if isinstance(x, PackedBatch):
         if target is not None:
             raise TypeError("a PackedBatch holds its own targets")
-        if batch.target is None:
-            raise ValueError("the batch's targets were taken by an earlier backward")
-        if batch._missing:
-            raise ValueError(f"sequence {min(batch._missing)} of the batch was never put")
-        if batch.target.shape[1] != params.output_dim:
-            raise ValueError("target shape must match the prediction")
-        _check_input(params, [batch.x])
-        _check_targets(batch.target)
-        pred, cache = _run(params, batch.x, batch.steps)
-        # the batch's targets are taken over: the only reference is dlogits
-        dlogits, batch.target = batch.target, None
+        batch, seqs = x, None
     else:
         if target is None:
             raise TypeError("backward needs targets beside a list of sequences")
@@ -512,10 +480,25 @@ def backward(params: NetworkParams, x, target=None):
             raise ValueError(f"{len(seqs)} sequences but {len(targets)} targets")
         if any(t.shape != s.shape[:1] + (params.output_dim,) for s, t in zip(seqs, targets)):
             raise ValueError("target shape must match the prediction")
-        for t in targets:
-            _check_targets(t)
-        pred, cache = _forward(params, seqs)
-        dlogits = _gather(targets, cache["where"], params.output_dim)
+        # a target is (frames, K), or (K,) beside a 0-d input that put rejects
+        batch = PackedBatch([len(t) for t in targets], params.input_dim, params.output_dim)
+        for j, pair in enumerate(zip(seqs, targets)):
+            batch.put(j, *pair)
+    if batch.target is None:
+        raise ValueError("the batch's targets were taken by an earlier backward")
+    if batch._missing:
+        raise ValueError(f"sequence {min(batch._missing)} of the batch was never put")
+    if batch.target.shape[1] != params.output_dim:
+        raise ValueError("target shape must match the prediction")
+    _check_input(params, batch.x)
+    _check_targets(batch.target)
+    act, ln_cache = _input_layer(params, batch.x)
+    if seqs is not None:
+        batch.x = None  # laid out again for the fc.w gradient, not held
+    pred, cache = _run(params, act, batch.steps)
+    del act  # cache["act0"] holds it until its last read
+    # the batch's targets are taken over: the only reference is dlogits
+    dlogits, batch.target = batch.target, None
     # the targets' buffer takes the logits' gradient, and pred's the loss terms
     _cross_entropy(pred, dlogits, pred, grad=dlogits)
     loss = float(np.mean(pred))
@@ -538,11 +521,10 @@ def backward(params: NetworkParams, x, target=None):
         da = da_next
 
     dy0 = da * (cache.pop("act0") > 0.0)
-    dz0, dgain, doffset = _layer_norm_backprop(dy0, params["ln.gain"], cache["ln"])
+    dz0, dgain, doffset = _layer_norm_backprop(dy0, params["ln.gain"], ln_cache)
     grads["ln.gain"] = dgain
     grads["ln.offset"] = doffset
-    # list inputs are gathered again rather than held through the step
-    inputs = batch.x if batch is not None else _gather(seqs, cache["where"], params.input_dim)
+    inputs = batch.x if seqs is None else _gather(seqs, batch.where, params.input_dim)
     grads["fc.w"] = inputs.T @ dz0
     grads["fc.b"] = dz0.sum(axis=0)
     return loss, grads

@@ -957,6 +957,31 @@ def test_config_missing_file_is_usage_error(noisy_file, tmp_path):
                "--out", tmp_path / "x.wav") == 1
 
 
+def test_config_not_utf8_is_a_usage_error_naming_the_file(noisy_file, tmp_path, capsys):
+    p, _ = noisy_file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"unity-gain=true\n\xff\n")
+    assert run("--config", cfg, "enhance", "--in", p, "--out", tmp_path / "x.wav") == 1
+    assert capsys.readouterr().err == (
+        f"usage error: config file is not UTF-8: {cfg}: invalid start byte\n")
+    assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.mark.parametrize("command", ["mix", "wer"])
+def test_manifest_not_utf8_is_a_data_error_naming_the_file(tmp_path, capsys, command):
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_bytes(b"a.wav\tb.wav\t5\t0\t\xff.wav\n")
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "hyp").mkdir()
+    args = {"mix": ["--out-dir", tmp_path / "noisy"],
+            "wer": ["--ref", tmp_path / "ref", "--hyp", tmp_path / "hyp",
+                    "--out", tmp_path / "s.csv"]}[command]
+    assert run(command, "--manifest", manifest, *args) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest is not UTF-8: {manifest}: invalid start byte\n")
+    assert not (tmp_path / "noisy").exists()
+
+
 def test_config_without_value_is_usage_error(capsys):
     assert run("--config") == 1
     err = capsys.readouterr().err

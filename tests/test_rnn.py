@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import save_network_with
+from sefront import _scipy
 from sefront.rnn import (
     PackedBatch,
     backward,
@@ -15,7 +16,7 @@ from sefront.rnn import (
     loss_cross_entropy,
     save_network,
 )
-from sefront.rnn import _forward, _lstm_rows, _lstm_run, _pack, _tensor_shapes
+from sefront.rnn import _input_layer, _lstm_rows, _lstm_run, _pack, _run, _tensor_shapes
 
 
 def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
@@ -185,23 +186,36 @@ def test_backward_rejects_bad_batches():
 def test_backward_checks_targets_before_the_forward_pass(monkeypatch):
     rnn = importlib.import_module("sefront.rnn")
     calls = []
-    real_forward = rnn._forward
+    real_run = rnn._run
 
-    def counting_forward(*args):
+    def counting_run(*args):
         calls.append(1)
-        return real_forward(*args)
+        return real_run(*args)
 
-    monkeypatch.setattr(rnn, "_forward", counting_forward)
+    monkeypatch.setattr(rnn, "_run", counting_run)
     rng = np.random.default_rng(4)
     p = tiny()
     xs = [rng.uniform(0, 2, (n, 9)) for n in (4, 2, 3)]
     ts = [rng.uniform(0.1, 0.9, (n, 9)) for n in (4, 2, 3)]
-    with pytest.raises(ValueError, match="3 sequences but 2 targets"):
-        backward(p, xs, ts[:2])
-    with pytest.raises(ValueError, match="target shape"):
-        backward(p, xs, ts[:2] + [ts[2][:2]])
-    with pytest.raises(ValueError, match="target shape"):
-        backward(p, xs, ts[:2] + [ts[2][:, :8]])
+    half = np.full((9, 9), 0.5)
+    # every malformed list batch is a ValueError, the last element bad
+    for x2, t2, match in (
+            (xs[2], None, "3 sequences but 2 targets"),
+            (xs[2], ts[2][:2], "target shape"),
+            (xs[2], ts[2][:, :8], "target shape"),
+            (np.array(1.0), ts[2], "target shape"),  # 0-d
+            (np.array(1.0), half[0], r"input 2: expected \(9 x 9\), got \(\)"),
+            (xs[2][0], ts[2], "target shape"),  # 1-D
+            (xs[2][0], half, r"input 2: expected \(9 x 9\), got \(9,\)"),
+            (xs[2][None], ts[2][:1], r"input 2: expected \(1 x 9\), got \(1, 3, 9\)"),
+            (xs[2][:, :8], ts[2], r"input 2: expected \(3 x 9\), got \(3, 8\)"),
+            (np.ones((0, 9)), np.ones((0, 9)), "at least one frame")):
+        with pytest.raises(ValueError, match=match):
+            backward(p, xs[:2] + [x2], ts[:2] + ([] if t2 is None else [t2]))
+    with pytest.raises(ValueError, match="at least one sequence"):
+        backward(p, [], [])
+    with pytest.raises(TypeError, match="needs targets"):
+        backward(p, xs)
     assert calls == []
     backward(p, xs, ts)
     assert calls == [1]
@@ -316,9 +330,8 @@ def test_backward_loss_is_the_loss_of_the_packed_prediction(bidirectional):
     xs = [rng.uniform(0, 2, (n, 9)) for n in lengths]
     ts = [rng.uniform(0, 1, (n, 9)) for n in lengths]
     ts[0][::3] = 1.0
-    pred, cache = _forward(p, xs)
-    packed_targets = np.concatenate(ts)[cache["index"]]
-    assert backward(p, xs, ts)[0] == loss_cross_entropy(pred, packed_targets)
+    pred, batch = packed_forward(p, xs, ts)
+    assert backward(p, xs, ts)[0] == loss_cross_entropy(pred, batch.target)
 
 
 def backward_peak(bidirectional: bool) -> float:
@@ -330,6 +343,7 @@ def backward_peak(bidirectional: bool) -> float:
     xs = [rng.uniform(0, 2, (n, 257)) for n in lengths]
     ts = [rng.uniform(0.1, 0.9, (n, 257)) for n in lengths]
     params = init_network(seed=1, bidirectional=bidirectional)
+    _scipy.expit  # imported here, so the peak holds no import
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -412,12 +426,12 @@ def test_gradient_spot_check(bidirectional):
 )
 def test_forward_equals_the_packed_forward_bit_for_bit(bidirectional, blocks, cell,
                                                         frames, dim, seed):
-    # forward runs the directions in lockstep, _forward packs and walks each
-    # direction alone; both must give the same bits
+    # forward runs the directions in lockstep, backward's forward pass packs
+    # and walks each direction alone; both must give the same bits
     p = tiny(seed=seed % 1000, bidirectional=bidirectional, cell=cell, blocks=blocks,
              dim=dim)
     x = np.random.default_rng(seed).uniform(0, 3, (frames, dim))
-    assert forward(p, x).tobytes() == _forward(p, [x])[0].tobytes()
+    assert forward(p, x).tobytes() == packed_forward(p, [x])[0].tobytes()
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
@@ -428,7 +442,7 @@ def test_forward_equals_the_packed_forward_at_the_cli_dims(bidirectional, frames
     # product over the reversed rows
     p = init_network(seed=5, bidirectional=bidirectional)
     x = np.random.default_rng(frames).uniform(0, 3, (frames, 257))
-    assert forward(p, x).tobytes() == _forward(p, [x])[0].tobytes()
+    assert forward(p, x).tobytes() == packed_forward(p, [x])[0].tobytes()
 
 
 def packed_batches(test):
@@ -453,10 +467,9 @@ def sequence_batch(lengths, seed):
 def test_batch_equals_individual_sequences(lengths, bidirectional, seed):
     p = tiny(seed=13, bidirectional=bidirectional)
     xs, _ = sequence_batch(lengths, seed)
-    pred, cache = _forward(p, xs)
+    pred, batch = packed_forward(p, xs)
     # the packed frames, put back in the order of the concatenated inputs
-    y = np.empty_like(pred)
-    y[cache["index"]] = pred
+    y = pred[batch.where]
     for x, y_seq in zip(xs, np.split(y, np.cumsum(lengths)[:-1])):
         np.testing.assert_allclose(y_seq, forward(p, x), atol=1e-12)
 
@@ -500,6 +513,14 @@ def packed(lengths, xs, ts) -> PackedBatch:
     return batch
 
 
+def packed_forward(p, xs, ts=None):
+    """backward's forward pass on the sequences xs: the packed outputs, and
+    the batch that laid xs and ts (zeros by default) out."""
+    ts = [np.zeros((len(x), p.output_dim)) for x in xs] if ts is None else ts
+    batch = packed([len(x) for x in xs], xs, ts)
+    return _run(p, _input_layer(p, batch.x)[0], batch.steps)[0], batch
+
+
 @packed_batches
 @example(lengths=[1, 1, 1], bidirectional=True, seed=0)
 @example(lengths=[1], bidirectional=False, seed=1)
@@ -529,9 +550,11 @@ def test_packed_batch_puts_each_sequence_in_its_packed_rows():
     lengths = [2, 3, 1]
     xs, ts = sequence_batch(lengths, 6)
     batch = packed(lengths, xs, ts)
-    pred, cache = _forward(tiny(), xs)
-    np.testing.assert_array_equal(batch.x, np.concatenate(xs)[cache["index"]])
-    np.testing.assert_array_equal(batch.target, np.concatenate(ts)[cache["index"]])
+    rows, times, steps = _pack(np.array(lengths))
+    assert batch.steps == steps
+    np.testing.assert_array_equal(batch.x, [xs[r][t] for r, t in zip(rows, times)])
+    np.testing.assert_array_equal(batch.target, [ts[r][t] for r, t in zip(rows, times)])
+    np.testing.assert_array_equal(batch.x[batch.where], np.concatenate(xs))
     with pytest.raises(ValueError, match=r"input 1: expected \(3 x 9\), got \(2, 9\)"):
         batch.put(1, xs[0], ts[0])
     with pytest.raises(ValueError, match=r"target 2: expected \(1 x 9\), got \(1, 8\)"):
