@@ -155,8 +155,9 @@ def cmd_train(args) -> int:
     stats = snr.load_stats(_require_file(args.stats, "stats file"))
     clean = corpus.wav_files(clean_dir)
     noise = corpus.wav_files(noise_dir)
+    # float64 init draws, narrowed: the network trains in float32, as the model file holds it
     params = rnn.init_network(seed=args.seed, cell_size=args.cell, n_blocks=args.blocks,
-                              bidirectional=args.bidirectional)
+                              bidirectional=args.bidirectional).astype(np.float32)
     params, history = run_training(params, clean, noise, stats, cfg)
     with _removed_on_failure() as written:
         rnn.save_network(params, args.out)
@@ -201,7 +202,7 @@ def cmd_enhance(args) -> int:
     else:
         xi = None
         if args.estimator == "neural":
-            params = rnn.load_network(_require_file(args.model, "model file"))
+            params = rnn.load_network(_require_file(args.model, "model file")).astype(np.float32)
             stats = snr.load_stats(_require_file(args.stats, "stats file"))
             xi = infer_xi(params, spec, stats)
         elif args.estimator == "oracle":

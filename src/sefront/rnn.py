@@ -30,8 +30,10 @@ dense, layer-norm and output layers and the one gate step, _gate_step.
 The network is a NetworkParams, the ordered mapping of its named
 tensors (params["block0.fwd.w_x"] and so on) in the one layout
 _tensor_shapes states; gradients, Adam and the model file share those
-names.  Everything is float64 in memory; the file format stores
-little-endian float32 tensors after a short text header.
+names.  The network computes in its params' dtype, every buffer and
+forward's input in it, the loss alone summed in float64; the CLI runs
+float32.  The file format stores little-endian float32 tensors after a
+short text header, and load_network widens them to float64.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ class NetworkParams(dict):
     @property
     def mode(self) -> str:
         return "BI" if self.bidirectional else "UNI"
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self["fc.w"].dtype
+
+    def astype(self, dtype) -> NetworkParams:
+        return NetworkParams((name, arr.astype(dtype)) for name, arr in self.items())
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Named parameter tensors in a fixed serialisation order."""
@@ -146,15 +155,16 @@ def _pack(lengths: np.ndarray):
 class PackedBatch:
     """A training batch laid out once in packed order, for backward.
 
-    x (N, input bins) and target (N, output bins) hold every frame of
-    every sequence at its packed row; put(j, x_j, target_j) writes the
-    frames of sequence j there, and every sequence must be put before
-    backward runs.  backward reads x in place and takes target over: it
-    sets target to None, writes the logits' gradient over that buffer and
-    drops it, so the caller must keep no other reference to it.
+    x (N, input bins) and target (N, output bins), in dtype (the params'),
+    hold every frame of every sequence at its packed row; put(j, x_j,
+    target_j) writes the frames of sequence j there, and every sequence
+    must be put before backward runs.  backward reads x in place and takes
+    target over: it sets target to None, writes the logits' gradient over
+    that buffer and drops it, so the caller must keep no other reference
+    to it.
     """
 
-    def __init__(self, lengths, input_dim: int, output_dim: int):
+    def __init__(self, lengths, input_dim: int, output_dim: int, dtype=np.float64):
         self.lengths = np.asarray(lengths, dtype=np.int64)
         if self.lengths.size == 0:
             raise ValueError("need at least one sequence")
@@ -166,8 +176,8 @@ class PackedBatch:
         self.where = np.empty_like(times)
         self.where[self._starts[rows] + times] = np.arange(times.size)
         self._missing = set(range(self.lengths.size))
-        self.x = np.empty((self.where.size, input_dim))
-        self.target = np.empty((self.where.size, output_dim))
+        self.x = np.empty((self.where.size, input_dim), dtype)
+        self.target = np.empty((self.where.size, output_dim), dtype)
 
     def put(self, j: int, x, target) -> None:
         if not 0 <= j < self.lengths.size:
@@ -183,7 +193,7 @@ class PackedBatch:
 
 def _previous(a: np.ndarray, steps) -> np.ndarray:
     """Each packed frame's row at the step before in the walk; 0 where a row starts."""
-    out, carry = np.empty_like(a), np.zeros((max(n for _, n in steps), a.shape[1]))
+    out, carry = np.empty_like(a), np.zeros((max(n for _, n in steps), a.shape[1]), a.dtype)
     for s, n in steps:
         out[s : s + n] = carry[:n]
         carry[:n] = a[s : s + n]
@@ -212,12 +222,12 @@ def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
     never reads its finished rows again, a growing one finds zeros where it
     starts.  Returns h (N, C) and the cache: x, steps, the gates and cells.
     """
-    c_sz = w_h.shape[0]
+    c_sz, dt = w_h.shape[0], w_h.dtype
     gates = x @ w_x
     gates += b
-    cells, hs = np.empty((len(x), c_sz)), np.empty((len(x), c_sz))
-    h, c, tc = (np.zeros((max(n for _, n in steps), c_sz)) for _ in range(3))
-    hw = np.empty((len(h), _GATES * c_sz))  # h @ w_h
+    cells, hs = np.empty((len(x), c_sz), dt), np.empty((len(x), c_sz), dt)
+    h, c, tc = (np.zeros((max(n for _, n in steps), c_sz), dt) for _ in range(3))
+    hw = np.empty((len(h), _GATES * c_sz), dt)  # h @ w_h
     for s, n in steps:
         z = gates[s : s + n]
         z += np.matmul(h[:n], w_h, out=hw[:n])
@@ -230,11 +240,11 @@ def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
 def _lstm_rows(w_x, w_h, b, x: np.ndarray) -> np.ndarray:
     """Run one cell over the rows of x (T, D), one row per step, with no
     cache.  Returns h (T, C), the bits of _lstm_run on one-row steps."""
-    c_sz = w_h.shape[0]
+    c_sz, dt = w_h.shape[0], w_h.dtype
     gates = x @ w_x
     gates += b
-    hs = np.zeros((len(x) + 1, c_sz))  # row 0: zero state
-    c, tc, hw = np.zeros(c_sz), np.empty(c_sz), np.empty(_GATES * c_sz)
+    hs = np.zeros((len(x) + 1, c_sz), dt)  # row 0: zero state
+    c, tc, hw = np.zeros(c_sz, dt), np.empty(c_sz, dt), np.empty(_GATES * c_sz, dt)
     for z, h, h_out in zip(gates, hs, hs[1:]):
         z += np.matmul(h, w_h, out=hw)
         _gate_step(z, c, c, tc, h_out)
@@ -270,7 +280,7 @@ def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
         gate *= 1.0 - gate  # (1 - x) x: IEEE products commute
         gate *= scale
     # rows a step does not write stay zero: they carry nothing back
-    dh_next, dc_next = (np.zeros((max(n for _, n in steps), c_sz)) for _ in range(2))
+    dh_next, dc_next = (np.zeros((max(n for _, n in steps), c_sz), w_h.dtype) for _ in range(2))
     for s, n in reversed(steps):
         e = s + n
         dh = dh_out[s:e] + dh_next[:n]
@@ -306,19 +316,19 @@ def _layer_norm_backprop(dy, gain, ln_cache):
     return dz, np.sum(dy * xhat, axis=0), np.sum(dy, axis=0)
 
 
-def _sequences(x) -> list[np.ndarray]:
-    """x as a list of float64 sequences; one 2-D array is a single sequence."""
+def _sequences(x, dtype) -> list[np.ndarray]:
+    """x as a list of sequences in dtype; one 2-D array is a single sequence."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = [x]
-    return [np.asarray(s, dtype=np.float64) for s in x]
+    return [np.asarray(s, dtype=dtype) for s in x]
 
 
 def _gather(seqs: list[np.ndarray], where: np.ndarray, width: int) -> np.ndarray:
-    """The frames of seqs in packed order, in one new (N, width) array.
+    """The frames of seqs in packed order, in one new (N, width) array of their dtype.
 
     where[j] is the packed row of frame j of the sequences laid end to end.
     """
-    out = np.empty((where.size, width))
+    out = np.empty((where.size, width), seqs[0].dtype)
     start = 0
     for s in seqs:
         out[where[start : start + len(s)]] = s
@@ -374,14 +384,14 @@ def _run(params: NetworkParams, act: np.ndarray, steps):
 
 def forward(params: NetworkParams, mag) -> np.ndarray:
     """Network output per frame and bin of mag (frames, bins), each value
-    strictly inside (0, 1).
+    strictly inside (0, 1); mag is cast to the params' dtype, the output's.
 
     The sequence runs unpacked, one row per step, and keeps no cache.  A
     bidirectional block adds its backward cell's run over the reversed
     frames after its forward cell's, the order the packed path adds them
     in, so the bits are those of backward's forward pass on the one sequence.
     """
-    x = np.ascontiguousarray(mag, dtype=np.float64)
+    x = np.ascontiguousarray(mag, dtype=params.dtype)
     _check_input(params, x)
     act = _input_layer(params, x)[0]
     for i in range(params.n_blocks):
@@ -455,10 +465,10 @@ def backward(params: NetworkParams, x, target=None):
     list of (frames_i, output bins) targets; one 2-D array each is a
     single sequence.  Or x is a PackedBatch, which holds its targets, and
     target is left out.  Returns (loss, grads) where grads has exactly the
-    keys of params.  The loss is the mean cross-entropy over
-    every frame of every sequence.  The target count, shapes and range,
-    and that the inputs are finite, are checked before the forward pass
-    runs.
+    keys of params, in their dtype, which a batch must have.  The loss is
+    the mean cross-entropy over every frame of every sequence, summed in
+    float64.  The target count, shapes, dtype and range, and that the
+    inputs are finite, are checked before the forward pass runs.
 
     Lists are laid into a PackedBatch, a put per sequence and target, so
     neither x nor target is written to; its packed inputs are dropped
@@ -475,19 +485,22 @@ def backward(params: NetworkParams, x, target=None):
     else:
         if target is None:
             raise TypeError("backward needs targets beside a list of sequences")
-        seqs, targets = _sequences(x), _sequences(target)
+        seqs, targets = _sequences(x, params.dtype), _sequences(target, params.dtype)
         if len(targets) != len(seqs):
             raise ValueError(f"{len(seqs)} sequences but {len(targets)} targets")
         if any(t.shape != s.shape[:1] + (params.output_dim,) for s, t in zip(seqs, targets)):
             raise ValueError("target shape must match the prediction")
         # a target is (frames, K), or (K,) beside a 0-d input that put rejects
-        batch = PackedBatch([len(t) for t in targets], params.input_dim, params.output_dim)
+        batch = PackedBatch([len(t) for t in targets], params.input_dim, params.output_dim,
+                            params.dtype)
         for j, pair in enumerate(zip(seqs, targets)):
             batch.put(j, *pair)
     if batch.target is None:
         raise ValueError("the batch's targets were taken by an earlier backward")
     if batch._missing:
         raise ValueError(f"sequence {min(batch._missing)} of the batch was never put")
+    if batch.target.dtype != params.dtype:
+        raise ValueError(f"a {batch.target.dtype} batch for {params.dtype} params")
     if batch.target.shape[1] != params.output_dim:
         raise ValueError("target shape must match the prediction")
     _check_input(params, batch.x)
@@ -501,7 +514,7 @@ def backward(params: NetworkParams, x, target=None):
     dlogits, batch.target = batch.target, None
     # the targets' buffer takes the logits' gradient, and pred's the loss terms
     _cross_entropy(pred, dlogits, pred, grad=dlogits)
-    loss = float(np.mean(pred))
+    loss = float(np.mean(pred, dtype=np.float64))
     del pred
     grads: dict[str, np.ndarray] = {}
 

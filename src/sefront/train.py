@@ -8,8 +8,9 @@ targets computed from the oracle a priori SNR of that very mixture.  One
 Adam step per batch on globally clipped gradients.  A batch's examples
 are each as long as their own recording; since the drawn lengths are
 known before mixing, the batch is laid out once in rnn's packed order
-(an rnn.PackedBatch), each example written into its rows as it is made,
-and rnn.backward takes it over, so the batch is held once.  Every noise
+(an rnn.PackedBatch, in the params' dtype, as the gradients and Adam's
+state are), each example written into its rows as it is made, and
+rnn.backward takes it over, so the batch is held once.  Every noise
 recording must be at least as long as the longest clean one, which
 train() checks before the first batch.  Recordings are WAV paths or
 in-memory signals.
@@ -139,7 +140,7 @@ def train(
             # every drawn length is known, so each example goes straight
             # into its packed rows as it is made
             batch = PackedBatch([frame_count(lengths[0][i], DEFAULT_CONFIG.frame_shift)
-                                 for i in idx], params.input_dim, params.output_dim)
+                                 for i in idx], params.input_dim, params.output_dim, params.dtype)
             for j, (x, section, snr_db) in enumerate(draw_mixtures(clean, noise, lengths, idx,
                                                                    cfg.snrs, rng)):
                 batch.put(j, *make_example(x, section, snr_db, stats))

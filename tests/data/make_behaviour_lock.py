@@ -15,8 +15,9 @@ noisy input (keys enhance_dd_<rule>, the decision-directed estimator),
 gain_mmse_stsa on a (xi, gamma) grid whose nu = xi gamma / (1 + xi)
 crosses 30 and 700, and unmap_xi on a grid that includes the 1e-7
 clamps.  It also holds the int16 samples that `sefront enhance` writes
-for the oracle estimator and for seeded untrained UNI and BI networks
-under every gain rule (keys cli_<estimator>_<rule>), together with the
+for the oracle estimator and for seeded untrained UNI and BI networks,
+which the CLI runs in float32, under every gain rule (keys
+cli_<estimator>_<rule>), together with the
 bytes of every file those runs read (keys file_<name>).
 
 For the network it holds the float64 rnn.forward output at batch 1 of

@@ -726,6 +726,48 @@ def test_enhance_neural_transforms_the_input_once(wav_corpus, noisy_file, tmp_pa
     assert len(calls) == 1
 
 
+def test_enhance_neural_runs_the_network_in_float32(noisy_file, tmp_path, monkeypatch):
+    p, _ = noisy_file
+    save_network(init_network(seed=3, cell_size=8, n_blocks=1), tmp_path / "net.bin")
+    save_stats(XiStats(np.zeros(257), np.ones(257)), tmp_path / "stats.txt")
+    train_module = importlib.import_module("sefront.train")
+    forward, seen = train_module.forward, []
+
+    def recorded(params, mag):
+        seen.append((params.dtype, forward(params, mag).dtype))
+        return forward(params, mag)
+
+    monkeypatch.setattr(train_module, "forward", recorded)
+    assert run("enhance", "--in", p, "--out", tmp_path / "enh.wav", "--estimator", "neural",
+               "--model", tmp_path / "net.bin", "--stats", tmp_path / "stats.txt") == 0
+    assert seen == [(np.float32, np.float32)]
+
+
+def test_train_runs_float32_and_writes_float64_losses(wav_corpus, tmp_path, monkeypatch):
+    clean_dir, noise_dir = wav_corpus
+    stats, losses = tmp_path / "stats.txt", tmp_path / "loss.csv"
+    run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats)
+    train_module = importlib.import_module("sefront.train")
+    backward, seen = train_module.backward, []
+
+    def recorded(params, batch):
+        seen.append((params.dtype, batch.x.dtype))
+        loss, grads = backward(params, batch)
+        seen.append(type(loss))
+        return loss, grads
+
+    monkeypatch.setattr(train_module, "backward", recorded)
+    assert run("train", "--clean", clean_dir, "--noise", noise_dir, "--stats", stats,
+               "--out", tmp_path / "net.bin", "--loss-csv", losses, "--cell", 8,
+               "--blocks", 1, "--epochs", 1, "--batch", 3) == 0
+    assert seen == [(np.float32, np.float32), float] * 2
+    values = np.array([ln.split(",")[1] for ln in losses.read_text().splitlines()[1:]],
+                      dtype=np.float64)
+    assert values.size == 2 and np.isfinite(values).all()
+    # written with 17 digits: the text holds the float64 sum, not a float32 rounding
+    assert any(v != np.float32(v) for v in values)
+
+
 @pytest.mark.parametrize("estimator", ["dd", "oracle", "neural"])
 def test_enhance_takes_no_phase_and_builds_no_polar_spectrum(noisy_file, tmp_path,
                                                             monkeypatch, estimator):
@@ -760,8 +802,9 @@ def test_enhance_takes_no_phase_and_builds_no_polar_spectrum(noisy_file, tmp_pat
 
 @pytest.mark.filterwarnings("error")
 def test_train_refuses_weights_that_overflow_float32(wav_corpus, tmp_path, capsys):
-    # one batch of all six recordings: its huge step leaves finite float64
-    # weights that are infinite as float32, which no model file can hold
+    # one batch of all six recordings: its huge step overflows the float32
+    # weights in the step itself, and no model file holds a weight that is
+    # not finite
     clean_dir, noise_dir = wav_corpus
     stats = tmp_path / "stats.txt"
     run("stats", "--clean", clean_dir, "--noise", noise_dir, "--out", stats)

@@ -521,6 +521,58 @@ def packed_forward(p, xs, ts=None):
     return _run(p, _input_layer(p, batch.x)[0], batch.steps)[0], batch
 
 
+def cli_batch(seed):
+    """(inputs, targets) of a ragged batch at the CLI dims (257 bins), one
+    sequence a single frame."""
+    rng = np.random.default_rng(seed)
+    lengths = [37, 1, 60, 12, 37]
+    return ([rng.uniform(0, 2, (n, 257)) for n in lengths],
+            [rng.uniform(0.05, 0.95, (n, 257)) for n in lengths])
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_float32_agrees_with_float64_at_the_cli_dims(bidirectional):
+    # the CLI's network (cell 64, 2 blocks) on the same weights: float32
+    # outputs within 1e-6 absolute of float64, each gradient within 1e-6
+    # of its tensor's largest value, and the loss within 1e-6 relative
+    p32 = init_network(seed=6, bidirectional=bidirectional).astype(np.float32)
+    p64 = p32.astype(np.float64)
+    xs, ts = cli_batch(7)
+    for x in xs:
+        np.testing.assert_allclose(forward(p32, x), forward(p64, x), rtol=0, atol=1e-6)
+    loss32, grads32 = backward(p32, xs, ts)
+    loss64, grads64 = backward(p64, xs, ts)
+    assert abs(loss32 - loss64) <= 1e-6 * loss64
+    for name, want in grads64.items():
+        np.testing.assert_allclose(grads32[name], want, rtol=0,
+                                   atol=1e-6 * np.max(np.abs(want)), err_msg=name)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_float32_params_keep_every_array_float32(bidirectional):
+    # a stray float64 buffer upcasts whatever it meets, so every output,
+    # cached array and gradient is checked; the loss is a Python float
+    p = init_network(seed=6, bidirectional=bidirectional).astype(np.float32)
+    assert all(a.dtype == np.float32 for a in p.values())
+    xs, ts = cli_batch(8)
+    assert forward(p, xs[1]).dtype == np.float32
+    batch = PackedBatch([len(x) for x in xs], 257, 257, np.float32)
+    for j, pair in enumerate(zip(xs, ts)):
+        batch.put(j, *pair)
+    assert batch.x.dtype == batch.target.dtype == np.float32
+    pred, cache = _run(p, _input_layer(p, batch.x)[0], batch.steps)
+    cached = [cache["act0"], cache["final_act"]] + [
+        cell[k] for block in cache["blocks"] for cell in block.values()
+        for k in ("x", "gates", "cells")]
+    assert all(a.dtype == np.float32 for a in [pred, *cached])
+    for loss, grads in (backward(p, batch), backward(p, xs, ts)):
+        assert type(loss) is float
+        assert set(grads) == set(p) and all(g.dtype == np.float32 for g in grads.values())
+    # a batch in another dtype than the params' is refused
+    with pytest.raises(ValueError, match="a float64 batch for float32 params"):
+        backward(p, packed([len(x) for x in xs], xs, ts))
+
+
 @packed_batches
 @example(lengths=[1, 1, 1], bidirectional=True, seed=0)
 @example(lengths=[1], bidirectional=False, seed=1)

@@ -211,16 +211,16 @@ def test_train_peak_memory_is_flat_in_the_corpus_size(tmp_path):
     assert peaks[1] < 1.1 * peaks[0]
 
 
-def batch_peak(bidirectional: bool) -> float:
+def batch_peak(bidirectional: bool, dtype=np.float64) -> float:
     """Traced peak of one whole training batch, its examples made and
     packed and its step taken, on a seeded in-memory corpus of 10
-    recordings (1731 frames) with the CLI's network defaults, in units of
-    one packed (frames x 257) float64 array."""
+    recordings (1731 frames) with the CLI's network defaults and params in
+    dtype, in units of one packed (frames x 257) float64 array."""
     rng = np.random.default_rng(23)
     lengths = rng.integers(100, 300, 10) * 256
     clean = [0.3 * rng.standard_normal(n) for n in lengths]
     noise = [0.1 * rng.standard_normal(lengths.max())]
-    params = init_network(seed=1, bidirectional=bidirectional)
+    params = init_network(seed=1, bidirectional=bidirectional).astype(dtype)
     _scipy.expit, _scipy.erf  # imported here, so the peak holds no import
     tracemalloc.start()
     try:
@@ -242,6 +242,41 @@ def test_train_batch_peak_memory():
 
 def test_train_batch_peak_memory_bidirectional():
     assert batch_peak(bidirectional=True) < 10.0
+
+
+# float32 params measured 0.501 of the float64 peak; a float64 PackedBatch.x
+# took it to 0.89, and float64 cells in one LSTM walk to 0.71
+def test_train_batch_peak_memory_float32():
+    assert batch_peak(False, np.float32) < 0.55 * batch_peak(False)
+
+
+def test_float32_training_stays_float32(monkeypatch):
+    # the packed batches, Adam's moments and the trained params keep the
+    # params' float32, and the loss history holds Python floats
+    train_module = importlib.import_module("sefront.train")
+    backward, batches, opts = train_module.backward, [], []
+
+    def recorded(params, batch):
+        batches.append((batch.x.dtype, batch.target.dtype))
+        return backward(params, batch)
+
+    class RecordedAdam(Adam):
+        def __init__(self, lr):
+            super().__init__(lr)
+            opts.append(self)
+
+    monkeypatch.setattr(train_module, "backward", recorded)
+    monkeypatch.setattr(train_module, "Adam", RecordedAdam)
+    clean, noise = toy_corpora(n_clean=4)
+    params = init_network(seed=2, cell_size=8, n_blocks=1).astype(np.float32)
+    _, history = train(params, clean, noise, flat_stats(),
+                       TrainConfig(epochs=1, batch_size=2, seed=3))
+    assert batches == [(np.float32, np.float32)] * 2
+    assert all(type(v) is float for v in history) and len(history) == 2
+    (opt,) = opts
+    assert list(opt.m) == list(opt.v) == list(params)
+    for name, p in params.items():
+        assert p.dtype == opt.m[name].dtype == opt.v[name].dtype == np.float32, name
 
 
 def test_infer_xi_constant_half_lands_on_mu():
