@@ -6,10 +6,12 @@ previous frame's post-gain amplitude estimate with max(gamma - 1, 0).
 enhance() is the one front-end every xi estimator runs through (stft,
 tracked noise, gamma, gain, and istft of the gained noisy spectrum G Z,
 so no phase is taken or rebuilt); it runs the recursion itself unless
-given xi, and takes a spectrogram in place of the waveform.  The
-recursion runs an unchecked gain kernel per frame and enhance checks the
-MMSE-STSA inputs once per call.  Given xi, only MMSE-STSA reads gamma,
-so only it tracks the noise; Wiener and SRWF gains come from xi alone.
+given xi, and takes a spectrogram in place of the waveform.  It makes
+one dd_xi call over all frames: gamma and the gamma term of xi are taken
+for the run at once, and only the recursion loops, its unchecked gain
+kernel writing into preallocated rows; enhance checks the MMSE-STSA
+inputs once.  Given xi, only MMSE-STSA reads gamma, so only it tracks
+the noise; Wiener and SRWF gains come from xi alone.
 """
 
 from __future__ import annotations
@@ -30,40 +32,52 @@ _POWER_FLOOR = 1e-12
 
 @dataclass
 class DdState:
-    """Carry-over between frames: the previous post-gain amplitude squared,
-    and the gain of the frame that produced it (None before the first)."""
+    """Carry-over between frames: the previous post-gain amplitude squared
+    (one frame) and the gain that produced it, every frame's after a run
+    (None before the first frame)."""
 
     prev_amp_sq: np.ndarray
     gain: np.ndarray | None = None
 
 
-def dd_xi(state: DdState, noisy_power_frame, lambda_d, rule: GainRule = GainRule.SRWF):
-    """One decision-directed step; returns (xi, gamma, next state).
+def dd_xi(state: DdState, noisy_power, lambda_d, rule: GainRule = GainRule.SRWF):
+    """Decision-directed steps over a frame or a run; returns (xi, gamma, next state).
 
-    gamma = |X|^2 / lambda_d
-    xi    = ALPHA_DD * prev_amp_sq / lambda_d + (1 - ALPHA_DD) * max(gamma - 1, 0)
+    gamma = |X|^2 / max(lambda_d, 1e-12)
+    xi    = ALPHA_DD * prev_amp_sq / max(lambda_d, 1e-12) + (1 - ALPHA_DD) * max(gamma - 1, 0)
 
-    The state advances with (G |X|)^2 where G is the rule's gain for
-    this frame, so the recursion sees the enhanced amplitude; G itself
-    is kept as next_state.gain.  G is unchecked: an MMSE-STSA input that
-    gain_mmse_stsa rejects gives NaN.  The frame's power, lambda_d and
-    state.prev_amp_sq are arrays of one shape.
+    noisy_power and lambda_d share one shape, a frame (bins,) or a run
+    (frames, bins), and state.prev_amp_sq is one frame, or it is a
+    ValueError.  xi, gamma and next_state.gain come shaped like the power.
+    Each frame advances the state with (G |X|)^2, G the rule's gain for
+    the frame, so the recursion sees the enhanced amplitude.  G is
+    unchecked: an MMSE-STSA input that gain_mmse_stsa rejects gives NaN.
     """
-    p = np.asarray(noisy_power_frame, dtype=np.float64)
-    lam = np.maximum(np.asarray(lambda_d, dtype=np.float64), _POWER_FLOOR)
-    gamma = p / lam
-    xi = ALPHA_DD * state.prev_amp_sq
-    xi /= lam
-    excess = np.subtract(gamma, 1.0, out=lam)  # lam is read no more
-    np.maximum(excess, 0.0, out=excess)
-    excess *= 1.0 - ALPHA_DD
-    xi += excess
-    # only the MMSE-STSA kernel reads gamma
-    g = _gain_kernel(rule, xi, np.maximum(gamma, _POWER_FLOOR)
-                     if rule is GainRule.MMSE_STSA else gamma)
-    amp_sq = g * g
-    amp_sq *= p
-    return xi, gamma, DdState(amp_sq, g)
+    p = np.asarray(noisy_power, dtype=np.float64)
+    lam = np.asarray(lambda_d, dtype=np.float64)
+    frame = np.shape(state.prev_amp_sq)
+    if p.shape != lam.shape or p.ndim not in (1, 2) or p.shape[-1:] != frame:
+        raise ValueError(f"dd_xi: power {p.shape} and lambda_d {lam.shape} must share a (bins,) or "
+                         f"(frames, bins) shape, and state.prev_amp_sq {frame} must be one frame")
+    run = p if p.ndim == 2 else p[np.newaxis]
+    gains = np.maximum(lam.reshape(run.shape), _POWER_FLOOR)  # a row's lambda_d until its gain
+    gamma = run / gains
+    xi = np.subtract(gamma, 1.0)
+    np.maximum(xi, 0.0, out=xi)
+    xi *= 1.0 - ALPHA_DD  # a row's gamma term until its frame's turn
+    # only the MMSE-STSA kernel reads gamma, floored, one row at a time
+    floored = np.empty(run.shape[1]) if rule is GainRule.MMSE_STSA else None
+    prev, amp_sq = state.prev_amp_sq, np.empty(run.shape[1])
+    for xi_l, g, gamma_l, p_l in zip(xi, gains, gamma, run):
+        np.multiply(prev, ALPHA_DD, out=amp_sq)
+        amp_sq /= g
+        xi_l += amp_sq
+        _gain_kernel(rule, xi_l, gamma_l if floored is None
+                     else np.maximum(gamma_l, _POWER_FLOOR, out=floored), g)
+        np.multiply(g, g, out=amp_sq)
+        amp_sq *= p_l
+        prev = amp_sq
+    return xi.reshape(p.shape), gamma.reshape(p.shape), DdState(prev, gains.reshape(p.shape))
 
 
 def tracked_noise_power(power: np.ndarray) -> np.ndarray:
@@ -96,21 +110,15 @@ def tracked_noise_power(power: np.ndarray) -> np.ndarray:
 
 
 def _dd_gains(power: np.ndarray, lam: np.ndarray, rule: GainRule) -> np.ndarray:
-    """The gain of every frame, one dd_xi step each.  An MMSE-STSA input
-    that gain_mmse_stsa rejects gives NaN, so the first non-finite frame is
-    derived again and gain_mmse_stsa raises the error it would raise there."""
-    state = DdState(np.zeros(power.shape[1]))
-    gains = np.empty_like(power)
+    """The gain of every frame, from one dd_xi run.  An MMSE-STSA input that
+    gain_mmse_stsa rejects gives NaN, so gain_mmse_stsa is given the first
+    non-finite frame's xi and gamma and raises the error it would raise there."""
     with np.errstate(all="ignore"):
-        for l in range(power.shape[0]):
-            _, _, state = dd_xi(state, power[l], lam[l], rule)
-            gains[l] = state.gain
-        if rule is not GainRule.MMSE_STSA or np.all(np.isfinite(gains)):
-            return gains
-        l = int(np.argmin(np.all(np.isfinite(gains), axis=1)))
-        prev = gains[l - 1] * gains[l - 1] * power[l - 1] if l else np.zeros(power.shape[1])
-        xi, gamma, _ = dd_xi(DdState(prev), power[l], lam[l], rule)
-    gain_mmse_stsa(xi, np.maximum(gamma, _POWER_FLOOR))
+        xi, gamma, state = dd_xi(DdState(np.zeros(power.shape[1])), power, lam, rule)
+    if rule is not GainRule.MMSE_STSA or np.all(np.isfinite(state.gain)):
+        return state.gain
+    l = int(np.argmin(np.all(np.isfinite(state.gain), axis=1)))
+    gain_mmse_stsa(xi[l], np.maximum(gamma[l], _POWER_FLOOR))
     raise AssertionError("gain_mmse_stsa accepted the inputs of a NaN gain")
 
 

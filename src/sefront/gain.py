@@ -6,8 +6,8 @@ that multiplies the noisy magnitude; Wiener and SRWF gains lie in [0, 1].
 The short-time amplitude estimator is the MMSE solution of Ephraim and
 Malah (1984), evaluated with SciPy's exponentially scaled Bessel
 functions, which hold at every nu; it exceeds 1 at low gamma (6.28 at
-xi = 1, gamma = 0.01).  The decision-directed recursion runs the rules
-per frame through the unchecked _gain_kernel; dd.enhance checks once.
+xi = 1, gamma = 0.01).  dd_xi runs the rules frame by frame through the
+unchecked _gain_kernel, each into its row (out=); dd.enhance checks once.
 """
 
 from __future__ import annotations
@@ -25,15 +25,17 @@ class GainRule(Enum):
     MMSE_STSA = "mmse-stsa"
 
 
-def gain_wiener(xi) -> np.ndarray:
-    """Wiener filter xi / (1 + xi)."""
+def gain_wiener(xi, out=None) -> np.ndarray:
+    """Wiener filter xi / (1 + xi).  As in NumPy, a given out receives the
+    gain and is returned; it must not overlap xi."""
     xi = np.asarray(xi, dtype=np.float64)
-    return xi / (1.0 + xi)
+    return np.divide(xi, np.add(xi, 1.0, out=out), out=out)
 
 
-def gain_srwf(xi) -> np.ndarray:
-    """Square-root Wiener filter sqrt(xi / (1 + xi)), the pipeline default."""
-    return np.sqrt(gain_wiener(xi))
+def gain_srwf(xi, out=None) -> np.ndarray:
+    """Square-root Wiener filter sqrt(xi / (1 + xi)), the pipeline default.
+    out, as in gain_wiener, receives the gain; it must not overlap xi."""
+    return np.sqrt(gain_wiener(xi, out), out=out)
 
 
 def _mmse_stsa(xi, gamma) -> np.ndarray:
@@ -67,13 +69,16 @@ def gain_mmse_stsa(xi, gamma) -> np.ndarray:
     return g
 
 
-def _gain_kernel(rule: GainRule, xi, gamma) -> np.ndarray:
-    """The rule's gain, MMSE-STSA unchecked, for a caller that checks once;
-    anything but a GainRule is a ValueError."""
+def _gain_kernel(rule: GainRule, xi, gamma, out=None) -> np.ndarray:
+    """The rule's gain, MMSE-STSA unchecked, for a caller that checks once,
+    in out if given; anything but a GainRule is a ValueError."""
     if rule is GainRule.WIENER:
-        return gain_wiener(xi)
+        return gain_wiener(xi, out)
     if rule is GainRule.SRWF:
-        return gain_srwf(xi)
+        return gain_srwf(xi, out)
     if rule is GainRule.MMSE_STSA:
-        return _mmse_stsa(xi, gamma)
+        if out is None:
+            return _mmse_stsa(xi, gamma)
+        out[...] = _mmse_stsa(xi, gamma)
+        return out
     raise ValueError(f"unknown gain rule {rule!r}")

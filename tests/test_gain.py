@@ -116,6 +116,11 @@ def test_wiener_and_srwf_lie_in_the_unit_interval_and_rise_with_xi(a, b):
     for g in (gain_wiener(xi), gain_srwf(xi)):
         assert np.all((g >= 0.0) & (g <= 1.0))
         assert g[0] <= g[1] * (1.0 + 2.0 * EPS)
+    # out= receives the same bits and is returned
+    for gain in (gain_wiener, gain_srwf):
+        buf = np.empty(2)
+        assert gain(xi, out=buf) is buf
+        assert buf.tobytes() == gain(xi).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
