@@ -202,7 +202,7 @@ def cmd_enhance(args) -> int:
     else:
         xi = None
         if args.estimator == "neural":
-            params = rnn.load_network(_require_file(args.model, "model file")).astype(np.float32)
+            params = rnn.load_network(_require_file(args.model, "model file"), np.float32)
             stats = snr.load_stats(_require_file(args.stats, "stats file"))
             xi = infer_xi(params, spec, stats)
         elif args.estimator == "oracle":

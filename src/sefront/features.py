@@ -3,7 +3,9 @@
 The recognizer itself is external; this module produces the features a
 recognizer front-end would consume, aligns reference and hypothesis
 transcripts for WER, and aggregates per-condition scores into the CSV
-table the evaluation grid expects.
+table the evaluation grid expects.  It is NumPy only: the mel filterbank
+and the DCT-II matrix that make cepstra are each built once, so an
+evaluation round of mix, MFCCs, stats and wer loads no SciPy module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _scipy
 from .corpus import _fmt_snr
 from .dsp import SAMPLE_RATE, SpectroGram, _samples
 
@@ -57,19 +58,33 @@ def mel_filterbank(n_bins: int = 257) -> np.ndarray:
     return fb
 
 
+@lru_cache(maxsize=1)
+def dct_matrix() -> np.ndarray:
+    """The orthonormal DCT-II of the 26 log mel energies as a matrix D, so
+    the cepstra of logs are logs @ D.T.  Built once; the returned array is
+    shared and read-only."""
+    n = N_MEL_FILTERS
+    basis = np.cos(np.pi * np.arange(n)[:, None] * (2 * np.arange(n)[None, :] + 1) / (2 * n))
+    scale = np.full((n, 1), np.sqrt(2.0 / n))
+    scale[0] = np.sqrt(1.0 / n)
+    d = basis * scale
+    d.flags.writeable = False
+    return d
+
+
 def mfcc(spec: SpectroGram) -> np.ndarray:
     """Mel-frequency cepstra from the magnitude spectrogram.
 
     Power spectrum -> 26 triangular mel filters -> natural log with a
-    1e-10 floor -> orthonormal DCT-II.  Depends on the magnitudes only,
-    never the phase.
+    1e-10 floor -> orthonormal DCT-II (one product with dct_matrix).
+    Depends on the magnitudes only, never the phase.
     """
     if spec.magnitude.shape[1] != spec.config.n_bins:
         raise ValueError("spectrogram bin count does not match its config")
     fb = mel_filterbank(spec.config.n_bins)
     energies = (spec.magnitude**2) @ fb.T
     logs = np.log(np.maximum(energies, LOG_FLOOR))
-    return _scipy.dct(logs, type=2, norm="ortho", axis=1)
+    return logs @ dct_matrix().T
 
 
 _KEEP = "'"

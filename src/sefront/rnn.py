@@ -33,7 +33,8 @@ _tensor_shapes states; gradients, Adam and the model file share those
 names.  The network computes in its params' dtype, every buffer and
 forward's input in it, the loss alone summed in float64; the CLI runs
 float32.  The file format stores little-endian float32 tensors after a
-short text header, and load_network widens them to float64.
+short text header; load_network builds them in float64 unless asked for
+another dtype, and the CLI asks for float32.
 """
 
 from __future__ import annotations
@@ -390,16 +391,19 @@ def forward(params: NetworkParams, mag) -> np.ndarray:
     bidirectional block adds its backward cell's run over the reversed
     frames after its forward cell's, the order the packed path adds them
     in, so the bits are those of backward's forward pass on the one sequence.
+    Finite weights that overflow the dtype, such as a huge one in float32,
+    are a FloatingPointError; a saturated sigmoid raises no flag.
     """
     x = np.ascontiguousarray(mag, dtype=params.dtype)
     _check_input(params, x)
-    act = _input_layer(params, x)[0]
-    for i in range(params.n_blocks):
-        nxt = act + _lstm_rows(*_cell(params, i, "fwd"), act)
-        if params.bidirectional:
-            nxt += _lstm_rows(*_cell(params, i, "bwd"), act[::-1])[::-1]
-        act = nxt
-    return _output_layer(params, act)
+    with np.errstate(over="raise", invalid="raise"):
+        act = _input_layer(params, x)[0]
+        for i in range(params.n_blocks):
+            nxt = act + _lstm_rows(*_cell(params, i, "fwd"), act)
+            if params.bidirectional:
+                nxt += _lstm_rows(*_cell(params, i, "bwd"), act[::-1])[::-1]
+            act = nxt
+        return _output_layer(params, act)
 
 
 PRED_CLAMP = 1e-7
@@ -565,7 +569,8 @@ def save_network(params: NetworkParams, path) -> None:
     Path(path).write_bytes(header + b"".join(arr.tobytes() for arr in data.values()))
 
 
-def load_network(path) -> NetworkParams:
+def load_network(path, dtype=np.float64) -> NetworkParams:
+    """The network a model file stores, its tensors built in dtype."""
     raw = Path(path).read_bytes()
     marker = b"\ndata\n"
     split = raw.find(marker)
@@ -623,7 +628,7 @@ def load_network(path) -> NetworkParams:
         n = int(np.prod(shape))
         if pos + n > data.size:
             raise ValueError(f"model file: truncated data for tensor {name}")
-        arrays[name] = data[pos : pos + n].astype(np.float64).reshape(shape)
+        arrays[name] = data[pos : pos + n].astype(dtype).reshape(shape)
         if not np.all(np.isfinite(arrays[name])):
             raise ValueError(f"model file: tensor {name} is not finite")
         pos += n

@@ -28,7 +28,11 @@ for byte.
 The mix keys were written from the code as it stood before mixing read
 only the noise section it uses: the manifest and every mixture that
 `sefront mix` writes from the stats corpus must match byte for byte, and
-the MFCCs of the first mixture bit for bit.
+the MFCCs of the first mixture bit for bit.  The mix_mfcc key alone was
+written again once mfcc took its DCT-II as one product with the stored
+orthonormal matrix features.dct_matrix in place of scipy.fft.dct: 801 of
+its 832 coefficients moved, by up to 1.8e-14 absolute, 1.0e-15 of its
+largest magnitude (17.9).
 
 The network keys were written from the code as it stood before the
 LSTM ran on packed sequences.  The float64 forward output at batch 1 must

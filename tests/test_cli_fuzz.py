@@ -190,6 +190,9 @@ def test_cli_fuzz_exits_cleanly_and_leaves_nothing_on_failure(workspace, tmp_pat
     # a clean recording whose data chunk outruns its RIFF chunk
     @example((list(COMMANDS["stats"][0]), {"clean/c0.wav": ("overwrite", 40, b"\x84")}))
     @example((list(COMMANDS["mix"][0]), {"clean/c0.wav": ("overwrite", 40, b"\x84")}))
+    # a finite float32 weight of 2**63 in fc.w, which overflows the layer norm
+    @example((list(COMMANDS["enhance-neural"][0]),
+              {"net.bin": ("overwrite", 487, b"\x00\x00\x00\x5f")}))
     def run_case(case):
         argv, files = case
         work = runs / "w"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from sefront.corpus import MixSpec
 from sefront.dsp import SpectroGram, stft
 from sefront.features import (
     Transcript,
+    dct_matrix,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
@@ -50,6 +52,20 @@ def test_filterbank_is_built_once_and_read_only(n_bins):
     with pytest.raises(ValueError, match="read-only"):
         fb[0, 0] = 1.0
     assert mel_filterbank(n_bins) is fb
+
+
+def test_dct_matrix_is_orthonormal_read_only_and_built_once():
+    d = dct_matrix()
+    assert d.shape == (26, 26)
+    np.testing.assert_allclose(d @ d.T, np.eye(26), rtol=0, atol=1e-14)
+    assert not d.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        d[0, 0] = 1.0
+    assert dct_matrix() is d
+    # the transform SciPy's orthonormal DCT-II computes
+    logs = np.random.default_rng(2).normal(0.0, 5.0, (300, 26))
+    want = scipy.fft.dct(logs, type=2, norm="ortho", axis=1)
+    np.testing.assert_allclose(logs @ d.T, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_mfcc_against_straight_line_oracle():

@@ -707,11 +707,24 @@ def test_model_file_round_trip_property(tmp_path_factory, bidirectional, n_block
     assert (d / "b.bin").read_bytes() == (d / "a.bin").read_bytes()
     assert list(q) == list(layout)
     assert [q[name].shape for name in q] == list(layout.values())
+    r = load_network(d / "a.bin", np.float32)
     for name, arr in p.items():
-        assert q[name].dtype == np.float64
+        assert q[name].dtype == np.float64 and r[name].dtype == np.float32
         np.testing.assert_array_equal(q[name], arr.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(r[name], arr.astype(np.float32))
     assert (q.mode, q.n_blocks, q.cell_size, q.input_dim, q.output_dim) == (
         p.mode, n_blocks, cell, input_dim, output_dim)
+
+
+def test_forward_overflow_is_a_floating_point_error():
+    # finite float32 weights whose layer-norm variance overflows float32
+    p = init_network(cell_size=4, n_blocks=1).astype(np.float32)
+    p["fc.w"][0, 0] = 2.0**100
+    mag = np.random.default_rng(0).uniform(0.5, 1.0, (3, 257))
+    with pytest.raises(FloatingPointError, match="overflow"):
+        forward(p, mag)
+    p["fc.w"][0, 0] = 0.0
+    assert np.all(np.isfinite(forward(p, mag)))
 
 
 def test_load_rejects_bad_files(tmp_path):
