@@ -106,8 +106,11 @@ def wav_length(path) -> int:
 
 
 def save_wav(signal, path) -> None:
-    """Write 16-bit mono PCM; amplitudes clip to the representable range."""
+    """Write 16-bit mono PCM; amplitudes clip to the representable range.
+    A sample that is not finite is a ValueError, and nothing is written."""
     x = _samples(signal)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{path}: samples must be finite")
     q = np.multiply(x, PCM_SCALE)
     pcm = np.clip(np.rint(q, out=q), -32768, 32767, out=q).astype("<i2")
     # opened here, not by wave.open: a Wave_write whose own open fails

@@ -131,11 +131,11 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
     decision-directed recursion estimates xi frame by frame, with the
     MMSE-STSA inputs checked once for the call.  Otherwise xi is the
     linear a priori SNR of another estimator, shaped like the spectrogram
-    (frames, bins), and gamma comes from the tracked noise with the same
-    floor the recursion uses.  The output is out_len samples long; that
-    defaults to the length of a waveform input and to istft's full span
-    for a SpectroGram.  Resynthesis is istft of the noisy complex spectrum
-    times the gains.  An all-zero input comes back all zero.
+    (frames, bins), finite and >= 0; gamma comes from the tracked noise
+    with the same floor the recursion uses.  The output is out_len samples
+    long; that defaults to the length of a waveform input and to istft's
+    full span for a SpectroGram.  Resynthesis is istft of the noisy complex
+    spectrum times the gains.  An all-zero input comes back all zero.
     """
     if isinstance(noisy, SpectroGram):
         spec = noisy
@@ -145,6 +145,10 @@ def enhance(noisy, rule: GainRule = GainRule.SRWF, xi=None,
             out_len = _samples(noisy).size
     if xi is not None and np.shape(xi) != spec.spectrum.shape:
         raise ValueError("xi shape must match the spectrogram")
+    if xi is not None and not np.isfinite(xi).all():  # for every rule, once
+        raise ValueError("xi and gamma must be finite")
+    if xi is not None and np.any(np.less(xi, 0)):
+        raise ValueError("xi must be >= 0 and gamma > 0")
     if xi is None or rule is GainRule.MMSE_STSA:
         power = spec.magnitude**2
         lam = tracked_noise_power(power)

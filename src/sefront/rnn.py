@@ -11,21 +11,17 @@ check every parameter; it consumes them as it goes, in place where it can.
 A batch is a list of (frames, bins) sequences of unequal length.  It
 runs packed, time-major: sequences are ordered by length, longest first,
 and step t holds only the sequences still active at frame t, which are a
-prefix of that order.  backward takes one PackedBatch: training builds
-it in that order once, and backward reads its inputs in place and takes
-its targets over for the output-layer gradient, so the batch is held
-once; lists are laid into one, and their inputs are laid out again for
-the fc.w gradient.  Every layer computes on the frames that exist and
-nothing else.  The backward direction of a bidirectional block walks the
-same steps in reverse, each sequence starting from zero state at its last
-frame.  Both walks, and BPTT back along them, carry the state in zeroed
-buffers of a row per sequence; a cell caches its input, gates and cells.
-Each cell projects all its frames, x @ w_x + b, in one product before
-its step loop.  forward() runs one sequence unpacked, a row per
-step, with no cache (_lstm_rows): a bidirectional block runs its
-backward cell over the frames reversed, after its forward cell, which
-gives the bits of the packed path (_lstm_run).  Both paths share the
-dense, layer-norm and output layers and the one gate step, _gate_step.
+prefix of that order; steps of one count form a run, so B sequences make
+at most B runs.  backward takes one PackedBatch: training builds it in
+that order once, and backward reads its inputs in place and takes its
+targets over for the output-layer gradient, so the batch is held once;
+lists are laid into one, and their inputs are laid out again for the
+fc.w gradient.  Every layer computes on the frames that exist and
+nothing else.  Each cell projects all its frames, x @ w_x + b, in one
+product before the one step loop, _lstm_run, which walks the runs; a
+bidirectional block's backward cell walks them reversed, each sequence
+starting from zero state at its last frame.  forward() walks one
+sequence as one run and drops the cache, so its bits are backward's.
 
 The network is a NetworkParams, the ordered mapping of its named
 tensors (params["block0.fwd.w_x"] and so on) in the one layout
@@ -143,14 +139,18 @@ def _pack(lengths: np.ndarray):
 
     Sequences are ordered by length, longest first (stable), so the ones
     still active at each step are a prefix of that order.  Returns (rows,
-    times, steps): packed frame k is frame times[k] of sequence rows[k],
-    and steps lists the (start, count) of each step's packed frames.
+    times, runs): packed frame k is frame times[k] of sequence rows[k],
+    and runs lists the (start, count, repeat) of each stretch of repeat
+    steps of count frames from packed row start; counts strictly decrease.
     """
     order = np.argsort(-lengths, kind="stable")
     times, rank = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
     counts = np.bincount(times)
+    ends = np.flatnonzero(np.diff(counts, append=0))  # each run's last step
+    repeats = np.diff(ends, prepend=-1)
     starts = np.cumsum(counts) - counts
-    return order[rank], times, list(zip(starts.tolist(), counts.tolist()))
+    return order[rank], times, list(zip(starts[ends - repeats + 1].tolist(),
+                                        counts[ends].tolist(), repeats.tolist()))
 
 
 class PackedBatch:
@@ -171,7 +171,7 @@ class PackedBatch:
             raise ValueError("need at least one sequence")
         if self.lengths.min() < 1:
             raise ValueError("every sequence needs at least one frame")
-        rows, times, self.steps = _pack(self.lengths)
+        rows, times, self.runs = _pack(self.lengths)
         self._starts = np.cumsum(self.lengths) - self.lengths
         # where[j]: the packed row of frame j of the sequences laid end to end
         self.where = np.empty_like(times)
@@ -192,64 +192,60 @@ class PackedBatch:
         self._missing.discard(j)
 
 
-def _previous(a: np.ndarray, steps) -> np.ndarray:
-    """Each packed frame's row at the step before in the walk; 0 where a row starts."""
-    out, carry = np.empty_like(a), np.zeros((max(n for _, n in steps), a.shape[1]), a.dtype)
-    for s, n in steps:
-        out[s : s + n] = carry[:n]
-        carry[:n] = a[s : s + n]
+def _previous(a: np.ndarray, runs, reverse: bool = False) -> np.ndarray:
+    """Each packed frame's row at the step before in the walk of runs; 0
+    where a row starts.  Copies a slice within each run and one across
+    each run's end, where the step after has fewer rows."""
+    out = np.zeros_like(a)
+    for (s, n, r), (_, m, _) in zip(runs, runs[1:] + [(0, 0, 0)]):
+        e = s + n * r
+        for early, late in ((slice(s, e - n), slice(s + n, e)),
+                            (slice(e - n, e - n + m), slice(e, e + m))):
+            dst, src = (early, late) if reverse else (late, early)
+            out[dst] = a[src]
     return out
 
 
-def _gate_step(z, c, c_new, tc, h_out) -> None:
-    """One LSTM step on pre-activations z (..., 4C), in place: the gates
-    into z, the state after c into c_new (may be c), tanh into tc, h into h_out."""
-    c_sz = c.shape[-1]
-    z_if = z[..., : 2 * c_sz]
-    _scipy.expit(z_if, out=z_if)  # input and forget gates
-    g, o = z[..., 2 * c_sz : 3 * c_sz], z[..., 3 * c_sz :]
-    np.tanh(g, out=g)
-    _scipy.expit(o, out=o)
-    np.multiply(z[..., c_sz : 2 * c_sz], c, out=c_new)
-    c_new += np.multiply(z[..., :c_sz], g, out=tc)
-    np.multiply(o, np.tanh(c_new, out=tc), out=h_out)
+def _lstm_run(w_x, w_h, b, x: np.ndarray, runs, reverse: bool = False):
+    """Run one cell over packed frames x (N, D), walking the steps of runs
+    in time order or reversed; a step adds h @ w_h to the projection made
+    before the walk and writes h and c straight into their packed rows.
 
-
-def _lstm_run(w_x, w_h, b, x: np.ndarray, steps):
-    """Run one cell over packed frames x (N, D), walking steps, the (start,
-    count) of each step's rows in x, in the order given; a step adds h @ w_h
-    to the projection made before the walk.  h and c are carried in zeroed
-    buffers, row j for sequence j of the packing order: a shrinking walk
-    never reads its finished rows again, a growing one finds zeros where it
-    starts.  Returns h (N, C) and the cache: x, steps, the gates and cells.
+    A run walks (repeat, count, .) views, a one-row step as 1-D rows, and
+    each step reads the state of the step before as a view.  A run starts
+    from zeroed carry rows, into which the rows of the step walked last are
+    copied: a shrinking walk copies its first rows, and where a reversed
+    walk grows, the sequences that start there find zeros.  Returns h
+    (N, C) and the cache: x, runs, reverse, the gates and cells.
     """
-    c_sz, dt = w_h.shape[0], w_h.dtype
+    c_sz, dt, expit = w_h.shape[0], w_h.dtype, _scipy.expit
     gates = x @ w_x
     gates += b
     cells, hs = np.empty((len(x), c_sz), dt), np.empty((len(x), c_sz), dt)
-    h, c, tc = (np.zeros((max(n for _, n in steps), c_sz), dt) for _ in range(3))
-    hw = np.empty((len(h), _GATES * c_sz), dt)  # h @ w_h
-    for s, n in steps:
-        z = gates[s : s + n]
-        z += np.matmul(h[:n], w_h, out=hw[:n])
-        _gate_step(z, c[:n], c[:n], tc[:n], h[:n])
-        cells[s : s + n] = c[:n]
-        hs[s : s + n] = h[:n]
-    return hs, {"x": x, "steps": steps, "gates": gates, "cells": cells}
-
-
-def _lstm_rows(w_x, w_h, b, x: np.ndarray) -> np.ndarray:
-    """Run one cell over the rows of x (T, D), one row per step, with no
-    cache.  Returns h (T, C), the bits of _lstm_run on one-row steps."""
-    c_sz, dt = w_h.shape[0], w_h.dtype
-    gates = x @ w_x
-    gates += b
-    hs = np.zeros((len(x) + 1, c_sz), dt)  # row 0: zero state
-    c, tc, hw = np.zeros(c_sz, dt), np.empty(c_sz, dt), np.empty(_GATES * c_sz, dt)
-    for z, h, h_out in zip(gates, hs, hs[1:]):
-        z += np.matmul(h, w_h, out=hw)
-        _gate_step(z, c, c, tc, h_out)
-    return hs[1:]
+    h0, c0, tc = (np.zeros((runs[0][1], c_sz), dt) for _ in range(3))
+    hw = np.empty((runs[0][1], _GATES * c_sz), dt)  # h @ w_h
+    order, prev = -1 if reverse else 1, None  # prev: (row, count) of the step walked last
+    for s, n, r in runs[::order]:
+        if prev:
+            p, m = prev[0], min(prev[1], n)
+            h0[:m], c0[:m] = hs[p : p + m], cells[p : p + m]
+        row = (n, -1) if n > 1 else (-1,)
+        z, h, c = (a[s : s + n * r].reshape(r, *row)[::order] for a in (gates, hs, cells))
+        h_prev, c_prev, tc_n, hw_n = (a[:n].reshape(row) for a in (h0, c0, tc, hw))
+        # the steps' gates: input and forget, then each of the four in order
+        per_gate = (z[..., k * c_sz : (k + 1) * c_sz] for k in range(_GATES))
+        for z_t, if_t, i_t, f_t, g_t, o_t, h_t, c_t in zip(z, z[..., : 2 * c_sz],
+                                                             *per_gate, h, c):
+            z_t += np.matmul(h_prev, w_h, out=hw_n)
+            expit(if_t, out=if_t)
+            np.tanh(g_t, out=g_t)
+            expit(o_t, out=o_t)
+            np.multiply(f_t, c_prev, out=c_t)
+            c_t += np.multiply(i_t, g_t, out=tc_n)
+            np.multiply(o_t, np.tanh(c_t, out=tc_n), out=h_t)
+            h_prev, c_prev = h_t, c_t
+        prev = (s if reverse else s + n * (r - 1), n)
+    return hs, {"x": x, "runs": runs, "reverse": reverse, "gates": gates, "cells": cells}
 
 
 def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
@@ -258,15 +254,16 @@ def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
     tanh of the cells, and h as the output gate times it, are made again
     elementwise, so they hold the bits of the walk.  The cache is consumed:
     its gates buffer is overwritten, first with the local derivatives and
-    then with dz.  dh and dc are carried back as _lstm_run carries h and c.
+    then with dz.  dh and dc are carried back along the runs' steps in
+    reverse walk order, in zeroed buffers of a row per sequence.
     """
-    steps, gates = cache["steps"], cache["gates"]
+    runs, reverse, gates = cache["runs"], cache["reverse"], cache["gates"]
     c_sz = w_h.shape[0]
     dz_gates = gates.reshape(-1, _GATES, c_sz)  # the local derivatives, then dz
     i, f, g, o = (dz_gates[:, k] for k in range(_GATES))
     f_out, g_out = f.copy(), g.copy()  # read after their slots are overwritten
     tc = np.tanh(cache["cells"])
-    h_prev = _previous(np.multiply(o, tc), steps)  # while o is the output gate
+    h_prev = _previous(np.multiply(o, tc), runs, reverse)  # while o is the output gate
     # per frame: dh/dc through the output gate, and the local derivative
     # by which dc (input, forget, candidate gates) or dh (output gate)
     # scales into each gate's pre-activation; each is formed in place in
@@ -277,19 +274,22 @@ def _lstm_backprop(w_x, w_h, cache, dh_out: np.ndarray):
     np.multiply(g, g, out=g)
     np.subtract(1.0, g, out=g)
     g *= i
-    for gate, scale in ((i, g_out), (f, _previous(cache["cells"], steps)), (o, tc)):
+    for gate, scale in ((i, g_out), (f, _previous(cache["cells"], runs, reverse)), (o, tc)):
         gate *= 1.0 - gate  # (1 - x) x: IEEE products commute
         gate *= scale
     # rows a step does not write stay zero: they carry nothing back
-    dh_next, dc_next = (np.zeros((max(n for _, n in steps), c_sz), w_h.dtype) for _ in range(2))
-    for s, n in reversed(steps):
-        e = s + n
-        dh = dh_out[s:e] + dh_next[:n]
-        dc = dh * dtc[s:e] + dc_next[:n]
-        dz_gates[s:e, :3] *= dc[:, None]
-        dz_gates[s:e, 3] *= dh
-        np.matmul(gates[s:e], w_h.T, out=dh_next[:n])
-        np.multiply(dc, f_out[s:e], out=dc_next[:n])
+    dh_next, dc_next = (np.zeros((runs[0][1], c_sz), w_h.dtype) for _ in range(2))
+    back = 1 if reverse else -1  # reverse walk order, in time
+    for s, n, r in runs[::back]:
+        views = (a[s : s + n * r].reshape(r, n, *a.shape[1:])[::back]
+                 for a in (dh_out, dtc, dz_gates, gates, f_out))
+        for dh_o, dtc_t, dz_t, z_t, f_t in zip(*views):
+            dh = dh_o + dh_next[:n]
+            dc = dh * dtc_t + dc_next[:n]
+            dz_t[:, :3] *= dc[:, None]
+            dz_t[:, 3] *= dh
+            np.matmul(z_t, w_h.T, out=dh_next[:n])
+            np.multiply(dc, f_t, out=dc_next[:n])
     grads = {"w_x": cache["x"].T @ gates, "w_h": h_prev.T @ gates,
              "b": gates.sum(axis=0)}
     return gates @ w_x.T, grads
@@ -361,25 +361,20 @@ def _output_layer(params: NetworkParams, act: np.ndarray) -> np.ndarray:
     return _scipy.expit(pred, out=pred)
 
 
-def _run(params: NetworkParams, act: np.ndarray, steps):
+def _run(params: NetworkParams, act: np.ndarray, runs):
     """Outputs (N, K) of the blocks and output layer on the input layer's
-    packed activations act (N, C) walked by steps, and the cache."""
-    act0 = act
-
-    block_caches = []
-    walks = {"fwd": steps, "bwd": steps[::-1]}
+    packed activations act (N, C) walked by runs, and the cache."""
+    cache = {"act0": act, "blocks": []}
     for i in range(params.n_blocks):
-        nxt = act.copy()
-        caches = {}
+        nxt, caches = act.copy(), {}
         for direction in ("fwd", "bwd") if params.bidirectional else ("fwd",):
-            h, caches[direction] = _lstm_run(*_cell(params, i, direction), act,
-                                             walks[direction])
+            h, caches[direction] = _lstm_run(*_cell(params, i, direction), act, runs,
+                                             reverse=direction == "bwd")
             nxt += h
             del h  # not held through the next cell or the output layer
-        block_caches.append(caches)
+        cache["blocks"].append(caches)
         act = nxt
-
-    cache = {"act0": act0, "blocks": block_caches, "final_act": act}
+    cache["final_act"] = act
     return _output_layer(params, act), cache
 
 
@@ -387,23 +382,15 @@ def forward(params: NetworkParams, mag) -> np.ndarray:
     """Network output per frame and bin of mag (frames, bins), each value
     strictly inside (0, 1); mag is cast to the params' dtype, the output's.
 
-    The sequence runs unpacked, one row per step, and keeps no cache.  A
-    bidirectional block adds its backward cell's run over the reversed
-    frames after its forward cell's, the order the packed path adds them
-    in, so the bits are those of backward's forward pass on the one sequence.
+    The sequence walks as one run of one-row steps and the cache is
+    dropped, so the bits are those of backward's forward pass on it.
     Finite weights that overflow the dtype, such as a huge one in float32,
     are a FloatingPointError; a saturated sigmoid raises no flag.
     """
     x = np.ascontiguousarray(mag, dtype=params.dtype)
     _check_input(params, x)
     with np.errstate(over="raise", invalid="raise"):
-        act = _input_layer(params, x)[0]
-        for i in range(params.n_blocks):
-            nxt = act + _lstm_rows(*_cell(params, i, "fwd"), act)
-            if params.bidirectional:
-                nxt += _lstm_rows(*_cell(params, i, "bwd"), act[::-1])[::-1]
-            act = nxt
-        return _output_layer(params, act)
+        return _run(params, _input_layer(params, x)[0], [(0, 1, len(x))])[0]
 
 
 PRED_CLAMP = 1e-7
@@ -512,7 +499,7 @@ def backward(params: NetworkParams, x, target=None):
     act, ln_cache = _input_layer(params, batch.x)
     if seqs is not None:
         batch.x = None  # laid out again for the fc.w gradient, not held
-    pred, cache = _run(params, act, batch.steps)
+    pred, cache = _run(params, act, batch.runs)
     del act  # cache["act0"] holds it until its last read
     # the batch's targets are taken over: the only reference is dlogits
     dlogits, batch.target = batch.target, None

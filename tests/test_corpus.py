@@ -58,6 +58,15 @@ def test_save_wav_clips_out_of_range(tmp_path):
     np.testing.assert_allclose(back.samples, [32767 / 32768.0, -1.0, 0.0])
 
 
+@pytest.mark.parametrize("samples", [[0.1, np.nan], [np.inf, 0.0], [0.0, -np.inf]])
+def test_save_wav_refuses_samples_not_finite(tmp_path, samples):
+    # NaN cast to PCM is garbage and inf would clip to full scale
+    p = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match=r"bad\.wav: samples must be finite"):
+        save_wav(np.array(samples), p)
+    assert not p.exists()
+
+
 def test_wav_length_header_only(tmp_path):
     p = tmp_path / "d.wav"
     save_wav(np.zeros(1234), p)

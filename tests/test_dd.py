@@ -426,6 +426,24 @@ def test_enhance_rejects_wrong_shape_xi(n, rule, seed, use_oracle):
         enhance(noisy, rule, wrong)
 
 
+@pytest.mark.parametrize("rule", list(GainRule))
+@pytest.mark.parametrize("value, message", [
+    (-0.5, "xi must be >= 0 and gamma > 0"),
+    (-2.0, "xi must be >= 0 and gamma > 0"),
+    (np.nan, "xi and gamma must be finite"),
+    (np.inf, "xi and gamma must be finite"),
+])
+def test_enhance_rejects_xi_out_of_range_for_every_rule(rule, value, message):
+    # one bad cell: a ValueError before any gain, and no RuntimeWarning
+    noisy, xi = _oracle_case(10, 4000)
+    xi[5, 17] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            enhance(noisy, rule, xi)
+    assert str(raised.value) == message
+
+
 @enhance_cases
 def test_enhance_leaves_its_inputs_unchanged(n, rule, seed, use_oracle):
     noisy, xi = _oracle_case(seed, n)

@@ -16,7 +16,7 @@ from sefront.rnn import (
     loss_cross_entropy,
     save_network,
 )
-from sefront.rnn import _input_layer, _lstm_rows, _lstm_run, _pack, _run, _tensor_shapes
+from sefront.rnn import _input_layer, _lstm_run, _pack, _run, _tensor_shapes
 
 
 def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
@@ -30,82 +30,83 @@ def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
     )
 
 
-def test_lstm_run_two_steps_against_straight_line():
-    # the second step starts from the nonzero h and c of the first
-    rng = np.random.default_rng(0)
-    d, c_sz = 4, 3
-    w_x = rng.normal(0, 0.3, (d, 4 * c_sz))
-    w_h = rng.normal(0, 0.3, (c_sz, 4 * c_sz))
-    b = rng.normal(0, 0.3, 4 * c_sz)
-    x = rng.normal(0, 1, (2, d))  # one row, two packed steps
-    hs, cache = _lstm_run(w_x, w_h, b, x, [(0, 1), (1, 1)])
-
-    def sig(v):
-        return 1.0 / (1.0 + np.exp(-v))
-
-    h_ref = np.zeros(c_sz)
-    c_ref = np.zeros(c_sz)
-    for t in range(2):
-        z = x[t] @ w_x + h_ref @ w_h + b
-        i, f, g, o = z[:3], z[3:6], z[6:9], z[9:]
-        c_ref = sig(f) * c_ref + sig(i) * np.tanh(g)
-        h_ref = sig(o) * np.tanh(c_ref)
-        np.testing.assert_allclose(cache["cells"][t], c_ref, rtol=1e-12)
-        np.testing.assert_allclose(hs[t], h_ref, rtol=1e-12)
-    assert np.all(np.abs(cache["cells"][0]) > 0)
-
-
 def textbook_cell(w_x, w_h, b, x):
-    """h of every row of x (T, D), one row per step from zero state."""
+    """h and c of every row of x (T, D), one row per step from zero state."""
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     c_sz = w_h.shape[0]
-    h, c, hs = np.zeros(c_sz), np.zeros(c_sz), []
+    h, c, hs, cs = np.zeros(c_sz), np.zeros(c_sz), [], []
     for row in x:
         i, f, g, o = np.split(row @ w_x + h @ w_h + b, 4)
         c = sig(f) * c + sig(i) * np.tanh(g)
         h = sig(o) * np.tanh(c)
         hs.append(h)
-    return np.array(hs)
+        cs.append(c)
+    return np.array(hs), np.array(cs)
 
 
-def test_lstm_rows_against_straight_line():
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_run_against_straight_line(reverse):
+    # one run of one-row steps, each from the nonzero h and c of the one before
     rng = np.random.default_rng(1)
     d, c_sz, frames = 4, 3, 5
     cell = (rng.normal(0, 0.3, (d, 4 * c_sz)), rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
-            rng.normal(0, 0.3, 4 * c_sz), rng.normal(0, 1, (frames, d)))
-    hs = _lstm_rows(*cell)
-    assert hs.shape == (frames, c_sz)
-    np.testing.assert_allclose(hs, textbook_cell(*cell), rtol=1e-12)
-    assert np.all(np.abs(hs[1:]) > 0)
+            rng.normal(0, 0.3, 4 * c_sz))
+    x = rng.normal(0, 1, (frames, d))
+    hs, cache = _lstm_run(*cell, x, [(0, 1, frames)], reverse=reverse)
+    assert hs.shape == cache["cells"].shape == (frames, c_sz)
+    want = [a[::-1] for a in textbook_cell(*cell, x[::-1])] if reverse else textbook_cell(*cell, x)
+    np.testing.assert_allclose(hs, want[0], rtol=1e-12)
+    np.testing.assert_allclose(cache["cells"], want[1], rtol=1e-12)
+    assert np.all(np.abs(cache["cells"]) > 0)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_run_carries_each_sequence_through_a_ragged_walk(reverse):
-    # steps in order shrink the batch; reversed, it grows, and each
+    # a walk in time order shrinks the batch; reversed, it grows, and each
     # sequence starts from zero state at its last frame
     rng = np.random.default_rng(4)
-    d, c_sz, lengths = 4, 3, np.array([2, 5, 1, 5])
+    d, c_sz = 4, 3
     w_x, w_h = rng.normal(0, 0.3, (d, 4 * c_sz)), rng.normal(0, 0.3, (c_sz, 4 * c_sz))
     b = rng.normal(0, 0.3, 4 * c_sz)
-    seqs = [rng.normal(0, 1, (n, d)) for n in lengths]
-    rows, times, steps = _pack(lengths)
-    x = np.array([seqs[r][t] for r, t in zip(rows, times)])
-    hs, cache = _lstm_run(w_x, w_h, b, x, steps[::-1] if reverse else steps)
-    assert set(cache) == {"x", "steps", "gates", "cells"}
-    for k, seq in enumerate(seqs):
-        want = (textbook_cell(w_x, w_h, b, seq[::-1])[::-1] if reverse
-                else textbook_cell(w_x, w_h, b, seq))
-        np.testing.assert_allclose(hs[rows == k][np.argsort(times[rows == k])], want,
-                                   rtol=1e-12)
+    # ragged, all equal, one sequence, length 1, and ties
+    for lengths in ([2, 5, 1, 5], [3, 3, 3], [6], [1], [1, 1], [4, 2, 4, 1, 2, 1]):
+        lengths = np.array(lengths)
+        seqs = [rng.normal(0, 1, (n, d)) for n in lengths]
+        rows, times, runs = _pack(lengths)
+        x = np.array([seqs[r][t] for r, t in zip(rows, times)])
+        hs, cache = _lstm_run(w_x, w_h, b, x, runs, reverse=reverse)
+        assert set(cache) == {"x", "runs", "reverse", "gates", "cells"}
+        for k, seq in enumerate(seqs):
+            want = (textbook_cell(w_x, w_h, b, seq[::-1])[0][::-1] if reverse
+                    else textbook_cell(w_x, w_h, b, seq)[0])
+            np.testing.assert_allclose(hs[rows == k][np.argsort(times[rows == k])], want,
+                                       rtol=1e-12, err_msg=str(lengths))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=12))
+def test_pack_runs_are_the_steps_grouped(lengths):
+    # each step's (start, count): the sequences longer than its frame index
+    lengths = np.array(lengths)
+    counts = [int(np.sum(lengths > t)) for t in range(lengths.max())]
+    steps = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
+    rows, times, runs = _pack(lengths)
+    assert len(runs) <= len(lengths)
+    # the runs cover rows [0, N) once and in order, their counts strictly decrease
+    assert [s for s, _, _ in runs] == np.cumsum([0] + [n * r for _, n, r in runs[:-1]]).tolist()
+    assert sum(n * r for _, n, r in runs) == rows.size == lengths.sum()
+    assert all(r >= 1 for _, _, r in runs)
+    assert all(a[1] > b[1] for a, b in zip(runs, runs[1:]))
+    assert [(s + k * n, n) for s, n, r in runs for k in range(r)] == steps
 
 
 def test_lstm_run_zero_weights_keep_zero_state():
     # all-zero weights: candidate tanh(0)=0, so the state never moves
     # two rows over five packed steps
     hs, cache = _lstm_run(np.zeros((4, 12)), np.zeros((3, 12)), np.zeros(12),
-                          np.ones((10, 4)), [(2 * t, 2) for t in range(5)])
+                          np.ones((10, 4)), [(0, 2, 5)])
     np.testing.assert_array_equal(hs, 0.0)
     np.testing.assert_array_equal(cache["cells"], 0.0)
 
@@ -518,7 +519,7 @@ def packed_forward(p, xs, ts=None):
     the batch that laid xs and ts (zeros by default) out."""
     ts = [np.zeros((len(x), p.output_dim)) for x in xs] if ts is None else ts
     batch = packed([len(x) for x in xs], xs, ts)
-    return _run(p, _input_layer(p, batch.x)[0], batch.steps)[0], batch
+    return _run(p, _input_layer(p, batch.x)[0], batch.runs)[0], batch
 
 
 def cli_batch(seed):
@@ -560,7 +561,7 @@ def test_float32_params_keep_every_array_float32(bidirectional):
     for j, pair in enumerate(zip(xs, ts)):
         batch.put(j, *pair)
     assert batch.x.dtype == batch.target.dtype == np.float32
-    pred, cache = _run(p, _input_layer(p, batch.x)[0], batch.steps)
+    pred, cache = _run(p, _input_layer(p, batch.x)[0], batch.runs)
     cached = [cache["act0"], cache["final_act"]] + [
         cell[k] for block in cache["blocks"] for cell in block.values()
         for k in ("x", "gates", "cells")]
@@ -602,8 +603,8 @@ def test_packed_batch_puts_each_sequence_in_its_packed_rows():
     lengths = [2, 3, 1]
     xs, ts = sequence_batch(lengths, 6)
     batch = packed(lengths, xs, ts)
-    rows, times, steps = _pack(np.array(lengths))
-    assert batch.steps == steps
+    rows, times, runs = _pack(np.array(lengths))
+    assert batch.runs == runs
     np.testing.assert_array_equal(batch.x, [xs[r][t] for r, t in zip(rows, times)])
     np.testing.assert_array_equal(batch.target, [ts[r][t] for r, t in zip(rows, times)])
     np.testing.assert_array_equal(batch.x[batch.where], np.concatenate(xs))
