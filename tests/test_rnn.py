@@ -46,20 +46,39 @@ def textbook_cell(w_x, w_h, b, x):
     return np.array(hs), np.array(cs)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_run_against_straight_line(reverse):
-    # one run of one-row steps, each from the nonzero h and c of the one before
+def test_lstm_rows_against_straight_line():
+    # one run of one-row steps, each from the nonzero h and c of the one
+    # before, walked in time order and reversed
     rng = np.random.default_rng(1)
     d, c_sz, frames = 4, 3, 5
     cell = (rng.normal(0, 0.3, (d, 4 * c_sz)), rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
             rng.normal(0, 0.3, 4 * c_sz))
     x = rng.normal(0, 1, (frames, d))
-    hs, cache = _lstm_run(*cell, x, [(0, 1, frames)], reverse=reverse)
-    assert hs.shape == cache["cells"].shape == (frames, c_sz)
-    want = [a[::-1] for a in textbook_cell(*cell, x[::-1])] if reverse else textbook_cell(*cell, x)
-    np.testing.assert_allclose(hs, want[0], rtol=1e-12)
-    np.testing.assert_allclose(cache["cells"], want[1], rtol=1e-12)
-    assert np.all(np.abs(cache["cells"]) > 0)
+    for reverse in (False, True):
+        hs, cache = _lstm_run(*cell, x, [(0, 1, frames)], reverse=reverse)
+        assert hs.shape == cache["cells"].shape == (frames, c_sz)
+        want = ([a[::-1] for a in textbook_cell(*cell, x[::-1])] if reverse
+                else textbook_cell(*cell, x))
+        np.testing.assert_allclose(hs, want[0], rtol=1e-12, err_msg=str(reverse))
+        np.testing.assert_allclose(cache["cells"], want[1], rtol=1e-12, err_msg=str(reverse))
+        assert np.all(np.abs(cache["cells"]) > 0)
+
+
+def test_lstm_run_two_steps_against_straight_line():
+    # two one-row steps in two runs: the second run starts from the nonzero
+    # h and c that the first copies into the carry rows
+    rng = np.random.default_rng(0)
+    d, c_sz = 4, 3
+    cell = (rng.normal(0, 0.3, (d, 4 * c_sz)), rng.normal(0, 0.3, (c_sz, 4 * c_sz)),
+            rng.normal(0, 0.3, 4 * c_sz))
+    x = rng.normal(0, 1, (2, d))
+    for reverse in (False, True):
+        hs, cache = _lstm_run(*cell, x, [(0, 1, 1), (1, 1, 1)], reverse=reverse)
+        want = ([a[::-1] for a in textbook_cell(*cell, x[::-1])] if reverse
+                else textbook_cell(*cell, x))
+        np.testing.assert_allclose(hs, want[0], rtol=1e-12, err_msg=str(reverse))
+        np.testing.assert_allclose(cache["cells"], want[1], rtol=1e-12, err_msg=str(reverse))
+        assert np.all(np.abs(cache["cells"]) > 0)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
