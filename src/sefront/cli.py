@@ -208,7 +208,6 @@ def cmd_enhance(args) -> int:
         elif args.estimator == "oracle":
             xi = _oracle_xi(args, n)
         out = dd.enhance(spec, rule, xi, out_len=n)
-    np.clip(out.samples, -1.0, 1.0, out=out.samples)  # finite, as istft checks
     corpus.save_wav(out, args.out)
     print(f"enhance[{args.estimator}/{args.gain}]: {in_path} -> {args.out}")
     return EXIT_OK

@@ -38,12 +38,13 @@ def gain_srwf(xi, out=None) -> np.ndarray:
     return np.sqrt(gain_wiener(xi, out), out=out)
 
 
-def _mmse_stsa(xi, gamma) -> np.ndarray:
-    """gain_mmse_stsa unchecked: NaN where that rejects the input."""
+def _mmse_stsa(xi, gamma, out=None) -> np.ndarray:
+    """gain_mmse_stsa unchecked: NaN where that rejects the input; the last
+    product goes into out if given."""
     nu = xi * gamma / (1.0 + xi)
     half = 0.5 * nu
-    return (0.5 * np.sqrt(np.pi)) * (np.sqrt(nu) / gamma) * (
-        (1.0 + nu) * _scipy.i0e(half) + nu * _scipy.i1e(half))
+    return np.multiply((0.5 * np.sqrt(np.pi)) * (np.sqrt(nu) / gamma),
+                       (1.0 + nu) * _scipy.i0e(half) + nu * _scipy.i1e(half), out=out)
 
 
 def gain_mmse_stsa(xi, gamma) -> np.ndarray:
@@ -77,8 +78,5 @@ def _gain_kernel(rule: GainRule, xi, gamma, out=None) -> np.ndarray:
     if rule is GainRule.SRWF:
         return gain_srwf(xi, out)
     if rule is GainRule.MMSE_STSA:
-        if out is None:
-            return _mmse_stsa(xi, gamma)
-        out[...] = _mmse_stsa(xi, gamma)
-        return out
+        return _mmse_stsa(xi, gamma, out)
     raise ValueError(f"unknown gain rule {rule!r}")

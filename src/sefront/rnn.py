@@ -20,8 +20,10 @@ fc.w gradient.  Every layer computes on the frames that exist and
 nothing else.  Each cell projects all its frames, x @ w_x + b, in one
 product before the one step loop, _lstm_run, which walks the runs; a
 bidirectional block's backward cell walks them reversed, each sequence
-starting from zero state at its last frame.  forward() walks one
-sequence as one run and drops the cache, so its bits are backward's.
+starting from zero state at its last frame.  _run hands each block's
+output and caches to its caller as the block ends: forward() walks one
+sequence as one run and drops them before the next block, so its bits
+are backward's; backward keeps them for the walk back.
 
 The network is a NetworkParams, the ordered mapping of its named
 tensors (params["block0.fwd.w_x"] and so on) in the one layout
@@ -362,35 +364,37 @@ def _output_layer(params: NetworkParams, act: np.ndarray) -> np.ndarray:
 
 
 def _run(params: NetworkParams, act: np.ndarray, runs):
-    """Outputs (N, K) of the blocks and output layer on the input layer's
-    packed activations act (N, C) walked by runs, and the cache."""
-    cache = {"act0": act, "blocks": []}
+    """Walk the blocks on the input layer's packed activations act (N, C)
+    by runs, yielding each block's output (N, C) and its cells' caches by
+    direction as the block ends; the caller keeps what it needs."""
     for i in range(params.n_blocks):
         nxt, caches = act.copy(), {}
         for direction in ("fwd", "bwd") if params.bidirectional else ("fwd",):
             h, caches[direction] = _lstm_run(*_cell(params, i, direction), act, runs,
                                              reverse=direction == "bwd")
             nxt += h
-            del h  # not held through the next cell or the output layer
-        cache["blocks"].append(caches)
+            del h  # not held through the next cell
         act = nxt
-    cache["final_act"] = act
-    return _output_layer(params, act), cache
+        yield act, caches
 
 
 def forward(params: NetworkParams, mag) -> np.ndarray:
     """Network output per frame and bin of mag (frames, bins), each value
     strictly inside (0, 1); mag is cast to the params' dtype, the output's.
 
-    The sequence walks as one run of one-row steps and the cache is
-    dropped, so the bits are those of backward's forward pass on it.
-    Finite weights that overflow the dtype, such as a huge one in float32,
-    are a FloatingPointError; a saturated sigmoid raises no flag.
+    The sequence walks as one run of one-row steps, and each block's cache
+    is dropped as the block ends, so the bits are those of backward's
+    forward pass on it.  Finite weights that overflow the dtype, such as a
+    huge one in float32, are a FloatingPointError; a saturated sigmoid
+    raises no flag.
     """
     x = np.ascontiguousarray(mag, dtype=params.dtype)
     _check_input(params, x)
     with np.errstate(over="raise", invalid="raise"):
-        return _run(params, _input_layer(params, x)[0], [(0, 1, len(x))])[0]
+        act = _input_layer(params, x)[0]
+        for act, caches in _run(params, act, [(0, 1, len(x))]):
+            del caches  # not held through the next block
+        return _output_layer(params, act)
 
 
 PRED_CLAMP = 1e-7
@@ -466,8 +470,8 @@ def backward(params: NetworkParams, x, target=None):
     after the input layer and laid out again for the fc.w gradient, not
     held.  A PackedBatch passed in is read in place instead, and its
     targets are taken over (batch.target becomes None) to be written
-    over, so the batch is held once.  Each array is dropped at its last
-    read.
+    over, so the batch is held once.  Each block's output and caches are
+    dropped as the walk back reaches the block.
     """
     if isinstance(x, PackedBatch):
         if target is not None:
@@ -499,8 +503,8 @@ def backward(params: NetworkParams, x, target=None):
     act, ln_cache = _input_layer(params, batch.x)
     if seqs is not None:
         batch.x = None  # laid out again for the fc.w gradient, not held
-    pred, cache = _run(params, act, batch.runs)
-    del act  # cache["act0"] holds it until its last read
+    blocks = list(_run(params, act, batch.runs))  # each block's (output, caches)
+    pred = _output_layer(params, blocks[-1][0])
     # the batch's targets are taken over: the only reference is dlogits
     dlogits, batch.target = batch.target, None
     # the targets' buffer takes the logits' gradient, and pred's the loss terms
@@ -509,22 +513,22 @@ def backward(params: NetworkParams, x, target=None):
     del pred
     grads: dict[str, np.ndarray] = {}
 
-    grads["out.w"] = cache.pop("final_act").T @ dlogits
+    grads["out.w"] = blocks[-1][0].T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
     da = dlogits @ params["out.w"].T
     del dlogits
 
     for i in range(params.n_blocks - 1, -1, -1):
+        caches = blocks.pop()[1]
         da_next = da.copy()
-        block_cache = cache["blocks"].pop()
-        for direction in list(block_cache):
+        for direction in list(caches):
             w_x, w_h, _ = _cell(params, i, direction)
-            dx, g = _lstm_backprop(w_x, w_h, block_cache.pop(direction), da)
+            dx, g = _lstm_backprop(w_x, w_h, caches.pop(direction), da)
             da_next += dx
             grads.update({f"block{i}.{direction}.{k}": v for k, v in g.items()})
         da = da_next
 
-    dy0 = da * (cache.pop("act0") > 0.0)
+    dy0 = da * (act > 0.0)
     dz0, dgain, doffset = _layer_norm_backprop(dy0, params["ln.gain"], ln_cache)
     grads["ln.gain"] = dgain
     grads["ln.offset"] = doffset

@@ -567,10 +567,17 @@ def test_mix_rejects_an_empty_clean_recording_before_writing(wav_corpus, tmp_pat
     assert not out_dir.exists()
 
 
-def test_mix_empty_grid_is_usage_error(wav_corpus, tmp_path):
+def test_mix_empty_grid_is_usage_error(wav_corpus, tmp_path, capsys):
     clean_dir, noise_dir = wav_corpus
     assert run("mix", "--clean", clean_dir, "--noise", noise_dir,
                "--snr-grid", ",", "--out-dir", tmp_path / "x") == 1
+    assert capsys.readouterr().err == "usage error: empty grid\n"
+    # a value that is not a number
+    assert run("mix", "--clean", clean_dir, "--noise", noise_dir,
+               "--snr-grid", "0,five", "--out-dir", tmp_path / "x") == 1
+    assert capsys.readouterr().err == ("usage error: bad SNR grid '0,five': could not "
+                                       "convert string to float: 'five'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -910,12 +917,19 @@ def test_config_explicit_flag_wins(noisy_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_unknown_key_is_usage_error(noisy_file, tmp_path):
+def test_config_unknown_key_is_usage_error(noisy_file, tmp_path, capsys):
     p, _ = noisy_file
     cfg = tmp_path / "run.cfg"
     cfg.write_text("frobnicate=1\n")
     assert run("--config", cfg, "enhance", "--in", p,
                "--out", tmp_path / "x.wav") == 1
+    assert capsys.readouterr().err == "usage error: config key 'frobnicate' unknown for enhance\n"
+    # a line without "=" is refused by its number
+    cfg.write_text("# preset\ngain srwf\n")
+    assert run("--config", cfg, "enhance", "--in", p,
+               "--out", tmp_path / "x.wav") == 1
+    assert capsys.readouterr().err == f"usage error: {cfg}:2: expected key=value\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.wav", "run.cfg"]
 
 
 def test_config_key_is_the_option_name(noisy_file, tmp_path):
@@ -1023,6 +1037,11 @@ def test_manifest_not_utf8_is_a_data_error_naming_the_file(tmp_path, capsys, com
     assert capsys.readouterr().err == (
         f"error: manifest is not UTF-8: {manifest}: invalid start byte\n")
     assert not (tmp_path / "noisy").exists()
+    # a manifest of blank lines has no entries
+    manifest.write_text("\n\n")
+    assert run(command, "--manifest", manifest, *args) == 2
+    assert capsys.readouterr().err == f"error: manifest {manifest} has no entries\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv", "hyp", "ref"]
 
 
 def test_config_without_value_is_usage_error(capsys):
@@ -1216,6 +1235,11 @@ def test_mix_checks_the_manifest_directory_before_mixing(wav_corpus, tmp_path, c
                "--manifest-out", tmp_path / "missing" / "m.tsv") == 2
     err = capsys.readouterr().err
     assert err == f"error: manifest output directory not found: {tmp_path / 'missing'}\n"
+    assert list(tmp_path.iterdir()) == []
+    # neither a manifest nor the directories to build one from
+    assert run("mix", "--clean", clean_dir, "--out-dir", out_dir) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: mix needs either --manifest or --clean/--noise dirs\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -394,6 +394,8 @@ def test_build_manifest_errors(manifest_dirs, tmp_path):
         build_test_manifest(clean_dir, noise_dir, 1, [])
     with pytest.raises(ValueError, match="exceeds"):
         build_test_manifest(clean_dir, noise_dir, 9, [0.0])
+    with pytest.raises(ValueError, match="^per_noise_count must be at least 1$"):
+        build_test_manifest(clean_dir, noise_dir, 0, [0.0])
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(ValueError, match="no .wav files"):

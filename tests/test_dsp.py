@@ -333,6 +333,8 @@ def test_istft_rejects_over_long_request():
     spec = stft(np.ones(1000))
     with pytest.raises(ValueError):
         istft(spec, out_len=synthesis_length(spec.n_frames) + 1)
+    with pytest.raises(ValueError, match="^out_len must be non-negative$"):
+        istft(spec, out_len=-1)
 
 
 def test_audio_signal_validation():
@@ -343,10 +345,14 @@ def test_audio_signal_validation():
         AudioSignal(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         AudioSignal(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^signal must be one-dimensional$"):
+        stft(np.zeros((2, 512)))
 
 
 def test_analysis_config_validation():
     assert DEFAULT_CONFIG.n_bins == 257
+    with pytest.raises(ValueError, match="^frame_len must be at least 2$"):
+        AnalysisConfig(frame_len=1)
     with pytest.raises(ValueError):
         AnalysisConfig(frame_shift=0)
     with pytest.raises(ValueError):
@@ -384,3 +390,5 @@ def test_spectrogram_validation():
         SpectroGram(-mag, ph)
     with pytest.raises(ValueError):
         SpectroGram(np.ones((3, 100)), np.zeros((3, 100)))
+    with pytest.raises(ValueError, match=r"^spectra must be 2-D \(frames x bins\)$"):
+        SpectroGram(np.ones(257), np.zeros(257))

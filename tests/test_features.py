@@ -98,6 +98,10 @@ def test_mfcc_ignores_phase():
     a = SpectroGram(mag, np.zeros((5, 257)))
     b = SpectroGram(mag, rng.uniform(-np.pi, np.pi, (5, 257)))
     np.testing.assert_array_equal(mfcc(a), mfcc(b))
+    # a spectrum kept as it is is not checked against its config until mfcc
+    narrow = SpectroGram.from_spectrum(np.ones((5, 100), complex), a.config)
+    with pytest.raises(ValueError, match="^spectrogram bin count does not match its config$"):
+        mfcc(narrow)
 
 
 def test_transcript_normalization():

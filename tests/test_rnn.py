@@ -16,7 +16,8 @@ from sefront.rnn import (
     loss_cross_entropy,
     save_network,
 )
-from sefront.rnn import _input_layer, _lstm_run, _pack, _run, _tensor_shapes
+from sefront.rnn import (_input_layer, _lstm_run, _output_layer, _pack, _run,
+                         _tensor_shapes)
 
 
 def tiny(seed=0, bidirectional=False, cell=8, blocks=2, dim=9):
@@ -143,6 +144,8 @@ def test_init_shapes_and_forget_bias():
     bi = tiny(bidirectional=True)
     assert bi.mode == "BI" and bi.n_blocks == 2
     assert all(f"block{i}.bwd.b" in bi for i in range(2))
+    with pytest.raises(ValueError, match="^network dimensions must be positive$"):
+        init_network(cell_size=0)
 
 
 def test_tensor_names():
@@ -174,6 +177,8 @@ def test_forward_rejects_bad_input():
         forward(p, np.ones((3, 5)))
     with pytest.raises(ValueError, match=r"expected \(frames x 9\), got \(2, 3, 9\)"):
         forward(p, np.ones((2, 3, 9)))
+    with pytest.raises(ValueError, match="^every sequence needs at least one frame$"):
+        forward(p, np.ones((0, 9)))
 
 
 def test_backward_rejects_bad_batches():
@@ -304,6 +309,8 @@ def test_loss_rejects_bad_targets():
         loss_cross_entropy(np.array([[0.5]]), np.array([[-0.1]]))
     with pytest.raises(ValueError, match=r"targets must lie in \[0, 1\]"):
         loss_cross_entropy(np.array([[0.5]]), np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="^prediction and target shapes differ$"):
+        loss_cross_entropy(np.full((2, 3), 0.5), np.full((3, 2), 0.5))
 
 
 @settings(max_examples=50, deadline=None)
@@ -386,6 +393,33 @@ def test_backward_peak_memory():
 
 def test_backward_peak_memory_bidirectional():
     assert backward_peak(bidirectional=True) < 9.0
+
+
+def forward_peak(bidirectional: bool) -> float:
+    """Traced peak of forward on a seeded float32 input of 375 frames with
+    the CLI's network (cell 64, 2 blocks, 257 bins, float32), above its
+    input, in units of one packed (frames x cell) float32 array."""
+    x = np.random.default_rng(22).uniform(0, 2, (375, 257)).astype(np.float32)
+    params = init_network(seed=1, bidirectional=bidirectional).astype(np.float32)
+    _scipy.expit  # imported here, so the peak holds no import
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward(params, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (375 * 64 * 4)
+
+
+# UNI measured 17.4 and BI 27.4 while forward held every block's gate and
+# cell caches until it returned; 8.1 and 13.1 with one block's at a time
+def test_forward_peak_memory():
+    assert forward_peak(bidirectional=False) < 10.0
+
+
+def test_forward_peak_memory_bidirectional():
+    assert forward_peak(bidirectional=True) < 16.0
 
 
 def test_backward_loss_matches_forward_loss():
@@ -538,7 +572,10 @@ def packed_forward(p, xs, ts=None):
     the batch that laid xs and ts (zeros by default) out."""
     ts = [np.zeros((len(x), p.output_dim)) for x in xs] if ts is None else ts
     batch = packed([len(x) for x in xs], xs, ts)
-    return _run(p, _input_layer(p, batch.x)[0], batch.runs)[0], batch
+    act = _input_layer(p, batch.x)[0]
+    for act, _ in _run(p, act, batch.runs):
+        pass
+    return _output_layer(p, act), batch
 
 
 def cli_batch(seed):
@@ -580,9 +617,11 @@ def test_float32_params_keep_every_array_float32(bidirectional):
     for j, pair in enumerate(zip(xs, ts)):
         batch.put(j, *pair)
     assert batch.x.dtype == batch.target.dtype == np.float32
-    pred, cache = _run(p, _input_layer(p, batch.x)[0], batch.runs)
-    cached = [cache["act0"], cache["final_act"]] + [
-        cell[k] for block in cache["blocks"] for cell in block.values()
+    act = _input_layer(p, batch.x)[0]
+    blocks = list(_run(p, act, batch.runs))
+    pred = _output_layer(p, blocks[-1][0])
+    cached = [act] + [out for out, _ in blocks] + [
+        cell[k] for _, caches in blocks for cell in caches.values()
         for k in ("x", "gates", "cells")]
     assert all(a.dtype == np.float32 for a in [pred, *cached])
     for loss, grads in (backward(p, batch), backward(p, xs, ts)):
@@ -785,6 +824,9 @@ def test_load_rejects_blank_header_line(tmp_path):
      r"^model file: malformed header line 7: 'tensor fc\.w \+9 8'$"),
     (b"\nmode UNI\n", b"\nmode \xffUNI\n",
      r"^model file: header is not UTF-8: invalid start byte$"),
+    (b"\nblocks 2\n", b"\n", r"^model file: missing header field 'blocks'$"),
+    (b"\nmode UNI\n", b"\nmode XYZ\n", r"^model file: mode must be UNI or BI, got XYZ$"),
+    (b"\ncell 8\n", b"\ncell 0\n", r"^model file: network dimensions must be positive$"),
 ])
 def test_load_names_the_model_file_in_every_rejection(tmp_path, old, new, message):
     good = tmp_path / "good.bin"

@@ -37,6 +37,8 @@ def test_oracle_xi_elementwise():
     clean = spec_of(np.full((1, 257), 2.0))
     noise = spec_of(np.full((1, 257), 1.0))
     np.testing.assert_allclose(oracle_xi(clean, noise), 4.0)
+    with pytest.raises(ValueError, match="^clean and noise spectrogram shapes differ$"):
+        oracle_xi(clean, spec_of(np.full((2, 257), 1.0)))
 
 
 def test_oracle_xi_zero_noise_hits_floor():
@@ -81,6 +83,8 @@ def test_map_monotone_and_bounded():
 def test_map_rejects_wrong_width():
     with pytest.raises(ValueError):
         map_xi(np.zeros((3, 5)), uniform_stats(4))
+    with pytest.raises(ValueError, match="^last axis must match the stats bin count$"):
+        unmap_xi(np.full((3, 5), 0.5), uniform_stats(4))
 
 
 def test_unmap_round_trip_interior():
@@ -138,6 +142,8 @@ def test_inverse_erf_against_high_precision():
 def test_xistats_validation():
     with pytest.raises(ValueError):
         XiStats(np.zeros(3), np.full(4, 1.0))
+    with pytest.raises(ValueError, match="^stats must cover at least one bin$"):
+        XiStats([], [])
     with pytest.raises(ValueError):
         XiStats(np.array([np.nan]), np.array([1.0]))
     with pytest.raises(ValueError):
