@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -213,6 +214,28 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
+class _SharedClean:
+    """The clean recording a run of consecutive manifest entries names:
+    read once, by the first of them to need it, and let go when the
+    run's last entry is done."""
+
+    def __init__(self, path: str, entries: int):
+        self.path, self.left, self.signal = path, entries, None
+        self.lock = threading.Lock()
+
+    def take(self):
+        with self.lock:
+            if self.signal is None:
+                self.signal = corpus.load_wav(self.path)
+            return self.signal
+
+    def done(self) -> None:
+        with self.lock:
+            self.left -= 1
+            if not self.left:
+                self.signal = None
+
+
 def cmd_mix(args) -> int:
     _require_counts(("--jobs", args.jobs))
     out_dir = Path(args.out_dir)
@@ -253,19 +276,25 @@ def cmd_mix(args) -> int:
         # once an entry fails, the entries not yet started are skipped;
         # map still raises the error of the first failing one in order
         failed = threading.Event()
+        jobs = []
+        for path, run in itertools.groupby(manifest.entries, lambda e: e.clean_path):
+            run = list(run)
+            jobs += zip(run, itertools.repeat(_SharedClean(path, len(run))))
 
-        def mix(e):
+        def mix(job):
+            e, clean = job
             if failed.is_set():
                 return
             try:
-                written.append(corpus.run_mix_entry(e, out_dir))
+                written.append(corpus.run_mix_entry(e, out_dir, clean.take()))
+                clean.done()
             except BaseException:
                 failed.set()
                 raise
 
         # --jobs 1 mixes on this thread: a pool worker gets its own malloc arena
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list((pool.map if args.jobs > 1 else map)(mix, manifest.entries))
+            list((pool.map if args.jobs > 1 else map)(mix, jobs))
     print(f"mix: {len(manifest.entries)} mixtures -> {out_dir}")
     return EXIT_OK
 

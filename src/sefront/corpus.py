@@ -1,23 +1,27 @@
 """Corpus tools: PCM WAV I/O, SNR-controlled mixing, test-set manifests.
 
-Recordings are 16-bit mono PCM at 16 kHz.  Loading divides by 32768;
-saving rounds back, so a load/save cycle of a conforming file is
-byte-identical.  A load can read one section of a file, and mixing reads
-only the noise section it uses.  Every read checks that the data chunk
-holds the frames asked for, and wav_length reads the last frame back, so
-a file cut short of its header's frame count is a WavFormatError, never
-a silently shorter signal.  A recording is either a WAV path or an
-in-memory signal.  Training and statistics share one seeded schedule,
-draw_mixtures, which reads each clean recording it draws and only the
-noise section it mixes.  Mixing scales the noise section so the
-full-signal power ratio hits the requested SNR exactly, then rescales
-all three components together if the mixture would clip.
+Recordings are 16-bit mono PCM at 16 kHz.  A load parses the RIFF
+header once, skipping chunks other than fmt and data, then seeks to the
+samples it wants, reads them in one read and divides them by 32768.  A
+save writes a 44-byte header and the PCM after it, so a load/save cycle
+of a conforming file is byte-identical.  A load can read one section of
+a file, and mixing reads only the noise section it uses.  Every read
+checks that the data chunk holds the frames asked for, and wav_length
+reads the last frame back, so a file cut short of its header's frame
+count is a WavFormatError, never a silently shorter signal.  A
+recording is either a WAV path or an in-memory signal.  Training and
+statistics share one seeded schedule, draw_mixtures, which reads each
+clean recording it draws and only the noise section it mixes.  Mixing
+scales the noise section so the full-signal power ratio hits the
+requested SNR exactly, then rescales all three components together if
+the mixture would clip.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import wave
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -34,92 +38,185 @@ class WavFormatError(ValueError):
     """A WAV file that is not 16-bit mono PCM at 16 kHz."""
 
 
-# what wave raises on a malformed file, on opening it or reading frames
-_WAVE_ERRORS = (wave.Error, EOFError, RuntimeError)
+_HEAD = 256  # bytes a header parse reads at once; a chunk past them is read alone
+_PAST_RIFF = "a chunk runs past the end of the RIFF chunk"
+_SHORT = "file ends inside a chunk header"
 
 
-def _format_error(name: str, exc: Exception) -> WavFormatError:
-    """One of _WAVE_ERRORS as a WavFormatError naming the file.  wave raises
-    a bare EOFError on a file that ends inside a chunk header, and a bare
-    RuntimeError on a chunk that outruns the RIFF chunk."""
-    reason = str(exc) or ("file ends inside a chunk header" if isinstance(exc, EOFError)
-                          else "a chunk runs past the end of the RIFF chunk")
-    return WavFormatError(f"{name}: {reason}")
+class _File:
+    """Reads from a position in an open file, served from its first _HEAD
+    bytes when those hold them."""
+
+    def __init__(self, fh):
+        self.fh, self.head, self.pos = fh, fh.read(_HEAD), 0
+
+    def read(self, k: int) -> bytes:
+        end = self.pos + k
+        if end <= len(self.head) or len(self.head) < _HEAD:  # or the file ends in the head
+            data = self.head[self.pos : end]
+        else:
+            self.fh.seek(self.pos)
+            data = self.fh.read(k)
+        self.pos += len(data)
+        return data
 
 
-def _open_checked(path: Path) -> wave.Wave_read:
-    """An open WAV reader, its format checked property by property."""
+class _Chunk:
+    """A chunk's body as the stdlib wave reader walks it: reads stop at its
+    end, and a read that reaches the end of an odd-sized chunk takes the
+    pad byte too."""
+
+    def __init__(self, parent, size: int):
+        self.parent, self.size, self.pos = parent, size, 0
+
+    def read(self, k: int) -> bytes:
+        if self.pos >= self.size:
+            return b""
+        data = self.parent.read(min(k, self.size - self.pos))
+        self.pos += len(data)
+        if self.pos == self.size and self.size & 1:
+            self.pos += len(self.parent.read(1))
+        return data
+
+
+class _Wav(NamedTuple):
+    """A checked header: the file's name, the size of the RIFF chunk's
+    body, where the data chunk starts in it, and the frames it gives."""
+
+    name: str
+    riff_size: int
+    data_at: int
+    frames: int
+
+
+def _parse(f: _File) -> tuple[int, int, int, tuple[int, int, int]]:
+    """(RIFF size, data offset in the RIFF body, data chunk size, (channels,
+    sample width, sample rate)), walking the chunks as the stdlib wave
+    reader does; a malformed header is a WavFormatError with that reader's
+    reason, or with _SHORT or _PAST_RIFF where it raises a bare EOFError
+    or RuntimeError."""
+    name, size = f.read(4), f.read(4)
+    if len(size) < 4:
+        raise WavFormatError(_SHORT)
+    riff = _Chunk(f, int.from_bytes(size, "little"))
+    if name != b"RIFF":
+        raise WavFormatError("file does not start with RIFF id")
+    if riff.read(4) != b"WAVE":
+        raise WavFormatError("not a WAVE file")
+    fmt = None
+    while True:
+        name, size = riff.read(4), riff.read(4)
+        if len(size) < 4:
+            raise WavFormatError("fmt chunk and/or data chunk missing")
+        chunk = _Chunk(riff, int.from_bytes(size, "little"))
+        if name == b"fmt ":
+            fields = chunk.read(14)
+            if len(fields) < 14:
+                raise WavFormatError(_SHORT)
+            tag, channels, rate, _, _ = struct.unpack("<HHLLH", fields)
+            if tag != 1:
+                raise WavFormatError(f"unknown format: {tag}")
+            bits = chunk.read(2)
+            if len(bits) < 2:
+                raise WavFormatError(_SHORT)
+            if not (width := (int.from_bytes(bits, "little") + 7) // 8):
+                raise WavFormatError("bad sample width")
+            if not channels:
+                raise WavFormatError("bad # of channels")
+            fmt = channels, width, rate
+        elif name == b"data":
+            if fmt is None:
+                raise WavFormatError("data chunk before fmt chunk")
+            return riff.size, riff.pos, chunk.size, fmt
+        # skip the rest of the chunk and its pad byte
+        riff.pos += chunk.size - chunk.pos + (chunk.size & 1)
+        if riff.pos > riff.size:
+            raise WavFormatError(_PAST_RIFF)
+        f.pos = 8 + riff.pos
+
+
+def _header(fh, name: str) -> _Wav:
+    """The header of an open WAV file, its format checked property by property."""
     try:
-        wf = wave.open(str(path), "rb")
-    except _WAVE_ERRORS as exc:
-        raise _format_error(path.name, exc) from exc
-    for name, got, want in (("channels", wf.getnchannels(), 1),
-                            ("sample_width", wf.getsampwidth(), 2),
-                            ("sample_rate", wf.getframerate(), SAMPLE_RATE)):
+        riff_size, data_at, data_size, fmt = _parse(_File(fh))
+    except WavFormatError as exc:
+        raise WavFormatError(f"{name}: {exc}") from None
+    for prop, got, want in zip(("channels", "sample_width", "sample_rate"), fmt,
+                               (1, 2, SAMPLE_RATE)):
         if got != want:
-            wf.close()
-            raise WavFormatError(f"{path.name}: {name}: expected {want}, got {got}")
-    return wf
+            raise WavFormatError(f"{name}: {prop}: expected {want}, got {got}")
+    return _Wav(name, riff_size, data_at, data_size // 2)
 
 
-def _read_frames(wf: wave.Wave_read, name: str, start: int, n: int) -> bytes:
-    """Frames [start, start + n) of an open file; the data chunk must hold them."""
-    total = wf.getnframes()
-    if start < 0 or n < 0 or start + n > total:
-        raise ValueError(f"{name}: frames [{start}, {start + n}) outside its {total} frames")
-    try:
-        wf.setpos(start)
-        raw = wf.readframes(n)
-    except _WAVE_ERRORS as exc:
-        raise _format_error(name, exc) from exc
-    if len(raw) != 2 * n:
+def _read_frames(fh, wav: _Wav, start: int, n: int) -> np.ndarray:
+    """Frames [start, start + n) of an open file as int16, in one read at
+    one seek; the data chunk must hold them."""
+    if start < 0 or n < 0 or start + n > wav.frames:
+        raise ValueError(f"{wav.name}: frames [{start}, {start + n}) outside its "
+                         f"{wav.frames} frames")
+    at = wav.data_at + 2 * start  # in the RIFF body, which starts at byte 8
+    if at > wav.riff_size:
+        raise WavFormatError(f"{wav.name}: {_PAST_RIFF}")
+    # no byte past the RIFF chunk is read, and none is allocated past the file
+    fits = 2 * n <= min(wav.riff_size - at, os.fstat(fh.fileno()).st_size - 8 - at)
+    pcm = np.empty(n if fits else 0, dtype="<i2")
+    buf, got = memoryview(pcm).cast("B"), 0
+    fh.seek(8 + at)
+    while got < len(buf) and (k := fh.readinto(buf[got:])):
+        got += k
+    if got != 2 * n:
         raise WavFormatError(
-            f"{name}: data chunk ends before frame {start + n} of the {total} "
-            "its header gives"
+            f"{wav.name}: data chunk ends before frame {start + n} of the "
+            f"{wav.frames} its header gives"
         )
-    return raw
+    return pcm
 
 
 def load_wav(path, start: int = 0, n: int | None = None) -> AudioSignal:
     """Read samples [start, start + n) of a 16-bit mono PCM WAV file at
     16 kHz; n=None reads to the end."""
     path = Path(path)
-    with _open_checked(path) as wf:
-        if n is None:
-            n = wf.getnframes() - start
-        raw = _read_frames(wf, path.name, start, n)
+    with open(path, "rb", buffering=0) as fh:
+        wav = _header(fh, path.name)
+        pcm = _read_frames(fh, wav, start, wav.frames - start if n is None else n)
     # one pass; a product with 2**-15 is exact, so it is the division by
     # PCM_SCALE bit for bit, at half the time of NumPy's float division
-    return AudioSignal(np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / PCM_SCALE,
-                                   dtype=np.float64))
+    return AudioSignal.from_finite(np.multiply(pcm, 1.0 / PCM_SCALE, dtype=np.float64))
 
 
 def wav_length(path) -> int:
     """Sample count from the header, with the same format checks and the
     last frame read back, so a data chunk cut short is caught."""
     path = Path(path)
-    with _open_checked(path) as wf:
-        n = wf.getnframes()
-        if n:
-            _read_frames(wf, path.name, n - 1, 1)
-        return n
+    with open(path, "rb", buffering=0) as fh:
+        wav = _header(fh, path.name)
+        if wav.frames:
+            _read_frames(fh, wav, wav.frames - 1, 1)
+    return wav.frames
+
+
+# RIFF, WAVE, a 16-byte PCM fmt chunk (mono, 16 kHz, 16 bits) and the data
+# chunk's header: the 44 bytes the stdlib wave writer writes, given the
+# data's byte count
+_WAV_HEADER = struct.Struct("<4sL4s4sLHHLLHH4sL")
 
 
 def save_wav(signal, path) -> None:
     """Write 16-bit mono PCM; amplitudes clip to the representable range.
     A sample that is not finite is a ValueError, and nothing is written."""
     x = _samples(signal)
-    if not np.isfinite(x).all():
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN is the min and max
         raise ValueError(f"{path}: samples must be finite")
     q = np.multiply(x, PCM_SCALE)
-    pcm = np.clip(np.rint(q, out=q), -32768, 32767, out=q).astype("<i2")
-    # opened here, not by wave.open: a Wave_write whose own open fails
-    # reports an AttributeError from its __del__ on top of the OSError
-    with open(path, "wb") as fh, wave.open(fh, "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(SAMPLE_RATE)
-        wf.writeframes(pcm)
+    np.rint(q, out=q)
+    if lo * PCM_SCALE < -32768 or hi * PCM_SCALE > 32767:  # some sample clips
+        np.clip(q, -32768, 32767, out=q)
+    pcm = q.astype("<i2")
+    with open(path, "wb") as fh:
+        fh.write(_WAV_HEADER.pack(b"RIFF", 36 + pcm.nbytes, b"WAVE", b"fmt ", 16, 1, 1,
+                                  SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, b"data", pcm.nbytes))
+        fh.write(pcm)
 
 
 def recording_length(rec) -> int:
@@ -240,13 +337,18 @@ def mix_at_snr(clean, noise, snr_db: float, noise_offset: int = 0) -> MixResult:
     g = mixing_gain(x, section, snr_db)
     d = g * section
     noisy = x + d
-    peak = float(np.max(np.abs(noisy))) if noisy.size else 0.0
+    top, bottom = float(noisy.max()), float(noisy.min())
+    # a sum is finite only if both terms are, so the mixture's check covers
+    # clean and noise too, scaled or not
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError("samples must be finite")
+    peak = max(top, -bottom)
     if peak > 1.0:
         scale = CLIP_TARGET / peak
         x = x * scale
         d = d * scale
         noisy = noisy * scale
-    return MixResult(AudioSignal(noisy), AudioSignal(x), AudioSignal(d))
+    return MixResult(*map(AudioSignal.from_finite, (noisy, x, d)))
 
 
 @dataclass(frozen=True)
@@ -366,12 +468,15 @@ def load_manifest(path) -> Manifest:
     return Manifest(entries)
 
 
-def run_mix_entry(entry: MixSpec, out_dir) -> Path:
+def run_mix_entry(entry: MixSpec, out_dir, clean: AudioSignal | None = None) -> Path:
     """Mix one manifest entry and write the noisy WAV into out_dir.
 
-    Only the noise section the entry mixes is read from its recording.
+    clean is the entry's clean recording if the caller has loaded it;
+    None loads it.  Only the noise section the entry mixes is read from
+    its recording.
     """
-    clean = load_wav(entry.clean_path)
+    if clean is None:
+        clean = load_wav(entry.clean_path)
     section = load_wav(entry.noise_path, entry.noise_offset, len(clean))
     mixed = mix_at_snr(clean, section, entry.snr_db)
     out_path = Path(out_dir) / entry.output_path

@@ -205,7 +205,10 @@ def transcript_name(output_path: str) -> str:
 def _read_transcript(path: Path, entry_name: str) -> Transcript:
     if not path.is_file():
         raise FileNotFoundError(f"{entry_name}: missing transcript {path}")
-    return Transcript.from_text(path.read_text(encoding="utf-8"))
+    try:
+        return Transcript.from_text(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{entry_name}: transcript {path} is not UTF-8: {exc.reason}") from exc
 
 
 def score_manifest(entries, ref_dir, hyp_dir) -> list[ConditionScore]:

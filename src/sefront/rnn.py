@@ -391,8 +391,9 @@ def forward(params: NetworkParams, mag) -> np.ndarray:
     x = np.ascontiguousarray(mag, dtype=params.dtype)
     _check_input(params, x)
     with np.errstate(over="raise", invalid="raise"):
-        act = _input_layer(params, x)[0]
-        for act, caches in _run(params, act, [(0, 1, len(x))]):
+        act, runs = _input_layer(params, x)[0], [(0, 1, len(x))]
+        del x  # a cast copy of mag is not held through the blocks
+        for act, caches in _run(params, act, runs):
             del caches  # not held through the next block
         return _output_layer(params, act)
 
@@ -612,7 +613,11 @@ def load_network(path, dtype=np.float64) -> NetworkParams:
             f"header implies {expected.get(name, 'no such tensor')}"
         )
 
-    data = np.frombuffer(raw[split + len(marker) :], dtype="<f4")
+    body = raw[split + len(marker) :]
+    if len(body) % 4:
+        raise ValueError(f"model file: data section of {len(body)} bytes is not a whole "
+                         "number of float32 values")
+    data = np.frombuffer(body, dtype="<f4")
     arrays: dict[str, np.ndarray] = {}
     pos = 0
     for name, shape in shapes.items():

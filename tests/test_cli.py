@@ -370,7 +370,7 @@ def _truncated_wav_bytes(clean_dir):
 def test_a_data_chunk_past_the_riff_chunk_is_one_line_and_writes_nothing(
         wav_corpus, tmp_path, capsys, command):
     # the header reads, but reading back the last frame seeks past the RIFF
-    # chunk, where wave raises a bare RuntimeError
+    # chunk, which is a format error
     clean_dir, noise_dir = wav_corpus
     raw = bytearray(sorted(clean_dir.glob("*.wav"))[0].read_bytes())
     raw[40:44] = (len(raw) - 44 + 4).to_bytes(4, "little")
@@ -493,18 +493,18 @@ def test_mix_starts_no_entry_after_the_first_failure(wav_corpus, tmp_path, capsy
     calls = []
     run_mix_entry = cli.corpus.run_mix_entry
 
-    def counted(entry, out_dir):
+    def counted(entry, out_dir, clean):
         calls.append(entry.output_path)
         if entry.output_path == "m15.wav":
             try:
-                return run_mix_entry(entry, out_dir)
+                return run_mix_entry(entry, out_dir, clean)
             finally:
                 failed.set()
         if entry.output_path > "m15.wav":
             # a later entry ends only after the failure, so that no worker
             # is free to take a further entry before it
             failed.wait(10)
-        return run_mix_entry(entry, out_dir)
+        return run_mix_entry(entry, out_dir, clean)
 
     monkeypatch.setattr(cli.corpus, "run_mix_entry", counted)
     out_dir = tmp_path / "out"
@@ -520,9 +520,9 @@ def test_mix_at_one_job_runs_on_the_calling_thread(wav_corpus, tmp_path, monkeyp
     threads = []
     run_mix_entry = cli.corpus.run_mix_entry
 
-    def recorded(entry, out_dir):
+    def recorded(entry, out_dir, clean):
         threads.append(threading.current_thread())
-        return run_mix_entry(entry, out_dir)
+        return run_mix_entry(entry, out_dir, clean)
 
     monkeypatch.setattr(cli.corpus, "run_mix_entry", recorded)
     assert run("mix", "--clean", clean_dir, "--noise", noise_dir, "--per-noise", 1,
@@ -1301,6 +1301,25 @@ def test_wer_refuses_two_entries_scoring_against_one_transcript(wav_corpus, tmp_
     assert sorted(f.name for f in (tmp_path / "noisy").iterdir()) == ["x", "x.wav", "y.wav"]
 
 
+@pytest.mark.parametrize("side", ["ref", "hyp"])
+def test_wer_names_the_entry_and_file_of_a_transcript_not_in_utf8(wav_corpus, tmp_path,
+                                                                  capsys, side):
+    clean, noise = wav_corpus[0] / "utt00.wav", wav_corpus[1] / "white_a.wav"
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{clean}\t{noise}\t5\t0\tx.wav\n")
+    dirs = {"ref": tmp_path / "ref", "hyp": tmp_path / "hyp"}
+    for d in dirs.values():
+        d.mkdir()
+        (d / "x.txt").write_text("one two")
+    (dirs[side] / "x.txt").write_bytes(b"\xff\xfe")
+    out = tmp_path / "scores.csv"
+    assert run("wer", "--manifest", manifest, "--ref", dirs["ref"], "--hyp", dirs["hyp"],
+               "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: x.wav: transcript {dirs[side] / 'x.txt'} is not UTF-8: invalid start byte\n")
+    assert not out.exists()
+
+
 def test_wer_checks_the_output_directory_before_reading(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("read before checking the output")
@@ -1476,4 +1495,21 @@ def test_a_malformed_stats_or_model_file_is_one_line_naming_it(noisy_file, tmp_p
     assert run("enhance", "--in", p, "--out", out, "--estimator", "neural",
                "--model", files["model"], "--stats", files["stats"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stray", [1, 2, 3])
+def test_a_model_file_with_part_of_a_value_after_its_data_is_one_line(noisy_file, tmp_path,
+                                                                      capsys, stray):
+    p, _ = noisy_file
+    stats, model = tmp_path / "stats.txt", tmp_path / "net.bin"
+    save_stats(XiStats(np.zeros(257), np.ones(257)), stats)
+    save_network(init_network(cell_size=4, n_blocks=1), model)
+    with open(model, "ab") as fh:
+        fh.write(b"\x01" * stray)
+    out = tmp_path / "o.wav"
+    assert run("enhance", "--in", p, "--out", out, "--estimator", "neural",
+               "--model", model, "--stats", stats) == 2
+    assert re.fullmatch(r"error: model file: data section of \d+ bytes is not a whole "
+                        r"number of float32 values\n", capsys.readouterr().err)
     assert not out.exists()

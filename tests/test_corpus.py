@@ -1,3 +1,4 @@
+import struct
 import wave
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import SR, quantize, tone_bursts, white_noise
 from sefront.corpus import (
     CLIP_TARGET,
+    PCM_SCALE,
     Manifest,
     MixSpec,
     WavFormatError,
@@ -181,6 +183,107 @@ def test_data_chunk_past_the_riff_chunk_is_a_format_error_when_read(tmp_path):
     with pytest.raises(WavFormatError, match=message):
         load_wav(p, 8001, 1)
     np.testing.assert_array_equal(load_wav(p, 0, 8000).samples, 0.0)
+
+
+def _chunk(name: bytes, payload: bytes) -> bytes:
+    """A RIFF chunk, with the pad byte an odd-sized one takes."""
+    return name + struct.pack("<L", len(payload)) + payload + b"\0" * (len(payload) & 1)
+
+
+# chunks a reader must skip: odd sizes end in a pad byte
+extra_chunks = st.lists(st.builds(_chunk, st.sampled_from([b"LIST", b"junk", b"fact", b"cue "]),
+                                  st.binary(max_size=9)), max_size=2).map(b"".join)
+
+
+@st.composite
+def wav_with_extra_chunks(draw):
+    """(file bytes, frames): a valid 16-bit mono 16 kHz PCM file with other
+    chunks before and after its fmt chunk and after its data chunk, and a
+    fmt chunk that may carry extra bytes."""
+    n = draw(st.integers(0, 300))
+    fmt = struct.pack("<HHLLHH", 1, 1, SR, 2 * SR, 2, 16) + draw(st.binary(max_size=3))
+    body = (b"WAVE" + draw(extra_chunks) + _chunk(b"fmt ", fmt) + draw(extra_chunks)
+            + _chunk(b"data", draw(st.binary(min_size=2 * n, max_size=2 * n)))
+            + draw(extra_chunks))
+    return b"RIFF" + struct.pack("<L", len(body)) + body, n
+
+
+@pytest.fixture(scope="module")
+def wav_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav")
+
+
+@settings(max_examples=150, deadline=None)
+@given(wav=wav_with_extra_chunks(), data=st.data())
+def test_load_wav_reads_what_the_wave_module_reads(wav_dir, wav, data):
+    raw, n = wav
+    path = wav_dir / "x.wav"
+    path.write_bytes(raw)
+    start = data.draw(st.integers(0, n))
+    count = data.draw(st.integers(0, n - start))
+    with wave.open(str(path), "rb") as wf:
+        assert wf.getnframes() == n
+        whole = np.frombuffer(wf.readframes(n), dtype="<i2") / PCM_SCALE
+        wf.setpos(start)
+        section = np.frombuffer(wf.readframes(count), dtype="<i2") / PCM_SCALE
+    assert wav_length(path) == n
+    assert load_wav(path).samples.tobytes() == whole.tobytes()
+    assert load_wav(path, start, count).samples.tobytes() == section.tobytes()
+    assert load_wav(path, start).samples.tobytes() == whole[start:].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(wav=wav_with_extra_chunks(),
+       edits=st.lists(st.tuples(st.integers(0, 95), st.integers(0, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 120), data=st.data())
+def test_a_corrupt_header_is_only_ever_a_value_error(wav_dir, wav, edits, cut, data):
+    # never struct.error, IndexError, EOFError or RuntimeError from the parse
+    raw, n = wav
+    raw = bytearray(raw)
+    for i, byte in edits:
+        if i < len(raw):
+            raw[i] = byte
+    path = wav_dir / "bad.wav"
+    path.write_bytes(bytes(raw[:cut]))
+    start = data.draw(st.integers(-1, n + 1))
+    count = data.draw(st.none() | st.integers(-1, n + 1))
+    for read in (wav_length, load_wav, lambda p: load_wav(p, start, count)):
+        try:
+            read(path)
+        except ValueError:  # WavFormatError among them
+            pass
+
+
+def test_a_read_stops_at_the_end_of_the_riff_chunk(tmp_path):
+    # the file holds all 100 frames, but its RIFF chunk ends two frames early
+    p = tmp_path / "short_riff.wav"
+    save_wav(np.full(100, 0.5), p)
+    raw = bytearray(p.read_bytes())
+    raw[4:8] = (36 + 2 * 98).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(WavFormatError, match="short_riff.wav: data chunk ends before "
+                                             "frame 100 of the 100 its header gives"):
+        load_wav(p)
+    with pytest.raises(WavFormatError, match="data chunk ends before frame 99 "):
+        load_wav(p, 98, 1)
+    # reading back the last frame seeks past the RIFF chunk's end
+    with pytest.raises(WavFormatError, match="a chunk runs past the end of the RIFF chunk"):
+        wav_length(p)
+    np.testing.assert_array_equal(load_wav(p, 0, 98).samples, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64000])
+def test_save_wav_writes_the_bytes_wave_writes(tmp_path, n):
+    x = np.random.default_rng(n).uniform(-1.2, 1.2, n)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+    save_wav(x, ours)
+    pcm = np.clip(np.rint(x * PCM_SCALE), -32768, 32767).astype("<i2")
+    with wave.open(str(theirs), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(SR)
+        wf.writeframes(pcm.tobytes())
+    assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_recording_length_and_read_recording_for_paths_and_signals(pcm_file):
