@@ -38,27 +38,8 @@ class WavFormatError(ValueError):
     """A WAV file that is not 16-bit mono PCM at 16 kHz."""
 
 
-_HEAD = 256  # bytes a header parse reads at once; a chunk past them is read alone
 _PAST_RIFF = "a chunk runs past the end of the RIFF chunk"
 _SHORT = "file ends inside a chunk header"
-
-
-class _File:
-    """Reads from a position in an open file, served from its first _HEAD
-    bytes when those hold them."""
-
-    def __init__(self, fh):
-        self.fh, self.head, self.pos = fh, fh.read(_HEAD), 0
-
-    def read(self, k: int) -> bytes:
-        end = self.pos + k
-        if end <= len(self.head) or len(self.head) < _HEAD:  # or the file ends in the head
-            data = self.head[self.pos : end]
-        else:
-            self.fh.seek(self.pos)
-            data = self.fh.read(k)
-        self.pos += len(data)
-        return data
 
 
 class _Chunk:
@@ -89,16 +70,16 @@ class _Wav(NamedTuple):
     frames: int
 
 
-def _parse(f: _File) -> tuple[int, int, int, tuple[int, int, int]]:
+def _parse(fh) -> tuple[int, int, int, tuple[int, int, int]]:
     """(RIFF size, data offset in the RIFF body, data chunk size, (channels,
     sample width, sample rate)), walking the chunks as the stdlib wave
     reader does; a malformed header is a WavFormatError with that reader's
     reason, or with _SHORT or _PAST_RIFF where it raises a bare EOFError
     or RuntimeError."""
-    name, size = f.read(4), f.read(4)
+    name, size = fh.read(4), fh.read(4)
     if len(size) < 4:
         raise WavFormatError(_SHORT)
-    riff = _Chunk(f, int.from_bytes(size, "little"))
+    riff = _Chunk(fh, int.from_bytes(size, "little"))
     if name != b"RIFF":
         raise WavFormatError("file does not start with RIFF id")
     if riff.read(4) != b"WAVE":
@@ -132,13 +113,13 @@ def _parse(f: _File) -> tuple[int, int, int, tuple[int, int, int]]:
         riff.pos += chunk.size - chunk.pos + (chunk.size & 1)
         if riff.pos > riff.size:
             raise WavFormatError(_PAST_RIFF)
-        f.pos = 8 + riff.pos
+        fh.seek(8 + riff.pos)
 
 
 def _header(fh, name: str) -> _Wav:
     """The header of an open WAV file, its format checked property by property."""
     try:
-        riff_size, data_at, data_size, fmt = _parse(_File(fh))
+        riff_size, data_at, data_size, fmt = _parse(fh)
     except WavFormatError as exc:
         raise WavFormatError(f"{name}: {exc}") from None
     for prop, got, want in zip(("channels", "sample_width", "sample_rate"), fmt,
@@ -149,8 +130,8 @@ def _header(fh, name: str) -> _Wav:
 
 
 def _read_frames(fh, wav: _Wav, start: int, n: int) -> np.ndarray:
-    """Frames [start, start + n) of an open file as int16, in one read at
-    one seek; the data chunk must hold them."""
+    """Frames [start, start + n) of an open file as int16, read at one
+    seek; the data chunk must hold them."""
     if start < 0 or n < 0 or start + n > wav.frames:
         raise ValueError(f"{wav.name}: frames [{start}, {start + n}) outside its "
                          f"{wav.frames} frames")
@@ -160,11 +141,8 @@ def _read_frames(fh, wav: _Wav, start: int, n: int) -> np.ndarray:
     # no byte past the RIFF chunk is read, and none is allocated past the file
     fits = 2 * n <= min(wav.riff_size - at, os.fstat(fh.fileno()).st_size - 8 - at)
     pcm = np.empty(n if fits else 0, dtype="<i2")
-    buf, got = memoryview(pcm).cast("B"), 0
     fh.seek(8 + at)
-    while got < len(buf) and (k := fh.readinto(buf[got:])):
-        got += k
-    if got != 2 * n:
+    if fh.readinto(pcm) != 2 * n:
         raise WavFormatError(
             f"{wav.name}: data chunk ends before frame {start + n} of the "
             f"{wav.frames} its header gives"
@@ -176,7 +154,7 @@ def load_wav(path, start: int = 0, n: int | None = None) -> AudioSignal:
     """Read samples [start, start + n) of a 16-bit mono PCM WAV file at
     16 kHz; n=None reads to the end."""
     path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, "rb") as fh:
         wav = _header(fh, path.name)
         pcm = _read_frames(fh, wav, start, wav.frames - start if n is None else n)
     # one pass; a product with 2**-15 is exact, so it is the division by
@@ -188,7 +166,7 @@ def wav_length(path) -> int:
     """Sample count from the header, with the same format checks and the
     last frame read back, so a data chunk cut short is caught."""
     path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, "rb") as fh:
         wav = _header(fh, path.name)
         if wav.frames:
             _read_frames(fh, wav, wav.frames - 1, 1)
