@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -179,7 +178,8 @@ def _oracle_xi(args, n: int):
     for path in paths:
         reference = corpus.load_wav(path)
         if len(reference) != n:
-            raise ValueError("oracle references must match the input length")
+            raise ValueError(f"oracle reference {path}: {len(reference)} samples, "
+                             f"but the input has {n}")
         magnitudes.append(stft(reference).magnitude)
         del reference
     return snr.oracle_xi(*magnitudes)
@@ -212,28 +212,6 @@ def cmd_enhance(args) -> int:
     corpus.save_wav(out, args.out)
     print(f"enhance[{args.estimator}/{args.gain}]: {in_path} -> {args.out}")
     return EXIT_OK
-
-
-class _SharedClean:
-    """The clean recording a run of consecutive manifest entries names:
-    read once, by the first of them to need it, and let go when the
-    run's last entry is done."""
-
-    def __init__(self, path: str, entries: int):
-        self.path, self.left, self.signal = path, entries, None
-        self.lock = threading.Lock()
-
-    def take(self):
-        with self.lock:
-            if self.signal is None:
-                self.signal = corpus.load_wav(self.path)
-            return self.signal
-
-    def done(self) -> None:
-        with self.lock:
-            self.left -= 1
-            if not self.left:
-                self.signal = None
 
 
 def cmd_mix(args) -> int:
@@ -276,25 +254,24 @@ def cmd_mix(args) -> int:
         # once an entry fails, the entries not yet started are skipped;
         # map still raises the error of the first failing one in order
         failed = threading.Event()
-        jobs = []
-        for path, run in itertools.groupby(manifest.entries, lambda e: e.clean_path):
-            run = list(run)
-            jobs += zip(run, itertools.repeat(_SharedClean(path, len(run))))
+        # each worker keeps the last clean recording it read, so a run of
+        # entries naming one file reads it once per worker
+        last = threading.local()
 
-        def mix(job):
-            e, clean = job
+        def mix(e):
             if failed.is_set():
                 return
             try:
-                written.append(corpus.run_mix_entry(e, out_dir, clean.take()))
-                clean.done()
+                if getattr(last, "path", None) != e.clean_path:
+                    last.path, last.clean = e.clean_path, corpus.load_wav(e.clean_path)
+                written.append(corpus.run_mix_entry(e, out_dir, last.clean))
             except BaseException:
                 failed.set()
                 raise
 
         # --jobs 1 mixes on this thread: a pool worker gets its own malloc arena
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list((pool.map if args.jobs > 1 else map)(mix, jobs))
+            list((pool.map if args.jobs > 1 else map)(mix, manifest.entries))
     print(f"mix: {len(manifest.entries)} mixtures -> {out_dir}")
     return EXIT_OK
 
@@ -442,6 +419,8 @@ def main(argv=None) -> int:
         args = _parse(argv)
         if args.command is None:
             raise UsageError("missing command (stats, train, enhance, mix, wer)")
+        if getattr(args, "seed", 0) < 0:  # the seed of stats, train or mix
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

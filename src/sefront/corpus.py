@@ -39,25 +39,6 @@ class WavFormatError(ValueError):
 
 
 _PAST_RIFF = "a chunk runs past the end of the RIFF chunk"
-_SHORT = "file ends inside a chunk header"
-
-
-class _Chunk:
-    """A chunk's body as the stdlib wave reader walks it: reads stop at its
-    end, and a read that reaches the end of an odd-sized chunk takes the
-    pad byte too."""
-
-    def __init__(self, parent, size: int):
-        self.parent, self.size, self.pos = parent, size, 0
-
-    def read(self, k: int) -> bytes:
-        if self.pos >= self.size:
-            return b""
-        data = self.parent.read(min(k, self.size - self.pos))
-        self.pos += len(data)
-        if self.pos == self.size and self.size & 1:
-            self.pos += len(self.parent.read(1))
-        return data
 
 
 class _Wav(NamedTuple):
@@ -70,63 +51,61 @@ class _Wav(NamedTuple):
     frames: int
 
 
-def _parse(fh) -> tuple[int, int, int, tuple[int, int, int]]:
-    """(RIFF size, data offset in the RIFF body, data chunk size, (channels,
-    sample width, sample rate)), walking the chunks as the stdlib wave
-    reader does; a malformed header is a WavFormatError with that reader's
-    reason, or with _SHORT or _PAST_RIFF where it raises a bare EOFError
-    or RuntimeError."""
-    name, size = fh.read(4), fh.read(4)
-    if len(size) < 4:
-        raise WavFormatError(_SHORT)
-    riff = _Chunk(fh, int.from_bytes(size, "little"))
-    if name != b"RIFF":
-        raise WavFormatError("file does not start with RIFF id")
-    if riff.read(4) != b"WAVE":
-        raise WavFormatError("not a WAVE file")
-    fmt = None
-    while True:
-        name, size = riff.read(4), riff.read(4)
-        if len(size) < 4:
-            raise WavFormatError("fmt chunk and/or data chunk missing")
-        chunk = _Chunk(riff, int.from_bytes(size, "little"))
-        if name == b"fmt ":
-            fields = chunk.read(14)
-            if len(fields) < 14:
-                raise WavFormatError(_SHORT)
-            tag, channels, rate, _, _ = struct.unpack("<HHLLH", fields)
-            if tag != 1:
-                raise WavFormatError(f"unknown format: {tag}")
-            bits = chunk.read(2)
-            if len(bits) < 2:
-                raise WavFormatError(_SHORT)
-            if not (width := (int.from_bytes(bits, "little") + 7) // 8):
-                raise WavFormatError("bad sample width")
-            if not channels:
-                raise WavFormatError("bad # of channels")
-            fmt = channels, width, rate
-        elif name == b"data":
-            if fmt is None:
-                raise WavFormatError("data chunk before fmt chunk")
-            return riff.size, riff.pos, chunk.size, fmt
-        # skip the rest of the chunk and its pad byte
-        riff.pos += chunk.size - chunk.pos + (chunk.size & 1)
-        if riff.pos > riff.size:
-            raise WavFormatError(_PAST_RIFF)
-        fh.seek(8 + riff.pos)
-
-
 def _header(fh, name: str) -> _Wav:
-    """The header of an open WAV file, its format checked property by property."""
-    try:
-        riff_size, data_at, data_size, fmt = _parse(fh)
-    except WavFormatError as exc:
-        raise WavFormatError(f"{name}: {exc}") from None
-    for prop, got, want in zip(("channels", "sample_width", "sample_rate"), fmt,
-                               (1, 2, SAMPLE_RATE)):
-        if got != want:
-            raise WavFormatError(f"{name}: {prop}: expected {want}, got {got}")
-    return _Wav(name, riff_size, data_at, data_size // 2)
+    """The header of an open WAV file, its chunks walked by byte offset as
+    the stdlib wave reader walks them, then its format checked property by
+    property.  A malformed header is a WavFormatError with that reader's
+    reason, or with its own where the reader raises a bare EOFError or
+    RuntimeError."""
+
+    def fail(reason: str) -> WavFormatError:
+        return WavFormatError(f"{name}: {reason}")
+
+    def read(at: int, k: int) -> bytes:
+        """Up to k bytes at offset at of the RIFF body, never past its size."""
+        fh.seek(8 + at)
+        return fh.read(max(0, min(k, riff - at)))
+
+    head = fh.read(8)
+    if len(head) < 8:
+        raise fail("file ends inside a chunk header")
+    riff = int.from_bytes(head[4:], "little")
+    if head[:4] != b"RIFF":
+        raise fail("file does not start with RIFF id")
+    if read(0, 4) != b"WAVE":
+        raise fail("not a WAVE file")
+    at, fmt = 4, None
+    while len(head := read(at, 8)) == 8:
+        size, at = int.from_bytes(head[4:], "little"), at + 8
+        if head[:4] == b"fmt ":
+            # the tag is checked before the bits field is read
+            fields = read(at, min(size, 14))
+            if len(fields) == 14 and (tag := fields[0] | fields[1] << 8) != 1:
+                raise fail(f"unknown format: {tag}")
+            fields += read(at + 14, min(size - 14, 2))  # nothing if fields is short
+            if len(fields) < 16:
+                raise fail("file ends inside a chunk header")
+            _, channels, rate, _, _, bits = struct.unpack("<HHLLHH", fields)
+            if not (width := (bits + 7) // 8):
+                raise fail("bad sample width")
+            if not channels:
+                raise fail("bad # of channels")
+            fmt = channels, width, rate
+        elif head[:4] == b"data":
+            if fmt is None:
+                raise fail("data chunk before fmt chunk")
+            for prop, got, want in zip(("channels", "sample_width", "sample_rate"), fmt,
+                                       (1, 2, SAMPLE_RATE)):
+                if got != want:
+                    raise fail(f"{prop}: expected {want}, got {got}")
+            return _Wav(name, riff, at, size // 2)
+        # skip the rest of the chunk and its pad byte; chunks start at even
+        # offsets, so no whole read ends at an odd RIFF chunk's end, past
+        # which the wave reader would step over a pad byte of its own
+        at += size + (size & 1)
+        if at > riff:
+            raise fail(_PAST_RIFF)
+    raise fail("fmt chunk and/or data chunk missing")
 
 
 def _read_frames(fh, wav: _Wav, start: int, n: int) -> np.ndarray:

@@ -190,12 +190,15 @@ def test_enhance_oracle_mmse_stsa_with_silent_frames(tmp_path):
     assert len(load_wav(out)) == SR // 2
 
 
-def test_enhance_oracle_length_mismatch(noisy_file, tmp_path):
-    p, _ = noisy_file
+def test_enhance_oracle_length_mismatch(noisy_file, tmp_path, capsys):
+    p, mixed = noisy_file
     short = tmp_path / "short.wav"
     save_wav(np.full(100, 0.1), short)
     assert run("enhance", "--in", p, "--out", tmp_path / "x.wav",
                "--estimator", "oracle", "--clean", short, "--noise", short) == 2
+    assert capsys.readouterr().err == (f"error: oracle reference {short}: 100 samples, "
+                                       f"but the input has {len(mixed.noisy)}\n")
+    assert not (tmp_path / "x.wav").exists()
 
 
 def test_mix_builds_manifest_and_outputs(wav_corpus, tmp_path):
@@ -529,6 +532,65 @@ def test_mix_at_one_job_runs_on_the_calling_thread(wav_corpus, tmp_path, monkeyp
                "--snr-grid", "0,5", "--out-dir", tmp_path / "out", "--jobs", 1) == 0
     assert len(threads) == 4 * 2
     assert set(threads) == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_mix_reads_a_clean_file_once_per_run_and_worker(wav_corpus, tmp_path, monkeypatch,
+                                                        jobs):
+    # runs of 5, 4 and 6 entries; the first and last name the same file
+    clean_dir, noise_dir = wav_corpus
+    a, b = sorted(clean_dir.glob("*.wav"))[:2]
+    noise = sorted(noise_dir.glob("*.wav"))[0]
+    runs = [(a, 5), (b, 4), (a, 6)]
+    manifest = tmp_path / "manifest.tsv"
+    cleans = [clean for clean, k in runs for _ in range(k)]
+    manifest.write_text("".join(f"{clean}\t{noise}\t{i % 3 * 5}\t{i * 97}\tm{i:02d}.wav\n"
+                                for i, clean in enumerate(cleans)))
+    reads = []
+    load_wav = cli.corpus.load_wav
+
+    def counted(path, start=0, n=None):
+        if n is None:
+            reads.append(Path(path))
+        return load_wav(path, start, n)
+
+    monkeypatch.setattr(cli.corpus, "load_wav", counted)
+    out_dir = tmp_path / f"out{jobs}"
+    assert run("mix", "--manifest", manifest, "--out-dir", out_dir, "--jobs", jobs) == 0
+    if jobs == 1:
+        assert reads == [a, b, a]
+    else:
+        # at most once per worker and run; a worker may still hold a from
+        # the first run when it takes an entry of the third
+        assert set(reads) == {a, b} and reads.count(a) <= 2 * 3 and reads.count(b) <= 3
+        # the same mixtures as one job writes
+        assert run("mix", "--manifest", manifest, "--out-dir", tmp_path / "one") == 0
+        for i in range(15):
+            name = f"m{i:02d}.wav"
+            assert (out_dir / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["stats", "train", "mix"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(wav_corpus, tmp_path, capsys,
+                                                          monkeypatch, command, source):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read before the seed was checked")
+
+    for name in ("wav_files", "wav_length", "load_wav", "build_test_manifest"):
+        monkeypatch.setattr(cli.corpus, name, refuse)
+    clean_dir, noise_dir = wav_corpus
+    monkeypatch.chdir(tmp_path)
+    argv = {"stats": ["--out", "stats.txt"], "mix": ["--out-dir", "noisy"],
+            "train": ["--stats", "stats.txt", "--out", "net.bin"]}[command]
+    if source == "config":
+        Path("run.cfg").write_text("seed=-1\n")
+        argv = ["--config", "run.cfg", command, *argv]
+    else:
+        argv = [command, *argv, "--seed", "-1"]
+    assert run(*argv, "--clean", clean_dir, "--noise", noise_dir) == 1
+    assert capsys.readouterr().err == "usage error: --seed must be at least 0, got -1\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if source == "config" else [])
 
 
 @pytest.mark.filterwarnings("error")

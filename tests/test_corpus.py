@@ -254,6 +254,64 @@ def test_a_corrupt_header_is_only_ever_a_value_error(wav_dir, wav, edits, cut, d
             pass
 
 
+def _wave_outcome(path):
+    """getnframes() of a file the stdlib wave module opens, else the reason
+    it gives, or ours where it raises a bare EOFError or RuntimeError."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            return wf.getnframes()
+    except wave.Error as exc:
+        return str(exc)
+    except EOFError:
+        return "file ends inside a chunk header"
+    except RuntimeError:
+        return "a chunk runs past the end of the RIFF chunk"
+
+
+# what wav_length may still refuse in a header that wave reads
+_PAST_WAVE = ("channels: ", "sample_width: ", "sample_rate: ",
+              "data chunk ends before frame ", "a chunk runs past the end of the RIFF chunk")
+
+
+@settings(max_examples=300, deadline=None)
+@given(wav=wav_with_extra_chunks(),
+       edits=st.lists(st.tuples(st.integers(0, 95), st.integers(0, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 120))
+def test_a_header_is_refused_for_the_reason_wave_gives(wav_dir, wav, edits, cut):
+    raw = bytearray(wav[0])
+    for i, byte in edits:
+        if i < len(raw):
+            raw[i] = byte
+    path = wav_dir / "edited.wav"
+    path.write_bytes(bytes(raw[:cut]))
+    theirs = _wave_outcome(path)
+    try:
+        ours = wav_length(path)
+    except WavFormatError as exc:
+        reason = str(exc).removeprefix("edited.wav: ")
+        if isinstance(theirs, str):
+            assert reason == theirs
+        else:
+            assert reason.startswith(_PAST_WAVE)
+    else:
+        assert ours == theirs
+
+
+@pytest.mark.parametrize("size", [14, 15])
+@pytest.mark.parametrize("tag, reason", [(1, "file ends inside a chunk header"),
+                                         (3, "unknown format: 3")])
+def test_a_short_fmt_chunk_is_refused_for_its_tag_first(tmp_path, size, tag, reason):
+    # wave reads the tag from the first 14 bytes and the bits field only for PCM
+    fmt = struct.pack("<HHLLHH", tag, 1, SR, 2 * SR, 2, 16)[:size]
+    body = b"WAVE" + _chunk(b"fmt ", fmt) + _chunk(b"data", bytes(20))
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<L", len(body)) + body)
+    assert _wave_outcome(path) == reason
+    for read in (wav_length, load_wav):
+        with pytest.raises(WavFormatError, match=f"^short_fmt.wav: {reason}$"):
+            read(path)
+
+
 def test_a_read_stops_at_the_end_of_the_riff_chunk(tmp_path):
     # the file holds all 100 frames, but its RIFF chunk ends two frames early
     p = tmp_path / "short_riff.wav"
