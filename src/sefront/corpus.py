@@ -78,11 +78,10 @@ def _header(fh, name: str) -> _Wav:
     while len(head := read(at, 8)) == 8:
         size, at = int.from_bytes(head[4:], "little"), at + 8
         if head[:4] == b"fmt ":
-            # the tag is checked before the bits field is read
-            fields = read(at, min(size, 14))
-            if len(fields) == 14 and (tag := fields[0] | fields[1] << 8) != 1:
+            fields = read(at, min(size, 16))
+            # wave checks the tag in the first 14 bytes before it wants the bits field
+            if len(fields) >= 14 and (tag := fields[0] | fields[1] << 8) != 1:
                 raise fail(f"unknown format: {tag}")
-            fields += read(at + 14, min(size - 14, 2))  # nothing if fields is short
             if len(fields) < 16:
                 raise fail("file ends inside a chunk header")
             _, channels, rate, _, _, bits = struct.unpack("<HHLLHH", fields)
